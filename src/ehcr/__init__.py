@@ -25,7 +25,7 @@ from .policy import (PolicyPmf, gain_breakpoints, spend_levels,
                      transmit_pmf, transmit_units)
 from .probing import (EstimationStats, GainDistribution,
                       estimator_variances, gain_cdf, sample_gain)
-from .rate import (PerSuRate, RateBreakdown, aic_contribution, aic_lhs,
+from .rate import (PerSuRate, RateBreakdown, aic_contribution,
                    antiderivative_m, exp_integral_ei, rate_lower_bound,
                    transmission_outage)
 from .sensing import (SensingStats, detector_probabilities,
@@ -42,7 +42,7 @@ __all__ = [
     "RateBreakdown", "SearchConfig", "SensingStats", "SimTrace",
     "SuAnalysis", "SuEvaluator", "SuPoint", "SuProfile", "SuTrace",
     "SystemConfig", "TransitionBuilder", "ValidationError",
-    "aic_contribution", "aic_lhs", "analyze", "analyze_su",
+    "aic_contribution", "analyze", "analyze_su",
     "antiderivative_m", "avg_energy", "battery_outage",
     "build_transition_matrix", "compare", "detector_probabilities",
     "estimator_variances", "exp_integral_ei", "false_alarm_at_target_pd",

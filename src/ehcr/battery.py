@@ -2,17 +2,21 @@
 
 The battery is a birth-death-with-jumps chain over {0..K} cells.  In a
 sensed-idle frame the user burns the probe reserve plus the policy spend
-and then harvests; in a sensed-busy frame it only harvests.  Harvest
-overflow piles up on the full state and deficits clamp at empty, so each
-column of the transition matrix is the next-level distribution given the
-current level.
+and then harvests; in a sensed-busy frame it only harvests.  A frame
+therefore takes level j to a pre-harvest shift s (s = j in a busy frame,
+s = j - reserve - spend in an idle one, negative on a deficit) and then
+to clip(s + H, 0, K): harvest overflow piles up on the full state, and a
+deficit below the reserve eats into the harvest before the level clamps
+at empty (the slot simulator instead skips the probe there).  Each
+column of the transition matrix is the next-level distribution given
+the current level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .policy import PolicyPmf
 from .sensing import SensingStats
@@ -26,8 +30,10 @@ class TransitionBuilder:
     """Precomputed clamp-shift distributions for one harvest law.
 
     Row ``s`` of the table is the distribution of ``clip(s + H, 0, K)``
-    where ``H`` is the harvested-cell count.  Building the table once lets
-    many policies be priced against the same harvest law cheaply.
+    where ``H`` is the harvested-cell count, for every shift ``s`` from
+    ``shift_min = -K - reserve`` up to ``K``.  Building the table once lets
+    many policies be priced against the same harvest law with one matrix
+    product each.
     """
 
     def __init__(self, harvest: np.ndarray, cells: int, probe_cells: int):
@@ -38,25 +44,18 @@ class TransitionBuilder:
         self.probe_cells = probe_cells
         self.shift_min = -cells - probe_cells
         k = cells
-        below = np.concatenate(([0.0], np.cumsum(harvest)))      # Pr{H <= i-1}
-        above = np.concatenate((np.cumsum(harvest[::-1])[::-1], [0.0]))  # Pr{H >= i}
-        n_shift = k - self.shift_min + 1
-        table = np.zeros((n_shift, k + 1))
-        for row, s in enumerate(range(self.shift_min, k + 1)):
-            # state 0 absorbs every harvest outcome H <= -s
-            t0 = -s
-            table[row, 0] = 1.0 if t0 >= k else (below[t0 + 1] if t0 >= 0 else 0.0)
-            # state K absorbs every outcome H >= K - s
-            tk = k - s
-            if tk <= 0:
-                table[row, k] = 1.0
-            elif tk <= k:
-                table[row, k] = above[tk]
-            # interior states map one-to-one onto harvest outcomes
-            i_lo = max(1, s)
-            i_hi = min(k - 1, k + s)
-            if i_hi >= i_lo:
-                table[row, i_lo:i_hi + 1] = harvest[i_lo - s:i_hi - s + 1]
+        shifts = np.arange(self.shift_min, k + 1)
+        # interior levels map one-to-one onto harvest outcomes H = m - s:
+        # a Toeplitz band, read as sliding windows over the padded pmf
+        padded = np.concatenate((np.zeros(k), harvest,
+                                 np.zeros(shifts.size - k - 1)))
+        table = sliding_window_view(padded, k + 1)[::-1].copy()
+        # level 0 absorbs every outcome H <= -s, level K every H >= K - s
+        at_most = np.concatenate(([0.0], np.cumsum(harvest[:-1]), [1.0]))
+        at_least = np.concatenate(
+            ([1.0], np.cumsum(harvest[::-1])[::-1][1:], [0.0]))
+        table[:, 0] = at_most[np.clip(1 - shifts, 0, k + 1)]
+        table[:, k] = at_least[np.clip(k - shifts, 0, k + 1)]
         self._table = table
 
     def matrix(self, psi_idle: np.ndarray, idle_prob: float,
@@ -65,21 +64,20 @@ class TransitionBuilder:
 
         ``psi_idle[j, i]`` is the chance of spending i data cells from
         level j in a sensed-idle frame (the idle-conditional policy law);
-        sensed-busy frames harvest without spending.
+        sensed-busy frames harvest without spending.  The shift law of
+        every level is scattered into a (shift x level) matrix M, and the
+        transition matrix is ``table.T @ M`` over the shifts that occur.
         """
         k = self.cells
-        js = np.arange(k + 1)
-        phi = busy_prob * self._table[js - self.shift_min].T
-        # psi_idle is indexed [level j, spend i]; fold the spend axis in
-        # one contraction over the precomputed clamp-shift rows
         psi = np.asarray(psi_idle, dtype=float)
-        spends = np.flatnonzero(psi.any(axis=0))
-        if spends.size:
-            rows = self._table[js[None, :] - self.probe_cells
-                               - spends[:, None] - self.shift_min]
-            phi += idle_prob * np.einsum("sji,js->ij", rows,
-                                         psi[:, spends])
-        return phi
+        levels, spends = np.nonzero(psi)
+        shifts = levels - self.probe_cells - spends
+        lowest = min(0, int(shifts.min())) if shifts.size else 0
+        mix = np.zeros((k + 1 - lowest, k + 1))
+        mix[shifts - lowest, levels] = idle_prob * psi[levels, spends]
+        js = np.arange(k + 1)
+        mix[js - lowest, js] += busy_prob
+        return self._table[lowest - self.shift_min:].T @ mix
 
 
 def build_transition_matrix(pmf: PolicyPmf, sensing: SensingStats,
@@ -89,49 +87,47 @@ def build_transition_matrix(pmf: PolicyPmf, sensing: SensingStats,
     return builder.matrix(pmf.psi[0], sensing.pi_hat_idle, sensing.pi_hat_busy)
 
 
-def steady_state(matrix: np.ndarray, *, agree_tol: float = 1e-6,
-                 step_tol: float = 1e-13, max_doublings: int = 60) -> np.ndarray:
+def steady_state(matrix: np.ndarray) -> np.ndarray:
     """Stationary distribution of a column-stochastic chain.
 
     Solved in closed form by replacing one redundant balance constraint
-    with normalization, then cross-checked against power iteration from
-    uniform (run in squared form, so `max_doublings` steps cover chain
-    powers up to 2**max_doublings); disagreement beyond `agree_tol` (or
-    a singular system) means the chain has no unique reachable steady
-    state.
+    with normalization.  The law is unique exactly when the chain has one
+    closed communicating class, that is when every state reaches one
+    state of it; a backward search over the positive entries checks that
+    every state reaches the most likely level.  A singular system, a
+    fixed-point residual above 1e-9 or a state that cannot reach that
+    level means the chain has no unique reachable steady state.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
-    system = matrix - np.eye(n) + 1.0
+    # matrix - I + 1, built with one temporary instead of three
+    system = matrix.copy()
+    system.flat[::n + 1] -= 1.0
+    system += 1.0
     try:
         z = np.linalg.solve(system, np.ones(n))
     except np.linalg.LinAlgError as exc:
         raise ChainNotErgodicError("chain not ergodic: singular balance system") from exc
-
-    u = np.full(n, 1.0 / n)
-    power = matrix
-    v = power @ u
-    converged = False
-    for _ in range(max_doublings):
-        power = power @ power
-        # renormalize columns so rounding drift never compounds
-        power /= power.sum(axis=0, keepdims=True)
-        nxt = power @ u
-        if np.max(np.abs(nxt - v)) < step_tol:
-            v = nxt
-            converged = True
-            break
-        v = nxt
-    if np.max(np.abs(z - v)) > agree_tol:
-        raise ChainNotErgodicError(
-            "chain not ergodic: closed form and power iteration disagree"
-            + ("" if converged else " (iteration not converged)"))
 
     z = np.clip(z, 0.0, None)
     z /= z.sum()
     resid = float(np.max(np.abs(matrix @ z - z)))
     if resid > 1e-9:
         raise ChainNotErgodicError(f"chain not ergodic: fixed-point residual {resid:.2e}")
+
+    # column j steps to row m when matrix[m, j] > 0, so a frontier row's
+    # positive columns are the states one step behind it
+    steps = matrix > 0.0
+    reached = np.zeros(n, dtype=bool)
+    frontier = np.array([np.argmax(z)])
+    reached[frontier] = True
+    while frontier.size:
+        behind = steps[frontier].any(axis=0) & ~reached
+        reached |= behind
+        frontier = np.flatnonzero(behind)
+    if not reached.all():
+        raise ChainNotErgodicError(
+            "chain not ergodic: more than one closed class")
     return z
 
 

@@ -57,8 +57,9 @@ class SuEvaluator:
 
     Sensing statistics, the estimator, the harvest law and the clamp-shift
     table are policy-independent, so they are built once; evaluating a
-    policy point then only costs the spend pmf, one matrix assembly and
-    one steady-state solve.  Results are cached per (omega, theta).
+    policy point then only costs the spend pmf, one matrix product for
+    the transition matrix, and one steady-state solve with its residual
+    and reachability checks.  Results are cached per (omega, theta).
     """
 
     def __init__(self, model: NetworkModel, index: int,

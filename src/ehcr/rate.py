@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 from scipy.special import exp1
@@ -157,15 +157,6 @@ def aic_contribution(config: SystemConfig, profile: SuProfile,
     return sensing.beta1 * profile.su_pu_var * (data_power + pilot_power)
 
 
-def aic_lhs(config: SystemConfig, profiles: Sequence[SuProfile],
-            sensings: Sequence[SensingStats], pmfs: Sequence[PolicyPmf],
-            stationaries: Sequence[np.ndarray]) -> float:
-    """Network-wide average interference at the primary [W]."""
-    return math.fsum(
-        aic_contribution(config, prof, sen, pmf, z)
-        for prof, sen, pmf, z in zip(profiles, sensings, pmfs, stationaries))
-
-
 def transmission_outage(stationary: np.ndarray, pmf: PolicyPmf,
                         sensing: SensingStats, probe_cells: int) -> float:
     """Pr{no data is sent in a sensed-idle frame}.
@@ -174,10 +165,10 @@ def transmission_outage(stationary: np.ndarray, pmf: PolicyPmf,
     gain (under the sensed-idle mixture law) fails to clear the cutoff.
     """
     stationary = np.asarray(stationary)
-    low = float(np.sum(stationary[:probe_cells + 1]))
     ks = np.arange(probe_cells + 1, stationary.size)
     if ks.size == 0:
-        return low
+        return 1.0
+    low = float(np.sum(stationary[:probe_cells + 1]))
     zero_spend = (sensing.omega0 * pmf.psi[0][ks, 0]
                   + sensing.omega1 * pmf.psi[1][ks, 0])
     return low + float(np.dot(stationary[ks], zero_spend))

@@ -1,4 +1,6 @@
 """Battery chain: clamp-shift transitions, steady state, summary metrics."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,65 @@ def test_avg_energy_monotone_in_harvest_rate():
     means = [BatteryChain.build(pmf, sensing, harvest_pmf(rho, cells)).avg_energy
              for rho in [0.5, 2.0, 5.0, 10.0, 20.0]]
     assert all(b >= a - 1e-9 for a, b in zip(means, means[1:]))
+
+
+def test_transition_matrix_matches_brute_force_over_random_settings():
+    rng = np.random.default_rng(17)
+    for trial in range(25):
+        cells = int(rng.integers(1, 25))
+        reserve = int(rng.integers(0, cells))
+        # low rates put mass on the columns below the reserve, where a
+        # deficit eats into the harvest
+        harvest = harvest_pmf(float(rng.uniform(0.05, 8.0)), cells)
+        if trial % 2:
+            # dense spend law: spends may exceed the level
+            psi = rng.random((cells + 1, cells + 1))
+            psi /= psi.sum(axis=1, keepdims=True)
+        else:
+            psi = transmit_pmf(PolicyParams(float(rng.uniform(0, 1)),
+                                            float(rng.uniform(0.01, 2.0))),
+                               reserve, cells, MIX).psi[0]
+        idle = float(rng.uniform(0.05, 0.95))
+        got = TransitionBuilder(harvest, cells, reserve).matrix(
+            psi, idle, 1.0 - idle)
+        want = _brute_force_matrix(psi, idle, 1.0 - idle, harvest, cells,
+                                   reserve)
+        np.testing.assert_allclose(got, want, atol=1e-14)
+
+
+def test_transition_matrix_memory_at_large_battery():
+    cells = 400
+    builder = TransitionBuilder(harvest_pmf(4.0, cells), cells, 1)
+    psi = transmit_pmf(PolicyParams(0.5, 0.2), 1, cells, MIX).psi[0]
+    tracemalloc.start()
+    try:
+        builder.matrix(psi, 0.7, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_steady_state_zero_on_transient_states():
+    # states 0 and 1 drain into the closed class {2, 3, 4}
+    chain = np.array([[0.2, 0.0, 0.0, 0.0, 0.0],
+                      [0.3, 0.5, 0.0, 0.0, 0.0],
+                      [0.5, 0.2, 0.1, 0.6, 0.3],
+                      [0.0, 0.3, 0.6, 0.2, 0.3],
+                      [0.0, 0.0, 0.3, 0.2, 0.4]])
+    z = steady_state(chain)
+    np.testing.assert_allclose(z[:2], 0.0, atol=1e-15)
+    inner = steady_state(chain[2:, 2:])
+    np.testing.assert_allclose(z[2:], inner, atol=1e-12)
+
+
+def test_steady_state_rejects_classes_sharing_a_transient_state():
+    # state 0 feeds both closed classes {1, 2} and {3, 4}; the balance
+    # system solves without error to a stationary mixture with no residual
+    chain = np.array([[0.2, 0.0, 0.0, 0.0, 0.0],
+                      [0.4, 0.5, 0.5, 0.0, 0.0],
+                      [0.0, 0.5, 0.5, 0.0, 0.0],
+                      [0.4, 0.0, 0.0, 0.1, 0.9],
+                      [0.0, 0.0, 0.0, 0.9, 0.1]])
+    with pytest.raises(ChainNotErgodicError):
+        steady_state(chain)
