@@ -395,17 +395,18 @@ def cmd_simulate(args: argparse.Namespace, loaded: LoadedConfig) -> int:
         for su in trace.sus:
             name = "trace_su%d.csv" % (su.index + 1)
             outputs.append(name)
-            per_slot = zip(range(su.slots), su.busy, su.sensed_busy,
-                           su.state_before, su.probed, su.gain, su.spent,
-                           su.harvested, su.state_after, su.rate_sample,
-                           su.interference_sample)
+            # flags as 0/1 ints; whole columns become Python values at once
+            columns = (np.arange(su.slots), su.busy.view(np.int8),
+                       su.sensed_busy.view(np.int8), su.state_before,
+                       su.probed.view(np.int8), su.gain, su.spent,
+                       su.harvested, su.state_after, su.rate_sample,
+                       su.interference_sample)
             _write_csv(os.path.join(args.out, name),
                        ("slot", "busy", "sensed_busy", "state_before",
                         "probed", "gain", "spent", "harvested",
                         "state_after", "rate_sample",
                         "interference_sample"),
-                       ([s, int(b), int(sb), st, int(p), g, sp, h, sa, r, w]
-                        for s, b, sb, st, p, g, sp, h, sa, r, w in per_slot))
+                       zip(*(column.tolist() for column in columns)))
     _write_manifest(args.out, "simulate", loaded, outputs, seed=args.seed,
                     slots=args.slots, ideal_sensing=args.ideal_sensing,
                     assume_idle_gains=args.assume_idle_gains,

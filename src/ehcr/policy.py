@@ -25,25 +25,34 @@ FLOOR_NUDGE = 1e-9
 DENOM_EPS = 1e-12
 
 
-def _check_params(params: PolicyParams) -> None:
+def check_params(params: PolicyParams) -> None:
+    """Reject a policy outside omega in [0, 1], theta >= 0."""
     if not 0.0 <= params.omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
     if params.theta < 0.0:
         raise ValueError("theta must be >= 0")
 
 
+def derating(gain: np.ndarray | float, theta: float) -> np.ndarray:
+    """Spent share of the omega-fraction at fed-back gain(s) `gain`.
+
+    ``max(1 - theta/gain, 0)`` for positive gains and 0 otherwise; at
+    ``theta = 0`` every positive gain gives exactly 1.
+    """
+    gain = np.asarray(gain, dtype=float)
+    # theta/gain on positive gains, 1 elsewhere so that those read 0
+    frac = np.divide(theta, gain, out=np.ones_like(gain), where=gain > 0.0)
+    np.subtract(1.0, frac, out=frac)
+    return np.maximum(frac, 0.0, out=frac)
+
+
 def transmit_units(state: int, gain: float, params: PolicyParams,
                    probe_cells: int) -> int:
     """Cells spent on data at battery level `state` for a fed-back `gain`."""
-    _check_params(params)
+    check_params(params)
     if state <= probe_cells:
         return 0
-    if gain <= 0.0:
-        frac = 0.0
-    elif params.theta <= 0.0:
-        frac = 1.0
-    else:
-        frac = max(1.0 - params.theta / gain, 0.0)
+    frac = float(derating(gain, params.theta))
     level = int(np.floor(params.omega * state * frac + FLOOR_NUDGE))
     return max(level - probe_cells, 0)
 
@@ -70,7 +79,7 @@ def spend_levels(params: PolicyParams, probe_cells: int,
     step.  A non-positive inverted denominator means the level never
     loses to the next one, so its upper edge is +inf.
     """
-    _check_params(params)
+    check_params(params)
     ks = np.arange(cells + 1)
     caps = np.floor(params.omega * ks + FLOOR_NUDGE).astype(int) - probe_cells
     caps = np.clip(caps, 0, None)

@@ -6,6 +6,14 @@ policy rule (not the vectorized pmf used by the analytics), and rate and
 interference from per-slot closed-form samples.  Users get independent
 substreams keyed by (seed, user index), so adding a user never perturbs
 the others' sample paths.
+
+Only the battery recursion depends on the level a slot starts from, so
+only it runs in a Python loop, over plain integers and floats.  Every
+level-independent quantity (occupancy, detector verdicts, harvests, the
+fed-back gain and its derating factor) is drawn or computed with numpy
+before the walk, and everything the walked levels decide (who probed,
+the spends, SNRs, rate and interference samples) is derived with numpy
+after it.
 """
 from __future__ import annotations
 
@@ -17,13 +25,16 @@ import numpy as np
 
 from .analysis import NetworkAnalysis
 from .model import NetworkModel, PolicyParams
-from .policy import transmit_units
+from .policy import FLOOR_NUDGE, check_params, derating
 from .probing import GainDistribution, estimator_variances
 from .sensing import sensing_stats
 
 # Below this many slots the empirical aggregates are statistically
 # meaningless at the declared tolerances, so comparisons refuse to pass.
 MIN_COMPARE_SLOTS = 1000
+
+# Slots the battery walk converts to Python lists at a time.
+WALK_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -124,6 +135,42 @@ class SimTrace:
         return math.fsum(su.mean_interference for su in self.sus)
 
 
+def _walk_battery(level: int, cells: int, reserve: int, omega: float,
+                  sensed_busy: np.ndarray, frac: np.ndarray,
+                  harvested: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Battery level entering every slot, and the level after the last.
+
+    A sensed-idle slot with the reserve covered pays the probe plus the
+    data spend of :func:`transmit_units`, i.e. drains
+    ``max(floor(omega * level * frac + FLOOR_NUDGE), reserve)`` cells;
+    then the harvest arrives and the level clamps at `cells`.  The slots
+    go through Python lists one chunk at a time, so the loop touches no
+    numpy scalars and the lists stay small next to the trace.
+    """
+    slots = sensed_busy.size
+    state_before = np.empty(slots, dtype=np.int64)
+    for start in range(0, slots, WALK_CHUNK):
+        stop = start + WALK_CHUNK
+        before: List[int] = []
+        record = before.append
+        for busy_t, frac_t, harvest_t in zip(sensed_busy[start:stop].tolist(),
+                                             frac[start:stop].tolist(),
+                                             harvested[start:stop].tolist()):
+            record(level)
+            if not busy_t and level >= reserve:
+                # frac <= 1 and the checked omega <= 1 keep the drain
+                # within the level, so it never needs a clamp at 0; the
+                # operand order matches transmit_units, and int() floors
+                # the positive product.
+                drain = int(omega * level * frac_t + FLOOR_NUDGE)
+                level -= drain if drain > reserve else reserve
+            level += harvest_t
+            if level > cells:
+                level = cells
+        state_before[start:stop] = before
+    return state_before, level
+
+
 def _simulate_su(model: NetworkModel, index: int, params: PolicyParams,
                  slots: int, seed: int, assume_idle_gains: bool,
                  ideal_sensing: bool, start_level: Optional[int]) -> SuTrace:
@@ -136,60 +183,68 @@ def _simulate_su(model: NetworkModel, index: int, params: PolicyParams,
     cells = config.battery_cells
     probe_cells = config.probe_cells
     unit_power = config.unit_power
-    rate_scale = config.data_fraction * config.bandwidth
-    pilot_power = config.probe_fraction * config.probe_power
-    err_var = (est.var_err_h0, est.var_err_h1)
-    extra_noise = (0.0, est.pu_interference_var)
     means = dist.means
+
+    level = cells // 2 if start_level is None else int(start_level)
+    if not 0 <= level <= cells:
+        raise ValueError("start level must lie within the battery range")
 
     rng = np.random.default_rng((seed, index))
     busy = rng.random(slots) < (1.0 - config.prior_idle)
     detect_u = rng.random(slots)
     sensed_busy = np.where(busy, detect_u < sensing.p_d,
                            detect_u < sensing.p_fa)
-    harvested = rng.poisson(profile.harvest_rate, slots).astype(np.int64)
-    gain_u = rng.random(slots)
+    del detect_u
+    harvested = rng.poisson(profile.harvest_rate, slots).astype(
+        np.int64, copy=False)
+    # fed-back gain of every slot, -means[eps] * log1p(-u), built in the
+    # buffer of its uniform draws; only probed slots keep it
+    gain = rng.random(slots)
+    np.log1p(np.negative(gain, out=gain), out=gain)
+    if assume_idle_gains:
+        gain *= -means[0]
+    else:
+        np.multiply(gain, -means[1], out=gain, where=busy)
+        np.multiply(gain, -means[0], out=gain, where=~busy)
+    frac = derating(gain, params.theta)
 
-    state_before = np.zeros(slots, dtype=np.int64)
-    state_after = np.zeros(slots, dtype=np.int64)
-    probed = np.zeros(slots, dtype=bool)
-    gains = np.zeros(slots)
+    state_before, level = _walk_battery(level, cells, probe_cells,
+                                        params.omega, sensed_busy, frac,
+                                        harvested)
+    state_after = np.empty_like(state_before)
+    state_after[:-1] = state_before[1:]
+    state_after[-1] = level
+    probed = ~sensed_busy & (state_before >= probe_cells)
+    gain[~probed] = 0.0
+
+    # the walk's drain less the reserve, which transmit_units floors at 0;
+    # the full-length temporaries go before the samples are allocated
     spent = np.zeros(slots, dtype=np.int64)
+    spend = np.floor(params.omega * state_before[probed] * frac[probed]
+                     + FLOOR_NUDGE).astype(np.int64) - probe_cells
+    spent[probed] = np.maximum(spend, 0)
+    del frac, spend
+
     rate_sample = np.zeros(slots)
+    sent = np.flatnonzero(spent)
+    e = busy[sent]
+    power = spent[sent] * unit_power
+    snr = power / (np.where(e, est.var_err_h1, est.var_err_h0) * power
+                   + profile.ap_noise
+                   + np.where(e, est.pu_interference_var, 0.0))
+    rate_sample[sent] = (config.data_fraction * config.bandwidth
+                         * np.log2(1.0 + gain[sent] * snr))
+
     interference_sample = np.zeros(slots)
-
-    level = cells // 2 if start_level is None else int(start_level)
-    if not 0 <= level <= cells:
-        raise ValueError("start level must lie within the battery range")
-
-    for t in range(slots):
-        state_before[t] = level
-        out = 0
-        if not sensed_busy[t]:
-            if level >= probe_cells:
-                probed[t] = True
-                eps = 0 if assume_idle_gains else int(busy[t])
-                g = -means[eps] * math.log1p(-gain_u[t])
-                gains[t] = g
-                alpha = transmit_units(level, g, params, probe_cells)
-                spent[t] = alpha
-                out = probe_cells + alpha
-                if alpha:
-                    e = int(busy[t])
-                    power = alpha * unit_power
-                    snr = power / (err_var[e] * power
-                                   + profile.ap_noise + extra_noise[e])
-                    rate_sample[t] = rate_scale * math.log2(1.0 + g * snr)
-            if busy[t] and probed[t]:
-                interference_sample[t] = profile.su_pu_var * (
-                    spent[t] * unit_power + pilot_power)
-        level = min(max(level - out, 0) + harvested[t], cells)
-        state_after[t] = level
+    heard = busy & probed
+    interference_sample[heard] = profile.su_pu_var * (
+        spent[heard] * unit_power
+        + config.probe_fraction * config.probe_power)
 
     return SuTrace(index=index, params=params, cells=cells,
                    probe_cells=probe_cells, busy=busy,
                    sensed_busy=sensed_busy, state_before=state_before,
-                   state_after=state_after, probed=probed, gain=gains,
+                   state_after=state_after, probed=probed, gain=gain,
                    spent=spent, harvested=harvested, rate_sample=rate_sample,
                    interference_sample=interference_sample)
 
@@ -200,6 +255,11 @@ def simulate(model: NetworkModel, params_list: Sequence[PolicyParams],
              start_level: Optional[int] = None) -> SimTrace:
     """Run every user for `slots` frames and collect the sample paths.
 
+    Each user's policy is checked before any slot runs.  Per user, numpy
+    draws the whole run and prices the fed-back gains, a Python loop
+    walks the battery levels, and numpy derives the per-slot spends and
+    samples from the walked path (see the module docstring).
+
     `assume_idle_gains` draws the fed-back gain from the idle-band law
     even in missed-detection slots, mirroring the analytic chain's
     idle-only spend law; the default draws by the true occupancy, so the
@@ -209,6 +269,8 @@ def simulate(model: NetworkModel, params_list: Sequence[PolicyParams],
         raise ValueError("slots must be >= 1")
     if len(params_list) != model.n_users:
         raise ValueError("one PolicyParams per user profile is required")
+    for params in params_list:
+        check_params(params)
     sus = tuple(
         _simulate_su(model, i, params, slots, seed, assume_idle_gains,
                      ideal_sensing, start_level)

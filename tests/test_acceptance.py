@@ -219,6 +219,16 @@ def test_criterion_5_reference_battery_means():
     assert elapsed < 120.0, "runtime %.1f s exceeds the 120 s budget" % elapsed
 
 
+def test_reference_means_come_from_the_simulator():
+    """Criterion 5's references follow from their documented recipe."""
+    model = NetworkModel(config=SystemConfig(), profiles=(SuProfile(),))
+    means = []
+    for params in _PRESET_POLICIES:
+        trace = simulate(model, [params], 1_100_000, seed=5)
+        means.append(float(trace.sus[0].state_before[100_000:].mean()))
+    assert tuple(round(m, 2) for m in means) == _REFERENCE_MEANS, means
+
+
 # ----------------------------------------------------------- criterion 6
 
 def _interior_argmax(values):

@@ -1,9 +1,12 @@
 """Monte Carlo slot dynamics and the empirical-vs-analytic report."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ehcr.analysis import analyze
 from ehcr.model import NetworkModel, PolicyParams, SuProfile, SystemConfig
+from ehcr.policy import transmit_units
 from ehcr.sim import MIN_COMPARE_SLOTS, compare, simulate
 
 
@@ -154,3 +157,68 @@ def test_start_level_is_respected():
     hi = simulate(model, [PolicyParams(0.5, 0.1)], 10, start_level=12)
     assert lo.sus[0].state_before[0] == 0
     assert hi.sus[0].state_before[0] == 12
+
+
+def test_policy_is_checked_before_the_walk():
+    # a never-idle band probes no slot, so no spend rule would ever see
+    # the out-of-range omega
+    model = _single(cells=10, rho=2.0, prior_idle=1e-9)
+    with pytest.raises(ValueError):
+        simulate(model, [PolicyParams(1.5, 0.1)], 2000, ideal_sensing=True)
+    with pytest.raises(ValueError):
+        simulate(model, [PolicyParams(0.5, -0.1)], 2000, ideal_sensing=True)
+
+
+_SPEND_CASES = {
+    "defaults": (NetworkModel(config=SystemConfig(), profiles=(SuProfile(),)),
+                 [PolicyParams(0.35, 0.2)]),
+    "low-harvest": (NetworkModel(
+        config=SystemConfig(battery_cells=20, probe_cells=3),
+        profiles=(SuProfile(harvest_rate=0.8),)), [PolicyParams(0.5, 0.1)]),
+    "pair": (NetworkModel(config=SystemConfig(),
+                          profiles=(SuProfile(), SuProfile(harvest_rate=2.0))),
+             [PolicyParams(0.6, 0.0), PolicyParams(1.0, 0.3)]),
+    "K=12": (_single(), [PolicyParams(0.6, 0.1)]),
+    "K=400": (NetworkModel(config=SystemConfig(battery_cells=400),
+                           profiles=(SuProfile(),)), [PolicyParams(0.45, 0.2)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPEND_CASES))
+def test_spends_follow_the_scalar_rule(case):
+    """Every slot's spend is the scalar policy rule at its entering level."""
+    model, params = _SPEND_CASES[case]
+    for seed in (1, 5, 11):
+        for idle_gains in (False, True):
+            for ideal in (False, True):
+                trace = simulate(model, params, 1500, seed=seed,
+                                 assume_idle_gains=idle_gains,
+                                 ideal_sensing=ideal)
+                for su in trace.sus:
+                    np.testing.assert_array_equal(
+                        su.probed,
+                        ~su.sensed_busy & (su.state_before >= su.probe_cells))
+                    expected = [
+                        transmit_units(k, g, su.params, su.probe_cells)
+                        if p else 0
+                        for k, g, p in zip(su.state_before.tolist(),
+                                           su.gain.tolist(),
+                                           su.probed.tolist())]
+                    np.testing.assert_array_equal(su.spent, expected)
+                    walk = np.minimum(su.state_before - su.outflow
+                                      + su.harvested, su.cells)
+                    np.testing.assert_array_equal(su.state_after, walk)
+
+
+def test_simulation_memory_stays_near_the_trace():
+    """One 75k-slot run peaks within 7 MB; its trace alone holds ~4.4 MB."""
+    model = NetworkModel(config=SystemConfig(), profiles=(SuProfile(),))
+    params = [PolicyParams(0.35, 0.2)]
+    simulate(model, params, 100, seed=3)
+    tracemalloc.start()
+    try:
+        simulate(model, params, 75_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7e6, "peak %.1f MB" % (peak / 1e6)
