@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -249,13 +249,30 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+def _format_column(column: Sequence[object]) -> List[str]:
+    """Every cell of one column as ``_fmt`` writes it.
+
+    Float and integer arrays are formatted a whole column at a time, with
+    no per-cell type test; any other column goes through ``_fmt``.
+    """
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        column = column.tolist()
+        if kind == "f":
+            return [format(v, ".12g") for v in column]
+        if kind in "iu":
+            return list(map(str, column))
+    return [_fmt(cell) for cell in column]
+
+
 def _write_csv(path: str, header: Sequence[str],
-               rows: Sequence[Sequence[object]]) -> None:
+               columns: Iterable[Sequence[object]]) -> None:
+    """One table, given column by column, as CSV."""
+    cells = [_format_column(column) for column in columns]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer.writerows(zip(*cells))
 
 
 def _write_manifest(out_dir: str, command: str, loaded: LoadedConfig,
@@ -302,12 +319,12 @@ def cmd_analyze(args: argparse.Namespace, loaded: LoadedConfig) -> int:
                        ideal_sensing=args.ideal_sensing)
     outputs = ["metrics.csv", "zeta.csv"]
     _write_csv(os.path.join(args.out, "metrics.csv"),
-               ("su",) + _METRIC_COLUMNS, _analysis_rows(analysis))
+               ("su",) + _METRIC_COLUMNS, zip(*_analysis_rows(analysis)))
     zeta_rows = [["su%d" % (su.index + 1), level, prob]
                  for su in analysis.sus
                  for level, prob in enumerate(su.chain.steady_state)]
     _write_csv(os.path.join(args.out, "zeta.csv"),
-               ("su", "level", "probability"), zeta_rows)
+               ("su", "level", "probability"), zip(*zeta_rows))
     if args.dump_matrix:
         for su in analysis.sus:
             name = "matrix_su%d.csv" % (su.index + 1)
@@ -315,8 +332,8 @@ def cmd_analyze(args: argparse.Namespace, loaded: LoadedConfig) -> int:
             _write_csv(os.path.join(args.out, name),
                        ["to\\from"] + [str(j) for j in
                                        range(su.chain.matrix.shape[1])],
-                       [[i] + list(row)
-                        for i, row in enumerate(su.chain.matrix)])
+                       [np.arange(su.chain.matrix.shape[0])]
+                       + list(su.chain.matrix.T))
     _write_manifest(args.out, "analyze", loaded, outputs,
                     ideal_sensing=args.ideal_sensing)
     for su in analysis.sus:
@@ -355,7 +372,7 @@ def cmd_optimize(args: argparse.Namespace, loaded: LoadedConfig) -> int:
     rows.append(["total", None, None, result.sum_rate, result.aic_lhs,
                  None, None, None])
     _write_csv(os.path.join(args.out, "optimum.csv"),
-               ("su",) + _METRIC_COLUMNS, rows)
+               ("su",) + _METRIC_COLUMNS, zip(*rows))
     _write_manifest(args.out, "optimize", loaded, ["optimum.csv"],
                     ideal_sensing=args.ideal_sensing,
                     feasible=result.feasible,
@@ -390,12 +407,12 @@ def cmd_simulate(args: argparse.Namespace, loaded: LoadedConfig) -> int:
     outputs = ["compare.csv"]
     _write_csv(os.path.join(args.out, "compare.csv"),
                ("scope", "quantity", "simulated", "analytic", "deviation",
-                "tolerance", "kind", "passed"), rows)
+                "tolerance", "kind", "passed"), zip(*rows))
     if args.dump_trace:
         for su in trace.sus:
             name = "trace_su%d.csv" % (su.index + 1)
             outputs.append(name)
-            # flags as 0/1 ints; whole columns become Python values at once
+            # flags as 0/1 ints
             columns = (np.arange(su.slots), su.busy.view(np.int8),
                        su.sensed_busy.view(np.int8), su.state_before,
                        su.probed.view(np.int8), su.gain, su.spent,
@@ -405,8 +422,7 @@ def cmd_simulate(args: argparse.Namespace, loaded: LoadedConfig) -> int:
                        ("slot", "busy", "sensed_busy", "state_before",
                         "probed", "gain", "spent", "harvested",
                         "state_after", "rate_sample",
-                        "interference_sample"),
-                       zip(*(column.tolist() for column in columns)))
+                        "interference_sample"), columns)
     _write_manifest(args.out, "simulate", loaded, outputs, seed=args.seed,
                     slots=args.slots, ideal_sensing=args.ideal_sensing,
                     assume_idle_gains=args.assume_idle_gains,
@@ -497,7 +513,7 @@ def cmd_sweep(args: argparse.Namespace, loaded: LoadedConfig) -> int:
             row = [value, f"invalid: {note}"] + [None] * (len(header) - 2)
         rows.append(row)
 
-    _write_csv(os.path.join(args.out, "sweep.csv"), header, rows)
+    _write_csv(os.path.join(args.out, "sweep.csv"), header, zip(*rows))
     _write_manifest(args.out, "sweep", loaded, ["sweep.csv"],
                     axis=args.axis, sweep_from=args.sweep_from, to=args.to,
                     points=args.points, optimize=args.optimize,

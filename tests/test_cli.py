@@ -1,15 +1,17 @@
 """Command-line workflows: config parsing, artifacts, exit codes."""
 import csv
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ehcr import __version__
 from ehcr.analysis import analyze
 from ehcr.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_MISMATCH, EXIT_OK,
-                      load_config, main)
+                      _write_csv, load_config, main)
 from ehcr.model import NetworkModel, PolicyParams, SuProfile, SystemConfig
 
 BASE_CONFIG = """\
@@ -208,6 +210,47 @@ def test_simulate_can_dump_the_trace(tmp_path):
     assert rows[0][:3] == ["slot", "busy", "sensed_busy"]
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert "trace_su1.csv" in manifest["outputs"]
+
+
+def _write_csv_per_cell(path, header, rows):
+    """The CSV writer that formats one cell at a time."""
+    def fmt(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            if math.isinf(value):
+                return "inf" if value > 0 else "-inf"
+            return format(value, ".12g")
+        if value is None:
+            return ""
+        return str(value)
+
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(cell) for cell in row])
+
+
+def test_column_writer_matches_the_per_cell_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    n = 500
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    floats[:6] = (np.inf, -np.inf, 0.0, -0.0, 1e300, 5e-324)
+    columns = [np.arange(n), floats, rng.integers(-9, 80, n),
+               rng.random(n) < 0.5, (rng.random(n) < 0.5).view(np.int8),
+               rng.integers(0, 2 ** 40, n).astype(np.uint64),
+               # mixed Python cells, as the small tables pass them
+               [None, True, False, 3, -2.5, float("inf"), "a,b", 'q"t',
+                np.float64(0.1), "su1"] * (n // 10)]
+    header = ["i", "f", "k", "flag", "bit", "big", "mixed"]
+    _write_csv(str(tmp_path / "columns.csv"), header, columns)
+    _write_csv_per_cell(str(tmp_path / "cells.csv"), header,
+                        zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                              for c in columns)))
+    got = (tmp_path / "columns.csv").read_bytes()
+    assert got == (tmp_path / "cells.csv").read_bytes()
+    assert b"0,inf," in got and b"1,-inf," in got and b",true," in got
 
 
 def test_sweep_walks_a_policy_axis(tmp_path, capsys):

@@ -1,19 +1,27 @@
 """Exponential integral, rate lower bound, interference load, outage."""
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exp1
 
+from ehcr import rate
 from ehcr.analysis import analyze_su
 from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                         harvest_pmf)
 from ehcr.policy import transmit_pmf
 from ehcr.probing import GainDistribution, estimator_variances
-from ehcr.rate import (antiderivative_m, exp_integral_ei, rate_lower_bound,
-                       transmission_outage)
+from ehcr.rate import (aic_contribution, antiderivative_m, exp_integral_ei,
+                       rate_lower_bound, transmission_outage)
 from ehcr.sensing import joint_sensing_stats
+
+
+FIT_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "fit_scaled_e1.py"
 
 
 def _m_quad(a, b, snr, mean):
@@ -47,6 +55,85 @@ def test_ei_rejects_nonnegative_arguments():
         exp_integral_ei(0.0)
     with pytest.raises(ValueError):
         exp_integral_ei(np.array([-1.0, 0.5]))
+
+
+# ------------------------------------------------ scaled E1 fit ----
+
+def _scaled_e1_scipy(t):
+    """exp(t)*E1(t) through scipy.special.exp1, as the rate bound once was."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    small = t < 600.0
+    out[small] = np.exp(t[small]) * exp1(t[small])
+    tb = t[~small]
+    acc = np.zeros_like(tb)
+    for k in range(40, 0, -1):
+        acc = (k * k) / (tb + 2.0 * k + 1.0 - acc)
+    out[~small] = 1.0 / (tb + 1.0 - acc)
+    return out
+
+
+def test_scaled_e1_matches_mpmath():
+    edges = [np.nextafter(edge, side) for edge in (2.0, 8.0, 600.0)
+             for side in (0.0, np.inf)]
+    t = np.concatenate([np.geomspace(1e-8, 745.0, 6000),
+                        [2.0, 8.0, 600.0], edges])
+    got = rate._scaled_e1(t)
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.exp(v) * mpmath.e1(v))
+                         for v in map(mpmath.mpf, t)])
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+
+def test_fit_generator_reproduces_the_committed_coefficients():
+    done = subprocess.run([sys.executable, str(FIT_SCRIPT), "--check"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def _cross_check_settings():
+    rng = np.random.default_rng(6)
+    settings = []
+    for _ in range(23):
+        cells = int(rng.integers(12, 401))
+        config = SystemConfig(battery_cells=cells,
+                              probe_cells=int(rng.integers(1, 4)))
+        profile = SuProfile(harvest_rate=float(10.0 ** rng.uniform(-0.3, 1.5)),
+                            su_ap_var=float(10.0 ** rng.uniform(-1, 1)),
+                            ap_noise=float(10.0 ** rng.uniform(-1, 1)))
+        params = PolicyParams(float(rng.uniform(0.05, 1.0)),
+                              float(10.0 ** rng.uniform(-3, 0.5)))
+        settings.append((config, profile, params, bool(rng.integers(2))))
+    # the low-harvest point and ideal sensing at the defaults
+    settings.append((SystemConfig(battery_cells=20, probe_cells=3),
+                     SuProfile(harvest_rate=0.8), PolicyParams(0.5, 0.1),
+                     False))
+    settings.append((SystemConfig(), SuProfile(), PolicyParams(0.45, 0.2),
+                     True))
+    return settings
+
+
+@pytest.mark.parametrize("config, profile, params, ideal",
+                         _cross_check_settings())
+def test_rate_terms_match_the_scipy_formula(monkeypatch, config, profile,
+                                            params, ideal):
+    su = analyze_su(NetworkModel(config=config, profiles=(profile,)), 0,
+                    params, ideal_sensing=ideal)
+    zeta = su.chain.steady_state
+
+    def terms():
+        r = rate_lower_bound(config, profile, su.sensing, su.estimation,
+                             su.pmf, zeta)
+        return (r.total, r.idle_part, r.busy_part,
+                aic_contribution(config, profile, su.sensing, su.pmf, zeta),
+                transmission_outage(zeta, su.pmf, su.sensing,
+                                    config.probe_cells))
+
+    got = terms()
+    monkeypatch.setattr(rate, "_scaled_e1", _scaled_e1_scipy)
+    want = terms()
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert got[0] > 0.0
 
 
 # ------------------------------------------------- antiderivative M ----
