@@ -6,10 +6,10 @@ Usage::
     python3 benchmarks/layers.py --parent REV --out BENCH_6.json
 
 ``REV``'s ``src/`` is extracted with ``git archive`` into a temporary
-directory.  Each round measures both trees in child processes (this
-script with ``--child`` and ``PYTHONPATH`` set to the tree's ``src``),
-alternating which runs first, and the JSON keeps every round plus the
-per-side medians.
+directory.  Each of 11 rounds measures both trees in child processes
+(this script with ``--child`` and ``PYTHONPATH`` set to the tree's
+``src``), alternating which runs first, and the JSON keeps every round
+plus the per-side medians.
 
 For one user at the default configuration with K = 80 and K = 400 cells
 and policy (0.45, 0.2), a child times the layers ``SuEvaluator.evaluate``
@@ -37,6 +37,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 POLICY = (0.45, 0.2)
+ROUNDS = 11
 E1_POINTS = {"e1_k80_ns_per_arg": (80, (0.15, 0.2)),
              "e1_k400_ns_per_arg": (400, (0.7, 0.2))}
 
@@ -155,7 +156,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", help="git revision to compare against")
     parser.add_argument("--out", help="JSON file to write (default: stdout)")
-    parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -171,7 +171,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": _extract_src(rev, Path(tmp)),
                  "change": REPO / "src"}
-        for i in range(args.rounds):
+        for i in range(ROUNDS):
             order = ("parent", "change")
             for side in order if i % 2 == 0 else reversed(order):
                 runs[side].append(_run_child(trees[side]))
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
         "parent_rev": rev,
         "policy": list(POLICY),
         "machine": _machine(),
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "median": medians,
         "change_over_parent": {key: medians["change"][key]
                                / medians["parent"][key]

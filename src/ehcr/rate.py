@@ -12,9 +12,10 @@ The rate bound's scaled exponential integral exp(t)*E1(t) never calls a
 special function.  Below t = 600 it is three polynomials fitted offline
 by ``tools/fit_scaled_e1.py`` (mpmath at 40 digits): E1(t) = P(t) - ln t
 with P = -gamma + Ein for t < 2, and t*exp(t)*E1(t) as a polynomial in
-1/t on [2, 8) and on [8, 600).  From t = 600 on a continued fraction
-takes over.  The relative error is below 3e-14 on every piece (1e-13 is
-tested).  ``exp_integral_ei`` keeps ``scipy.special.exp1``.
+1/t on [2, 8) and on [8, 600), those two evaluated in one pass.  From
+t = 600 on a continued fraction takes over.  The relative error is below
+3e-14 on every piece (1e-13 is tested).
+``exp_integral_ei`` keeps ``scipy.special.exp1``.
 """
 from __future__ import annotations
 
@@ -39,35 +40,13 @@ _CF_SWITCH = 600.0
 # exp(-t) underflows to zero here, making the whole antiderivative zero
 _EXP_UNDERFLOW = 745.0
 
-# Coefficients of _scaled_e1's pieces, highest power first, written by
-# tools/fit_scaled_e1.py; `python3 tools/fit_scaled_e1.py --check` refits
-# them.  t < 2: P(t) = E1(t) + ln t = -gamma + Ein(t).
-_E1_NEAR = (
-    -7.03577695135723e-11, 1.7737566544720701e-09, -2.600893404864189e-08,
-    3.0301385381037893e-07, -3.095715783915787e-06, 2.834028810258314e-05,
-    -0.0002314785300317828, 0.0016666653294609987, -0.010416666276641994,
-    0.05555555548770149, -0.2499999999938552, 0.999999999999781,
-    -0.5772156649015315,
-)
-# 2 <= t < 8, then 8 <= t < 600: P(1/t) = t*exp(t)*E1(t).
-_E1_MID = (
-    1069.314542107882, -5865.303790836217, 15058.014036764453,
-    -24060.967060914292, 26850.576983956267, -22269.97139557881,
-    14276.930604977502, -7274.954272121505, 3015.34702888036,
-    -1040.7355607182449, 308.2214676083982, -81.9691212417221,
-    21.05176829211902, -5.820612861725447, 1.9921004838166707,
-    -0.9997784159302694, 0.9999970473069972,
-)
-_E1_FAR = (
-    35847386.25346107, -37937575.733545616, 18733244.94710338,
-    -5797151.33213786, 1284774.812498119, -224003.12809826806,
-    33617.322064299704, -4787.710337880675, 712.8666330677299,
-    -119.85428238839009, 23.997949351625056, -5.999981368100652,
-    1.9999999007544034, -0.999999999735772, 0.9999999999997479,
-)
+# _scaled_e1 uses E1(t) = P(t) - ln t below _NEAR_END and P(1/t)/t from
+# there to _CF_SWITCH, where the pieces of P start at _INV_SPLITS
+_NEAR_END = 2.0
+_INV_SPLITS = np.array([8.0])
 
 
-def _as_arrays(coeffs: tuple) -> tuple:
+def _as_arrays(coeffs) -> tuple:
     """Coefficients as 0-d arrays.
 
     numpy adds a 0-d array to an array in about three quarters of the
@@ -78,7 +57,36 @@ def _as_arrays(coeffs: tuple) -> tuple:
     return tuple(np.array(c) for c in coeffs)
 
 
-_NEAR, _MID, _FAR = (_as_arrays(c) for c in (_E1_NEAR, _E1_MID, _E1_FAR))
+# Coefficients of _scaled_e1's polynomials, highest power first, written
+# by tools/fit_scaled_e1.py; `python3 tools/fit_scaled_e1.py --check`
+# refits them.  t < 2: P(t) = E1(t) + ln t = -gamma + Ein(t).  Then one
+# column each for 2 <= t < 8 and 8 <= t < 600: P(1/t) = t*exp(t)*E1(t).
+_E1_NEAR = _as_arrays((
+    -7.03577695135723e-11, 1.7737566544720701e-09, -2.600893404864189e-08,
+    3.0301385381037893e-07, -3.095715783915787e-06, 2.834028810258314e-05,
+    -0.0002314785300317828, 0.0016666653294609987, -0.010416666276641994,
+    0.05555555548770149, -0.2499999999938552, 0.999999999999781,
+    -0.5772156649015315,
+))
+_E1_INV = np.array([
+    (1069.314542107882, 1452582500.3244512),
+    (-5865.303790836217, -1705572183.4129345),
+    (15058.014036764453, 936310358.841443),
+    (-24060.967060914292, -321341011.8509107),
+    (26850.576983956267, 78114362.71876669),
+    (-22269.97139557881, -14551868.449457958),
+    (14276.930604977502, 2220218.5308128553),
+    (-7274.954272121505, -297487.8322553543),
+    (3015.34702888036, 37876.32508834088),
+    (-1040.7355607182449, -4968.804360562312),
+    (308.2214676083982, 718.4328908010851),
+    (-81.9691212417221, -119.97485602153323),
+    (21.05176829211902, 23.999718963639545),
+    (-5.820612861725447, -5.99999794351019),
+    (1.9921004838166707, 1.9999999910089412),
+    (-0.9997784159302694, -0.9999999999797865),
+    (0.9999970473069972, 0.999999999999983),
+])
 
 
 def exp_integral_ei(x: ArrayLike) -> ArrayLike:
@@ -96,8 +104,11 @@ def exp_integral_ei(x: ArrayLike) -> ArrayLike:
     return out
 
 
-def _horner(coeffs: tuple, u: np.ndarray) -> np.ndarray:
-    """Polynomial with coefficients highest power first, at every u."""
+def _horner(coeffs, u: np.ndarray) -> np.ndarray:
+    """Polynomial with coefficients highest power first, at every u.
+
+    Each coefficient is a scalar or an array of one value per u.
+    """
     acc = u * coeffs[0]
     acc += coeffs[1]
     for c in coeffs[2:]:
@@ -109,34 +120,32 @@ def _horner(coeffs: tuple, u: np.ndarray) -> np.ndarray:
 def _scaled_e1(t: np.ndarray) -> np.ndarray:
     """exp(t) * E1(t) for t > 0, stable for arbitrarily large t.
 
-    Four pieces, each evaluated only where it has arguments: for t < 2,
-    exp(t) * (P(t) - ln t) with P(t) = -gamma + Ein(t) (degree 12); for
-    2 <= t < 8 and 8 <= t < 600, P(1/t) / t with P fitted to
-    t*exp(t)*E1(t) (degrees 16 and 14); from t = 600 on, a 40-term
-    continued fraction.  Relative error against ``mpmath.e1``: at most
-    3e-14 below 600 and under 1e-15 above.
+    Below t = 2, exp(t) * (P(t) - ln t) with P(t) = -gamma + Ein(t)
+    (degree 12).  From 2 to 600, P(1/t) / t with P fitted to
+    t*exp(t)*E1(t) on [2, 8) and on [8, 600) (degree 16 each), evaluated
+    in one Horner pass on coefficients gathered by piece.  From t = 600
+    on, a 40-term continued fraction.  Each range is skipped when it has
+    no argument.  Relative error against ``mpmath.e1``: at most 3e-14
+    below 600 and under 1e-15 above.
     """
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
-    near = t < 2.0
-    mid = t < 8.0
-    far = t < _CF_SWITCH
-    tail = ~far
-    far ^= mid
-    mid ^= near
+    near = t < _NEAR_END
+    tail = t >= _CF_SWITCH
+    inverse = ~(near | tail)
     tn = t[near]
     if tn.size:
-        acc = _horner(_NEAR, tn)
+        acc = _horner(_E1_NEAR, tn)
         acc -= np.log(tn)
         acc *= np.exp(tn)
         out[near] = acc
-    for mask, coeffs in ((mid, _MID), (far, _FAR)):
-        tm = t[mask]
-        if tm.size:
-            v = np.reciprocal(tm)
-            acc = _horner(coeffs, v)
-            acc *= v
-            out[mask] = acc
+    ti = t[inverse]
+    if ti.size:
+        v = np.reciprocal(ti)
+        piece = np.searchsorted(_INV_SPLITS, ti, side="right")
+        acc = _horner(_E1_INV[:, piece], v)
+        acc *= v
+        out[inverse] = acc
     tb = t[tail]
     if tb.size:
         # descending continued fraction 1/(t+1- 1^2/(t+3- 2^2/(t+5- ...)))

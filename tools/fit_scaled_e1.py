@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
 """Fit the polynomial pieces behind ``ehcr.rate._scaled_e1``.
 
-``_scaled_e1`` evaluates exp(t)*E1(t) in three fitted pieces and keeps a
-continued fraction for t >= 600:
+``_scaled_e1`` evaluates exp(t)*E1(t) with fitted polynomials below
+t = 600 and keeps a continued fraction from there on:
 
 * t < 2: exp(t) * (P(t) - ln t), where P(t) = E1(t) + ln t = -gamma +
   Ein(t) is entire, so E1 needs no special function; -gamma is P's
-  constant coefficient.
+  constant coefficient.  ``_E1_NEAR`` holds P.
 * 2 <= t < 8 and 8 <= t < 600: P(1/t) / t, where P fits t*exp(t)*E1(t)
   in 1/t over [1/8, 1/2] and [1/600, 1/8] (x = 2/t over [1/4, 1] and
-  [1/300, 1/4]).
+  [1/300, 1/4]).  The two P share one degree and are the columns of
+  ``_E1_INV``, so ``_scaled_e1`` evaluates them in one Horner pass with
+  each argument's coefficients gathered by piece.
 
 Every P interpolates at Chebyshev nodes in mpmath at 40 digits
 (``mpmath.chebyfit``) and is rounded to double monomial coefficients,
-highest power first, for Horner evaluation.  The degrees (12, 16, 14)
-are the lowest at which every piece keeps its relative error against
-``mpmath.e1`` below a third of 1e-13; one degree less gives 5.8e-13,
-1.3e-13 and 7.8e-14.
+highest power first, for Horner evaluation.  The degrees are the lowest
+at which every piece keeps its relative error against ``mpmath.e1``
+below a third of 1e-13: 12 for t < 2 (11 gives 5.8e-13), and 16 for
+both pieces above (15 gives 1.3e-13 on [2, 8)).
 
 Usage::
 
@@ -40,76 +42,77 @@ from ehcr import rate  # noqa: E402
 
 DIGITS = 40
 CHECK_RTOL = 1e-15
+NEAR_DEGREE = 12
+INV_DEGREE = 16
 
 
-def _scaled_t(t):
-    """t*exp(t)*E1(t), which tends to 1 as t grows."""
-    return t * mp.exp(t) * mp.e1(t)
-
-
-# (literal in rate.py, the copy _scaled_e1 evaluates, P, t range, whether
-# P's variable is 1/t rather than t, degree)
-PIECES = (
-    ("_E1_NEAR", "_NEAR", lambda t: mp.e1(t) + mp.log(t), (0, 2), False, 12),
-    ("_E1_MID", "_MID", lambda v: _scaled_t(1 / v), (2, 8), True, 16),
-    ("_E1_FAR", "_FAR", lambda v: _scaled_t(1 / v), (8, rate._CF_SWITCH),
-     True, 14),
-)
+def _inverse_ranges() -> list:
+    """The t range of every column of ``_E1_INV``."""
+    edges = (rate._NEAR_END, *rate._INV_SPLITS, rate._CF_SWITCH)
+    return [(float(lo), float(hi)) for lo, hi in zip(edges, edges[1:])]
 
 
 def fit() -> dict:
-    """Every coefficient tuple ``_scaled_e1`` reads, by its name in rate.py."""
-    pieces = {}
+    """The coefficient arrays ``_scaled_e1`` reads, by name in rate.py."""
+    def scaled(v):
+        t = 1 / v
+        return t * mp.exp(t) * mp.e1(t)
+
     with mp.workdps(DIGITS):
-        for name, _, f, t_range, inverse, degree in PIECES:
-            lo, hi = map(mp.mpf, t_range)
-            if inverse:
-                lo, hi = 1 / hi, 1 / lo
-            coeffs = mp.chebyfit(f, [lo, hi], degree + 1)
-            pieces[name] = tuple(float(c) for c in coeffs)
-    return pieces
+        near = mp.chebyfit(lambda t: mp.e1(t) + mp.log(t),
+                           [mp.mpf(0), mp.mpf(rate._NEAR_END)],
+                           NEAR_DEGREE + 1)
+        columns = [mp.chebyfit(scaled, [1 / mp.mpf(hi), 1 / mp.mpf(lo)],
+                               INV_DEGREE + 1)
+                   for lo, hi in _inverse_ranges()]
+    return {"_E1_NEAR": np.array([float(c) for c in near]),
+            "_E1_INV": np.array([[float(c) for c in col]
+                                 for col in columns]).T}
 
 
 def check(pieces: dict) -> list:
     """Names whose committed coefficients differ from the refitted ones."""
     bad = []
     for name, want in pieces.items():
-        got = getattr(rate, name)
-        if len(got) != len(want) or not np.allclose(
+        got = np.asarray(getattr(rate, name), dtype=float)
+        if got.shape != want.shape or not np.allclose(
                 got, want, rtol=CHECK_RTOL, atol=0.0):
             bad.append(name)
     return bad
 
 
-def _literal(name: str, coeffs: tuple) -> str:
-    """``coeffs`` as the Python assignment ``rate.py`` carries."""
-    rows = [", ".join(repr(c) for c in coeffs[i:i + 3]) + ","
-            for i in range(0, len(coeffs), 3)]
-    body = "".join(f"    {row}\n" for row in rows)
-    return f"{name} = (\n{body})"
+def _literal(pieces: dict) -> str:
+    """The coefficient assignments as ``rate.py`` carries them."""
+    near = pieces["_E1_NEAR"]
+    rows = [", ".join(repr(float(c)) for c in near[i:i + 3]) + ","
+            for i in range(0, near.size, 3)]
+    text = "_E1_NEAR = _as_arrays((\n"
+    text += "".join(f"    {row}\n" for row in rows) + "))\n"
+    text += "_E1_INV = np.array([\n"
+    text += "".join("    (" + ", ".join(repr(float(c)) for c in row) + "),\n"
+                    for row in pieces["_E1_INV"])
+    return text + "])"
 
 
 def max_errors(pieces: dict, points: int = 2000) -> dict:
     """Largest relative error of ``_scaled_e1`` with ``pieces``, per range."""
-    ranges = {"t < 2": (1e-8, 2.0), "2 <= t < 8": (2.0, 8.0),
-              "8 <= t < 600": (8.0, rate._CF_SWITCH)}
-    evaluated = {copy: name for name, copy, *_ in PIECES}
-    saved = {copy: getattr(rate, copy) for copy in evaluated}
+    ranges = [(1e-8, rate._NEAR_END)] + _inverse_ranges()
+    saved = rate._E1_NEAR, rate._E1_INV
+    rate._E1_NEAR = rate._as_arrays(pieces["_E1_NEAR"])
+    rate._E1_INV = pieces["_E1_INV"]
     try:
-        for copy, name in evaluated.items():
-            setattr(rate, copy, rate._as_arrays(pieces[name]))
         errors = {}
-        for label, (lo, hi) in ranges.items():
+        for lo, hi in ranges:
             t = np.geomspace(lo, hi, points, endpoint=False)
             got = rate._scaled_e1(t)
             with mp.workdps(30):
                 want = np.array([float(mp.exp(v) * mp.e1(v))
                                  for v in map(mp.mpf, t)])
-            errors[label] = float(np.max(np.abs(got / want - 1.0)))
+            errors[f"{lo:g} <= t < {hi:g}"] = float(
+                np.max(np.abs(got / want - 1.0)))
         return errors
     finally:
-        for copy, value in saved.items():
-            setattr(rate, copy, value)
+        rate._E1_NEAR, rate._E1_INV = saved
 
 
 def main(argv=None) -> int:
@@ -126,8 +129,7 @@ def main(argv=None) -> int:
         if not bad:
             print("rate.py matches the refit")
         return 1 if bad else 0
-    for name, coeffs in pieces.items():
-        print(_literal(name, coeffs))
+    print(_literal(pieces))
     for label, err in max_errors(pieces).items():
         print(f"# max relative error, {label}: {err:.2g}")
     return 0
