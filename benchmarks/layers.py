@@ -3,7 +3,7 @@
 
 Usage::
 
-    python3 benchmarks/layers.py --parent REV --out BENCH_6.json
+    python3 benchmarks/layers.py --parent REV --out BENCH_7.json
 
 ``REV``'s ``src/`` is extracted with ``git archive`` into a temporary
 directory.  Each of 11 rounds measures both trees in child processes
@@ -15,10 +15,15 @@ For one user at the default configuration with K = 80 and K = 400 cells
 and policy (0.45, 0.2), a child times the layers ``SuEvaluator.evaluate``
 chains: the spend pmf, the transition matrix, the steady state, the rate
 bound, the interference and outage terms, and the uncached ``evaluate``
-itself (microseconds per call, median of repetitions).  It also times
+itself (microseconds per call, median of repetitions).  It times an
+uncached row of cutoffs at omega = 0.45 in microseconds per point: 9
+cutoffs at K = 80 and 3 at K = 400 (``SuEvaluator.evaluate_row``, or one
+``evaluate`` per cutoff on a tree without it).  It also times
 ``rate._scaled_e1`` in nanoseconds per element on the arguments of a
 real rate-bound call: K = 80 at (0.15, 0.2), 370 arguments, and K = 400
-at (0.7, 0.2), about 55k arguments.
+at (0.7, 0.2), about 55k arguments.  End to end, it runs ``solve_p1`` on
+the README's two-user model once and records its seconds and the points
+it priced.
 """
 from __future__ import annotations
 
@@ -40,6 +45,8 @@ POLICY = (0.45, 0.2)
 ROUNDS = 11
 E1_POINTS = {"e1_k80_ns_per_arg": (80, (0.15, 0.2)),
              "e1_k400_ns_per_arg": (400, (0.7, 0.2))}
+ROW_THETAS = {80: (0.02, 0.04, 0.07, 0.1, 0.15, 0.2, 0.3, 0.5, 0.8),
+              400: (0.05, 0.2, 0.8)}
 
 
 def _per_call(fn, repeats: int = 7, min_time: float = 0.05) -> float:
@@ -68,7 +75,7 @@ def measure() -> dict:
     from ehcr import rate
     from ehcr.battery import steady_state
     from ehcr.model import PolicyParams, SuProfile, SystemConfig, validate
-    from ehcr.optimizer import SuEvaluator
+    from ehcr.optimizer import SuEvaluator, solve_p1
     from ehcr.policy import transmit_pmf
 
     def evaluator(cells):
@@ -82,19 +89,34 @@ def measure() -> dict:
         params = PolicyParams(*POLICY)
         pmf = transmit_pmf(params, cfg.probe_cells, cfg.battery_cells,
                            ev.gain)
-        phi = ev._builder.matrix(pmf.psi[0], ev.sensing.pi_hat_idle,
-                                 ev.sensing.pi_hat_busy)
+        # the spend law as the evaluator hands it to the matrix: per-level
+        # moves where the tree has them, else the dense psi
+        probs = (ev.sensing.pi_hat_idle, ev.sensing.pi_hat_busy)
+        if hasattr(pmf, "moves"):
+            matrix_args = (pmf.idle_law,) + probs + (pmf.moves,)
+        else:
+            matrix_args = (pmf.psi[0],) + probs
+        phi = ev._builder.matrix(*matrix_args)
         zeta = steady_state(phi)
 
         def uncached():
             ev._cache.clear()
             ev.evaluate(*POLICY)
 
+        thetas = ROW_THETAS[cells]
+
+        def row():
+            ev._cache.clear()
+            if hasattr(ev, "evaluate_row"):
+                ev.evaluate_row(POLICY[0], thetas)
+            else:
+                for theta in thetas:
+                    ev.evaluate(POLICY[0], theta)
+
         layers = {
             "spend_pmf": lambda: transmit_pmf(
                 params, cfg.probe_cells, cfg.battery_cells, ev.gain),
-            "matrix": lambda: ev._builder.matrix(
-                pmf.psi[0], ev.sensing.pi_hat_idle, ev.sensing.pi_hat_busy),
+            "matrix": lambda: ev._builder.matrix(*matrix_args),
             "steady_state": lambda: steady_state(phi),
             "rate_bound": lambda: rate.rate_lower_bound(
                 cfg, prof, ev.sensing, ev.estimation, pmf, zeta),
@@ -106,6 +128,8 @@ def measure() -> dict:
         }
         for name, fn in layers.items():
             out[f"k{cells}_{name}_us"] = _per_call(fn) * 1e6
+        out[f"k{cells}_row{len(thetas)}_us_per_point"] = (
+            _per_call(row) / len(thetas) * 1e6)
         out[f"k{cells}_spend_levels"] = int(pmf.level_state.size)
 
     scaled_e1 = rate._scaled_e1
@@ -119,6 +143,13 @@ def measure() -> dict:
         args = max(calls, key=len)
         out[key] = _per_call(lambda: scaled_e1(args)) / args.size * 1e9
         out[key.replace("_ns_per_arg", "_args")] = int(args.size)
+
+    readme = validate(SystemConfig(interference_cap=1.0),
+                      (SuProfile(), SuProfile(harvest_rate=10.0)))
+    start = time.perf_counter()
+    result = solve_p1(readme)
+    out["readme_solve_p1_s"] = time.perf_counter() - start
+    out["readme_solve_p1_evaluations"] = result.evaluations
     return out
 
 

@@ -1,8 +1,10 @@
 """End-to-end analytic evaluation: model + policies -> rates and loads.
 
-Chains sensing, probing, policy, battery and rate for each user and
-assembles the network totals.  This is the single evaluation path shared
-by the CLI, the optimizer and the Monte Carlo comparisons.
+Prices each user through the policy search's evaluator
+(:meth:`ehcr.optimizer.SuEvaluator.price_row`: sensing, probing, policy,
+battery and rate) and assembles the network totals.  The CLI, the
+optimizer and the Monte Carlo comparisons therefore share one evaluation
+path.
 """
 from __future__ import annotations
 
@@ -11,12 +13,12 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .battery import BatteryChain
-from .model import NetworkModel, PolicyParams, harvest_pmf
-from .policy import PolicyPmf, transmit_pmf
-from .probing import EstimationStats, GainDistribution, estimator_variances
-from .rate import (PerSuRate, RateBreakdown, aic_contribution,
-                   rate_lower_bound, transmission_outage)
-from .sensing import SensingStats, sensing_stats
+from .model import NetworkModel, PolicyParams
+from .optimizer import SuEvaluator
+from .policy import PolicyPmf
+from .probing import EstimationStats, GainDistribution
+from .rate import PerSuRate, RateBreakdown
+from .sensing import SensingStats
 
 
 @dataclass(frozen=True)
@@ -45,25 +47,24 @@ class NetworkAnalysis:
 
 def analyze_su(model: NetworkModel, index: int, params: PolicyParams,
                ideal_sensing: bool = False) -> SuAnalysis:
-    """Run the full analytic chain for one user."""
-    config = model.config
-    profile = model.profiles[index]
-    sensing = sensing_stats(config, profile, ideal=ideal_sensing)
-    est = estimator_variances(config, profile, sensing)
-    dist = GainDistribution.from_stats(est, sensing)
-    pmf = transmit_pmf(params, config.probe_cells, config.battery_cells, dist)
-    harvest = harvest_pmf(profile.harvest_rate, config.battery_cells)
-    chain = BatteryChain.build(pmf, sensing, harvest)
-    rate = rate_lower_bound(config, profile, sensing, est, pmf,
-                            chain.steady_state)
-    interference = aic_contribution(config, profile, sensing, pmf,
-                                    chain.steady_state)
-    outage = transmission_outage(chain.steady_state, pmf, sensing,
-                                 config.probe_cells)
-    return SuAnalysis(index=index, params=params, sensing=sensing,
-                      estimation=est, gain=dist, pmf=pmf, chain=chain,
-                      rate=rate, interference=interference,
-                      transmission_outage=outage)
+    """Run the full analytic chain for one user.
+
+    Prices the policy as a one-cutoff row of :class:`SuEvaluator`, the
+    code the policy search uses, so both give bit-identical numbers.
+    """
+    evaluator = SuEvaluator(model, index, ideal_sensing=ideal_sensing)
+    row = evaluator.price_row(params.omega, [params.theta])
+    chain = BatteryChain(matrix=row.matrix[0], steady_state=row.steady_state[0],
+                         avg_energy=float(row.avg_energy[0]),
+                         outage=float(row.battery_outage[0]))
+    rate = PerSuRate(total=float(row.rate.total[0]),
+                     idle_part=float(row.rate.idle_part[0]),
+                     busy_part=float(row.rate.busy_part[0]))
+    return SuAnalysis(index=index, params=params, sensing=evaluator.sensing,
+                      estimation=evaluator.estimation, gain=evaluator.gain,
+                      pmf=row.pmf.cutoff(0), chain=chain, rate=rate,
+                      interference=float(row.interference[0]),
+                      transmission_outage=float(row.transmission_outage[0]))
 
 
 def analyze(model: NetworkModel, params_list: Sequence[PolicyParams],

@@ -58,25 +58,35 @@ class TransitionBuilder:
         table[:, k] = at_least[np.clip(k - shifts, 0, k + 1)]
         self._table = table
 
-    def matrix(self, psi_idle: np.ndarray, idle_prob: float,
-               busy_prob: float) -> np.ndarray:
-        """Column-stochastic transition matrix for one spend distribution.
+    def matrix(self, idle_law: np.ndarray, idle_prob: float,
+               busy_prob: float, moves=None) -> np.ndarray:
+        """Column-stochastic transition matrix of each stacked spend law.
 
-        ``psi_idle[j, i]`` is the chance of spending i data cells from
-        level j in a sensed-idle frame (the idle-conditional policy law);
-        sensed-busy frames harvest without spending.  The shift law of
-        every level is scattered into a (shift x level) matrix M, and the
-        transition matrix is ``table.T @ M`` over the shifts that occur.
+        ``moves = (state, units)`` lists spend moves: ``idle_law[..., m]``
+        is the chance, in a sensed-idle frame, that battery level
+        ``state[m]`` spends ``units[m]`` data cells (a policy law's
+        :attr:`~ehcr.policy.PolicyPmf.moves`, one row of its ``idle_law``
+        per cutoff).  Without ``moves`` the law is a dense
+        ``psi_idle[..., j, i]`` over every level j and spend i.
+        Sensed-busy frames harvest without spending.  Every move's mass
+        is scattered onto its pre-harvest shift in a (shift x level)
+        matrix M, and the transition matrix is ``table.T @ M`` over the
+        shifts that occur; leading axes of the law give one matrix each.
         """
         k = self.cells
-        psi = np.asarray(psi_idle, dtype=float)
-        levels, spends = np.nonzero(psi)
-        shifts = levels - self.probe_cells - spends
+        law = np.asarray(idle_law, dtype=float)
+        if moves is None:
+            law = law.reshape(law.shape[:-2] + (-1,))
+            state = np.repeat(np.arange(k + 1), k + 1)
+            units = np.tile(np.arange(k + 1), k + 1)
+        else:
+            state, units = moves
+        shifts = state - self.probe_cells - units
         lowest = min(0, int(shifts.min())) if shifts.size else 0
-        mix = np.zeros((k + 1 - lowest, k + 1))
-        mix[shifts - lowest, levels] = idle_prob * psi[levels, spends]
+        mix = np.zeros(law.shape[:-1] + (k + 1 - lowest, k + 1))
+        mix[..., shifts - lowest, state] = idle_prob * law
         js = np.arange(k + 1)
-        mix[js - lowest, js] += busy_prob
+        mix[..., js - lowest, js] += busy_prob
         return self._table[lowest - self.shift_min:].T @ mix
 
 
@@ -84,61 +94,86 @@ def build_transition_matrix(pmf: PolicyPmf, sensing: SensingStats,
                             harvest: np.ndarray) -> np.ndarray:
     """Battery transition matrix for one policy, sensing point and harvest law."""
     builder = TransitionBuilder(harvest, pmf.cells, pmf.probe_cells)
-    return builder.matrix(pmf.psi[0], sensing.pi_hat_idle, sensing.pi_hat_busy)
+    return builder.matrix(pmf.idle_law, sensing.pi_hat_idle,
+                          sensing.pi_hat_busy, pmf.moves)
 
 
 def steady_state(matrix: np.ndarray) -> np.ndarray:
-    """Stationary distribution of a column-stochastic chain.
+    """Stationary distribution of a column-stochastic chain, or of each in a stack.
 
     Solved in closed form by replacing one redundant balance constraint
-    with normalization.  The law is unique exactly when the chain has one
-    closed communicating class, that is when every state reaches one
-    state of it; a backward search over the positive entries checks that
-    every state reaches the most likely level.  A singular system, a
-    fixed-point residual above 1e-9 or a state that cannot reach that
-    level means the chain has no unique reachable steady state.
+    with normalization, one stacked solve for all chains.  The law is
+    unique exactly when the chain has one closed communicating class,
+    that is when every state reaches one state of it; a backward search
+    over the positive entries checks that every state reaches the most
+    likely level.  A singular system, a fixed-point residual above 1e-9
+    or a state that cannot reach that level means the chain has no
+    unique reachable steady state.
     """
     matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
+    n = matrix.shape[-1]
+    stack = matrix.reshape(-1, n, n)
     # matrix - I + 1, built with one temporary instead of three
-    system = matrix.copy()
-    system.flat[::n + 1] -= 1.0
+    system = stack.copy()
+    system.reshape(-1, n * n)[:, ::n + 1] -= 1.0
     system += 1.0
     try:
-        z = np.linalg.solve(system, np.ones(n))
+        z = np.linalg.solve(system, np.ones(stack.shape[:-1] + (1,)))[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ChainNotErgodicError("chain not ergodic: singular balance system") from exc
 
     z = np.clip(z, 0.0, None)
-    z /= z.sum()
-    resid = float(np.max(np.abs(matrix @ z - z)))
-    if resid > 1e-9:
-        raise ChainNotErgodicError(f"chain not ergodic: fixed-point residual {resid:.2e}")
+    z /= z.sum(axis=-1, keepdims=True)
+    resid = np.abs(np.matmul(stack, z[..., None])[..., 0] - z).max(axis=-1)
+    if np.any(resid > 1e-9):
+        raise ChainNotErgodicError(
+            f"chain not ergodic: fixed-point residual {resid.max():.2e}")
 
     # column j steps to row m when matrix[m, j] > 0, so a frontier row's
     # positive columns are the states one step behind it
-    steps = matrix > 0.0
-    reached = np.zeros(n, dtype=bool)
-    frontier = np.array([np.argmax(z)])
-    reached[frontier] = True
-    while frontier.size:
-        behind = steps[frontier].any(axis=0) & ~reached
-        reached |= behind
-        frontier = np.flatnonzero(behind)
-    if not reached.all():
-        raise ChainNotErgodicError(
-            "chain not ergodic: more than one closed class")
-    return z
+    for steps, law in zip(stack > 0.0, z):
+        reached = np.zeros(n, dtype=bool)
+        frontier = np.array([np.argmax(law)])
+        reached[frontier] = True
+        while frontier.size:
+            behind = steps[frontier].any(axis=0) & ~reached
+            reached |= behind
+            frontier = np.flatnonzero(behind)
+        if not reached.all():
+            raise ChainNotErgodicError(
+                "chain not ergodic: more than one closed class")
+    return z.reshape(matrix.shape[:-1])
 
 
-def battery_outage(dist: np.ndarray, probe_cells: int) -> float:
-    """Probability the battery cannot even cover the probe reserve."""
-    return float(np.sum(dist[:probe_cells + 1]))
+def battery_outage(dist: np.ndarray, probe_cells: int):
+    """Probability the battery cannot even cover the probe reserve.
+
+    A float for one law; an array for laws stacked on leading axes.
+    """
+    dist = np.asarray(dist)
+    return _scalar(dist[..., :probe_cells + 1].sum(axis=-1))
 
 
-def avg_energy(dist: np.ndarray) -> float:
-    """Mean battery level in cells."""
-    return float(np.dot(dist, np.arange(dist.size)))
+def avg_energy(dist: np.ndarray):
+    """Mean battery level in cells (per law, for stacked laws)."""
+    dist = np.asarray(dist)
+    return dot_last(dist, np.arange(dist.shape[-1], dtype=float))
+
+
+def dot_last(a: np.ndarray, b: np.ndarray):
+    """Dot product over the last axis, one per stacked row.
+
+    The products are laid out row by row and each row is summed on its
+    own, so a row's result does not depend on the other rows or on where
+    the arrays sit in memory (``np.dot`` and stacked BLAS products vary
+    with the operands' alignment).  A float for 1-D operands.
+    """
+    return _scalar(np.multiply(a, b, order="C").sum(axis=-1))
+
+
+def _scalar(value: np.ndarray):
+    """A 0-d result as a Python float; anything else unchanged."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)

@@ -6,22 +6,28 @@ a shared interference budget.  The solver therefore grids each user's
 plane once behind a memoizing evaluator, splits the budget exactly over
 the priced points by folding per-user rate/load trade-off frontiers
 together, alternates per-user best responses against the remaining
-budget, and polishes the winners with nested local grids.  Everything
-is deterministic for a given model and search configuration.
+budget, and polishes the winners with nested local grids.
+
+The evaluator prices one spend fraction at many cutoffs in one stacked
+pass, so every grid is walked one omega row at a time.  The coarse and
+refine grids all sit on one integer lattice, so a policy point reached
+twice has one cache key.  Everything is deterministic for a given model
+and search configuration.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .battery import TransitionBuilder, avg_energy, battery_outage, steady_state
 from .model import NetworkModel, PolicyParams, harvest_pmf
-from .policy import transmit_pmf
+from .policy import PolicyPmf, transmit_row
 from .probing import GainDistribution, estimator_variances
-from .rate import aic_contribution, rate_lower_bound, transmission_outage
+from .rate import (PerSuRate, aic_contribution, rate_lower_bound,
+                   transmission_outage)
 from .sensing import sensing_stats
 
 
@@ -52,14 +58,43 @@ class SearchConfig:
     sweep_tol: float = 1e-6       # relative sum-rate improvement to continue
 
 
+# A row stacks at most this many transition-matrix entries, cutoffs times
+# (K+1)^2: nine cutoffs at K = 80 and one from K = 181 on, so a stack
+# never holds more than 512 KB of matrices unless one matrix alone does.
+STACK_ENTRIES = 2 ** 16
+
+
+class PricedRow(NamedTuple):
+    """Every analytic output of one spend fraction at a stack of cutoffs.
+
+    Each array has one entry (or row) per cutoff of ``pmf``.
+    """
+
+    pmf: PolicyPmf
+    matrix: np.ndarray               # (cutoffs, K+1, K+1)
+    steady_state: np.ndarray         # (cutoffs, K+1)
+    rate: PerSuRate
+    interference: np.ndarray
+    avg_energy: np.ndarray
+    battery_outage: np.ndarray
+    transmission_outage: np.ndarray
+
+
 class SuEvaluator:
-    """Memoized analytic chain for one user.
+    """Memoized analytic chain for one user, priced one omega row at a time.
 
     Sensing statistics, the estimator, the harvest law and the clamp-shift
-    table are policy-independent, so they are built once; evaluating a
-    policy point then only costs the spend pmf, one matrix product for
-    the transition matrix, and one steady-state solve with its residual
-    and reachability checks.  Results are cached per (omega, theta).
+    table are policy-independent, so they are built once.  The spend
+    levels of a policy (which battery level spends how many cells) depend
+    on omega only; a cutoff only rescales their gain edges.
+    :meth:`evaluate_row` therefore prices the uncached cutoffs of one
+    omega together, up to ``STACK_ENTRIES // (K+1)**2`` at a time: one
+    spend-law pass, one stacked matrix product for the transition
+    matrices, one stacked steady-state solve (residual and reachability
+    still checked per cutoff) and one pass of the rate, load and outage
+    terms.  A point's values do not depend on which cutoffs share its
+    stack.  Results are cached per (omega, theta); :meth:`evaluate` is a
+    one-cutoff row.
     """
 
     def __init__(self, model: NetworkModel, index: int,
@@ -76,6 +111,8 @@ class SuEvaluator:
                               self.config.battery_cells)
         self._builder = TransitionBuilder(harvest, self.config.battery_cells,
                                           self.config.probe_cells)
+        self._stack = max(1, STACK_ENTRIES
+                          // (self.config.battery_cells + 1) ** 2)
         self._cache: Dict[Tuple[float, float], SuPoint] = {}
 
     @property
@@ -101,31 +138,56 @@ class SuEvaluator:
         """Upper search bound: cutoffs this high reject almost every gain."""
         return 10.0 * max(self.gain.means)
 
-    def evaluate(self, omega: float, theta: float) -> SuPoint:
-        key = (float(omega), float(theta))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        params = PolicyParams(omega=key[0], theta=key[1])
-        pmf = transmit_pmf(params, self.config.probe_cells,
-                           self.config.battery_cells, self.gain)
-        phi = self._builder.matrix(pmf.psi[0], self.sensing.pi_hat_idle,
-                                   self.sensing.pi_hat_busy)
+    def price_row(self, omega: float, thetas: Sequence[float]) -> PricedRow:
+        """Uncached analytic chain of one omega at a stack of cutoffs."""
+        config = self.config
+        pmf = transmit_row(omega, thetas, config.probe_cells,
+                           config.battery_cells, self.gain)
+        phi = self._builder.matrix(pmf.idle_law, self.sensing.pi_hat_idle,
+                                   self.sensing.pi_hat_busy, pmf.moves)
         zeta = steady_state(phi)
-        rate = rate_lower_bound(self.config, self.profile, self.sensing,
-                                self.estimation, pmf, zeta)
-        point = SuPoint(
-            params=params,
-            rate=rate.total,
-            interference=aic_contribution(self.config, self.profile,
-                                          self.sensing, pmf, zeta),
+        return PricedRow(
+            pmf=pmf, matrix=phi, steady_state=zeta,
+            rate=rate_lower_bound(config, self.profile, self.sensing,
+                                  self.estimation, pmf, zeta),
+            interference=aic_contribution(config, self.profile, self.sensing,
+                                          pmf, zeta),
             avg_energy=avg_energy(zeta),
-            battery_outage=battery_outage(zeta, self.config.probe_cells),
+            battery_outage=battery_outage(zeta, config.probe_cells),
             transmission_outage=transmission_outage(zeta, pmf, self.sensing,
-                                                    self.config.probe_cells),
-        )
-        self._cache[key] = point
-        return point
+                                                    config.probe_cells))
+
+    def evaluate_row(self, omega: float, thetas: Sequence[float]
+                     ) -> List[SuPoint]:
+        """Points (omega, theta) for every theta, cached ones reused.
+
+        Repeated cutoffs are priced once and give the same point object.
+        """
+        omega = float(omega)
+        keys = [(omega, float(theta)) for theta in thetas]
+        todo = [theta for _, theta in dict.fromkeys(
+            key for key in keys if key not in self._cache)]
+        for start in range(0, len(todo), self._stack):
+            self._store(omega, todo[start:start + self._stack])
+        return [self._cache[key] for key in keys]
+
+    def _store(self, omega: float, thetas: List[float]) -> None:
+        """Price one stack and cache its points; the stack's arrays are
+        released before the next one is priced."""
+        row = self.price_row(omega, thetas)
+        values = zip(thetas, row.rate.total.tolist(),
+                     row.interference.tolist(), row.avg_energy.tolist(),
+                     row.battery_outage.tolist(),
+                     row.transmission_outage.tolist())
+        for theta, rate, load, energy, outage, silent in values:
+            self._cache[(omega, theta)] = SuPoint(
+                params=PolicyParams(omega=omega, theta=theta), rate=rate,
+                interference=load, avg_energy=energy,
+                battery_outage=outage, transmission_outage=silent)
+
+    def evaluate(self, omega: float, theta: float) -> SuPoint:
+        """The point (omega, theta): a one-cutoff row."""
+        return self.evaluate_row(omega, [theta])[0]
 
 
 @dataclass(frozen=True)
@@ -143,46 +205,67 @@ class OptimizationResult:
     refine_levels: int
 
 
-def _theta_bounds(search: SearchConfig, evaluator: SuEvaluator
-                  ) -> Tuple[float, float]:
-    cap = search.theta_cap
-    if cap is None:
-        cap = evaluator.default_theta_cap()
-    return search.theta_floor, max(cap, search.theta_floor * (1 + 1e-9))
+class _Lattice:
+    """Integer grid under every coarse and refine point of one search.
+
+    Each coarse cell holds ``(refine_points - 1) ** refine_levels`` fine
+    steps, so every refine level's offsets are whole steps.  omega is
+    ``a / n`` and theta ``exp(log lo + b * step)``, with the indices
+    clipped to the search box, so one point has exactly one cache key.
+    """
+
+    def __init__(self, search: SearchConfig, evaluator: SuEvaluator):
+        cap = search.theta_cap
+        if cap is None:
+            cap = evaluator.default_theta_cap()
+        lo, hi = search.theta_floor, max(cap, search.theta_floor * (1 + 1e-9))
+        self.base = max(search.refine_points - 1, 1)
+        self.fine = self.base ** search.refine_levels
+        self.omega_steps = max(search.omega_points - 1, 1) * self.fine
+        self.theta_steps = max(search.theta_points - 1, 1) * self.fine
+        self.log_lo = math.log(lo)
+        self.log_step = (math.log(hi) - self.log_lo) / self.theta_steps
+
+    def omegas(self, a: np.ndarray) -> np.ndarray:
+        return np.clip(a, 0, self.omega_steps) / self.omega_steps
+
+    def thetas(self, b: np.ndarray) -> np.ndarray:
+        return np.exp(self.log_lo + np.clip(b, 0, self.theta_steps)
+                      * self.log_step)
+
+    def index(self, params: PolicyParams) -> Tuple[int, int]:
+        """Lattice indices nearest to a point."""
+        return (round(params.omega * self.omega_steps),
+                round((math.log(params.theta) - self.log_lo) / self.log_step))
 
 
-def _coarse_points(search: SearchConfig, evaluator: SuEvaluator
-                   ) -> List[SuPoint]:
-    lo, hi = _theta_bounds(search, evaluator)
-    omegas = np.linspace(0.0, 1.0, search.omega_points)
-    thetas = np.geomspace(lo, hi, search.theta_points)
-    return [evaluator.evaluate(o, t) for o in omegas for t in thetas]
+def _coarse_points(search: SearchConfig, evaluator: SuEvaluator,
+                   lattice: _Lattice) -> None:
+    thetas = lattice.thetas(lattice.fine * np.arange(search.theta_points))
+    for omega in lattice.omegas(lattice.fine * np.arange(search.omega_points)):
+        evaluator.evaluate_row(omega, thetas)
 
 
-def _refine(evaluator: SuEvaluator, start: SuPoint, budget: float,
-            search: SearchConfig) -> SuPoint:
-    """Shrinking local grids around one candidate, feasibility respected."""
-    lo, hi = _theta_bounds(search, evaluator)
-    span_omega = 1.0 / max(search.omega_points - 1, 1)
-    span_log_theta = (math.log(hi) - math.log(lo)) / max(search.theta_points - 1, 1)
-    shrink = 2.0 / max(search.refine_points - 1, 1)
+def _refine(evaluator: SuEvaluator, lattice: _Lattice, start: SuPoint,
+            budget: float, search: SearchConfig) -> SuPoint:
+    """Shrinking local grids around one candidate, feasibility respected.
+
+    Level l spans 2**l * base**(levels - l) fine steps either side of the
+    incumbent in steps of 2**(l+1) * base**(levels - l - 1), the nested
+    grids of ``refine_points`` per axis that shrink by 2 / base a level.
+    """
     best = start
-    for _ in range(search.refine_levels):
-        omegas = np.clip(np.linspace(best.params.omega - span_omega,
-                                     best.params.omega + span_omega,
-                                     search.refine_points), 0.0, 1.0)
-        center = math.log(best.params.theta)
-        thetas = np.exp(np.clip(np.linspace(center - span_log_theta,
-                                            center + span_log_theta,
-                                            search.refine_points),
-                                math.log(lo), math.log(hi)))
-        for omega in omegas:
-            for theta in thetas:
-                point = evaluator.evaluate(omega, theta)
+    levels = search.refine_levels
+    for level in range(levels):
+        half = 2 ** level * lattice.base ** (levels - level)
+        offsets = (np.arange(search.refine_points)
+                   * (2 * half // lattice.base) - half)
+        a, b = lattice.index(best.params)
+        thetas = lattice.thetas(b + offsets)
+        for omega in lattice.omegas(a + offsets):
+            for point in evaluator.evaluate_row(omega, thetas):
                 if point.interference <= budget and point.rate > best.rate:
                     best = point
-        span_omega *= shrink
-        span_log_theta *= shrink
     return best
 
 
@@ -215,14 +298,17 @@ def _allocate(per_su_points: Sequence[Sequence[SuPoint]],
 
     Folds the users' Pareto frontiers together, pruning dominated load
     combinations at every step, so the result is exact over the supplied
-    point sets.  Returns None when no combination fits the cap.
+    point sets.  The last user's frontier is not folded: its rates rise
+    with its load, so each partial takes the costliest step that still
+    fits.  Ties go to the lower load, as a full fold would break them.
+    Returns None when no combination fits the cap.
     """
     fronts = [_frontier(pts) for pts in per_su_points]
     # running partial solutions: loads, rates, and per-SU choice indices
     loads = np.zeros(1)
     rates = np.zeros(1)
     picks: List[np.ndarray] = []
-    for f_loads, f_rates, _ in fronts:
+    for f_loads, f_rates, _ in fronts[:-1]:
         total_load = loads[:, None] + f_loads[None, :]
         total_rate = rates[:, None] + f_rates[None, :]
         keep = total_load.ravel() <= cap
@@ -243,9 +329,41 @@ def _allocate(per_su_points: Sequence[Sequence[SuPoint]],
         rates = flat_rate[first]
         picks = [p[prev_idx[first]] for p in picks]
         picks.append(this_idx[first])
-    winner = int(np.argmax(rates))
-    return [front[2][int(pick[winner])]
-            for front, pick in zip(fronts, picks)]
+
+    f_loads, f_rates, _ = fronts[-1]
+    last = f_loads.size - 1
+    step = np.searchsorted(f_loads, cap - loads, side="right") - 1
+    # the subtraction rounds: step back while the sum overshoots the cap,
+    # forward while the next step's sum still fits
+    while True:
+        over = step >= 0
+        over[over] = loads[over] + f_loads[step[over]] > cap
+        if not over.any():
+            break
+        step[over] -= 1
+    while True:
+        fits = step < last
+        fits[fits] = loads[fits] + f_loads[step[fits] + 1] <= cap
+        if not fits.any():
+            break
+        step[fits] += 1
+    partial = np.flatnonzero(step >= 0)
+    if not partial.size:
+        return None
+    step = step[partial]
+    # a cheaper step whose sum rounds to the same rate wins on load
+    while True:
+        same = step > 0
+        same[same] = (rates[partial[same]] + f_rates[step[same] - 1]
+                      == rates[partial[same]] + f_rates[step[same]])
+        if not same.any():
+            break
+        step[same] -= 1
+    total_rate = rates[partial] + f_rates[step]
+    total_load = loads[partial] + f_loads[step]
+    winner = int(np.lexsort((partial, total_load, -total_rate))[0])
+    chosen = [p[partial[winner]] for p in picks] + [step[winner]]
+    return [front[2][int(pick)] for front, pick in zip(fronts, chosen)]
 
 
 def _result(points: Sequence[SuPoint], cap: float, evaluations: int,
@@ -292,8 +410,9 @@ def solve_p1(model: NetworkModel, search: Optional[SearchConfig] = None,
         return _result(silent, cap,
                        sum(ev.evaluations for ev in evaluators), 0, search)
 
-    for evaluator in evaluators:
-        _coarse_points(search, evaluator)
+    lattices = [_Lattice(search, ev) for ev in evaluators]
+    for evaluator, lattice in zip(evaluators, lattices):
+        _coarse_points(search, evaluator, lattice)
     current = _allocate([ev.known_points() for ev in evaluators], cap)
     if current is None:  # cap within rounding of the probing floor
         current = [ev.evaluate(0.0, search.theta_floor) for ev in evaluators]
@@ -320,7 +439,7 @@ def solve_p1(model: NetworkModel, search: Optional[SearchConfig] = None,
                 break
             total = new_total
 
-        for i, evaluator in enumerate(evaluators):
+        for i, (evaluator, lattice) in enumerate(zip(evaluators, lattices)):
             others = math.fsum(p.interference
                                for j, p in enumerate(current) if j != i)
             budget = cap - others
@@ -332,7 +451,7 @@ def solve_p1(model: NetworkModel, search: Optional[SearchConfig] = None,
                 seeds.append(current[i])
             best = current[i]
             for seed in seeds:
-                candidate = _refine(evaluator, seed, budget, search)
+                candidate = _refine(evaluator, lattice, seed, budget, search)
                 if candidate.rate > best.rate:
                     best = candidate
             current[i] = best
@@ -365,8 +484,7 @@ def objective_surface(model: NetworkModel, omega_grid: Sequence[float],
     rates = np.empty((len(omega_grid), len(theta_grid)))
     loads = np.empty_like(rates)
     for a, omega in enumerate(omega_grid):
-        for b, theta in enumerate(theta_grid):
-            point = evaluator.evaluate(omega, theta)
+        for b, point in enumerate(evaluator.evaluate_row(omega, theta_grid)):
             rates[a, b] = point.rate
             loads[a, b] = point.interference
     return rates, loads

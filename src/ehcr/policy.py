@@ -10,7 +10,8 @@ intervals are what the analytic rate expressions integrate over as well.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 import numpy as np
@@ -80,61 +81,129 @@ def spend_levels(params: PolicyParams, probe_cells: int,
     loses to the next one, so its upper edge is +inf.
     """
     check_params(params)
+    k_idx, i_idx, komega, d_lo = _skeleton(params.omega, probe_cells, cells)
+    lo, hi = _edges(np.asarray(params.theta, dtype=float), komega, d_lo)
+    return k_idx, i_idx, lo, hi
+
+
+def _skeleton(omega: float, probe_cells: int, cells: int):
+    """Theta-free part of the spend levels: states, spends, k*omega, lower denominators."""
     ks = np.arange(cells + 1)
-    caps = np.floor(params.omega * ks + FLOOR_NUDGE).astype(int) - probe_cells
+    caps = np.floor(omega * ks + FLOOR_NUDGE).astype(int) - probe_cells
     caps = np.clip(caps, 0, None)
     total = int(caps.sum())
-    if total == 0:
-        z = np.zeros(0)
-        return z.astype(int), z.astype(int), z, z
     k_idx = np.repeat(ks, caps)
     starts = np.concatenate(([0], np.cumsum(caps)[:-1]))
     i_idx = np.arange(total) - np.repeat(starts, caps) + 1
-    komega = params.omega * k_idx
-    d_lo = komega - probe_cells - i_idx
+    komega = omega * k_idx
+    return k_idx, i_idx, komega, komega - probe_cells - i_idx
+
+
+def _edges(thetas: np.ndarray, komega: np.ndarray,
+           d_lo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Gain edges theta*k*omega/d of every level, one row per cutoff."""
     d_hi = d_lo - 1.0
-    num = params.theta * komega
+    num = thetas[..., None] * komega
     with np.errstate(divide="ignore", invalid="ignore"):
         lo = np.where(d_lo > DENOM_EPS, num / np.where(d_lo > 0, d_lo, 1.0), np.inf)
         hi = np.where(d_hi > DENOM_EPS, num / np.where(d_hi > 0, d_hi, 1.0), np.inf)
-    return k_idx, i_idx, lo, hi
+    return lo, hi
 
 
 @dataclass(frozen=True)
 class PolicyPmf:
-    """Spend distribution per occupancy state and battery level.
+    """Spend law of one spend fraction at one cutoff or a stack of cutoffs.
 
-    ``psi[eps, k, i]`` is Pr{spend = i cells | battery k, occupancy eps,
-    sensed idle}.  The flattened level arrays mirror :func:`spend_levels`
+    Spend level l takes ``level_units[l]`` cells from battery level
+    ``level_state[l]`` when the fed-back gain lands in
+    ``[level_lo[..., l], level_hi[..., l])``.  ``level_mass[..., eps, l]``
+    is that chance under the idle (eps = 0) or busy (eps = 1) gain law,
+    and ``zero_mass[..., eps, k]`` the chance of spending nothing at
+    battery level k.  The level skeleton depends on ``omega`` only; when
+    ``theta`` is a vector, a leading axis on every other array runs over
+    its cutoffs.  The flattened level arrays mirror :func:`spend_levels`
     so rate computations can reuse the same intervals.
     """
 
-    psi: np.ndarray          # (2, cells+1, cells+1)
+    omega: float
+    theta: np.ndarray        # cutoff, 0-d, or one per stacked law
     level_state: np.ndarray  # battery level k of each spend level
     level_units: np.ndarray  # spend i of each level
     level_lo: np.ndarray     # lower gain edge of each level
     level_hi: np.ndarray     # upper gain edge (may be +inf)
+    level_mass: np.ndarray   # (..., 2, levels)
+    zero_mass: np.ndarray    # (..., 2, cells+1)
     cells: int
     probe_cells: int
-    params: PolicyParams
+
+    @property
+    def psi(self) -> np.ndarray:
+        """Dense ``psi[..., eps, k, i]`` = Pr{spend = i | battery k, occupancy eps}."""
+        n = self.cells + 1
+        psi = np.zeros(self.zero_mass.shape + (n,))
+        psi[..., 0] = self.zero_mass
+        psi[..., self.level_state, self.level_units] = self.level_mass
+        return psi
+
+    @property
+    def moves(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(battery level, spend) of every level, then the zero spend of every state."""
+        ks = np.arange(self.cells + 1)
+        return (np.concatenate((self.level_state, ks)),
+                np.concatenate((self.level_units, np.zeros_like(ks))))
+
+    @property
+    def idle_law(self) -> np.ndarray:
+        """Masses of :attr:`moves` under the idle gain law (eps = 0)."""
+        return np.concatenate((self.level_mass[..., 0, :],
+                               self.zero_mass[..., 0, :]), axis=-1)
+
+    def cutoff(self, b: int) -> "PolicyPmf":
+        """The single-cutoff law of stacked cutoff ``b``."""
+        return replace(self, theta=self.theta[b], level_lo=self.level_lo[b],
+                       level_hi=self.level_hi[b],
+                       level_mass=self.level_mass[b],
+                       zero_mass=self.zero_mass[b])
 
 
-def transmit_pmf(params: PolicyParams, probe_cells: int, cells: int,
+def transmit_row(omega: float, thetas, probe_cells: int, cells: int,
                  dist: GainDistribution) -> PolicyPmf:
-    """Distribution of the data spend under each occupancy state.
+    """Spend laws of one spend fraction at a stack of cutoffs.
 
     Positive levels get the mixture-component probability of their gain
     interval; the zero level takes whatever remains, which also covers
     gains below the cutoff.
     """
-    k_idx, i_idx, lo, hi = spend_levels(params, probe_cells, cells)
-    psi = np.zeros((2, cells + 1, cells + 1))
+    thetas = np.asarray(thetas, dtype=float)
+    # the smallest cutoff stands for them all
+    check_params(PolicyParams(omega, float(np.min(thetas, initial=0.0))))
+    k_idx, i_idx, komega, d_lo = _skeleton(omega, probe_cells, cells)
+    lo, hi = _edges(thetas, komega, d_lo)
+    mass = np.empty(thetas.shape + (2, k_idx.size))
     for eps in (0, 1):
-        if k_idx.size:
-            q = np.asarray(gain_cdf(dist, hi, eps)) - np.asarray(gain_cdf(dist, lo, eps))
-            q = np.where(lo >= hi, 0.0, np.maximum(q, 0.0))
-            psi[eps, k_idx, i_idx] = q
-        psi[eps, :, 0] = np.maximum(1.0 - psi[eps, :, 1:].sum(axis=1), 0.0)
-    return PolicyPmf(psi=psi, level_state=k_idx, level_units=i_idx,
-                     level_lo=lo, level_hi=hi, cells=cells,
-                     probe_cells=probe_cells, params=params)
+        q = (np.asarray(gain_cdf(dist, hi, eps))
+             - np.asarray(gain_cdf(dist, lo, eps)))
+        mass[..., eps, :] = np.where(lo >= hi, 0.0, np.maximum(q, 0.0))
+    # every state from the first that spends up to K spends, its levels
+    # contiguous from spend 1; a state's masses are summed over a row
+    # zero-padded to every spend 1..K, so the sum is the dense psi row's
+    # whatever the stack holds
+    start = int(k_idx[0]) if k_idx.size else cells + 1
+    slots = (k_idx - start) * cells + i_idx - 1
+    laws = math.prod(mass.shape[:-1])
+    rows = np.zeros((laws, (cells + 1 - start) * cells))
+    for law, row in zip(mass.reshape(laws, -1), rows):
+        row[slots] = law
+    zero = np.ones(thetas.shape + (2, cells + 1))
+    zero[..., start:] = np.maximum(
+        1.0 - rows.reshape(mass.shape[:-1] + (-1, cells)).sum(axis=-1), 0.0)
+    return PolicyPmf(omega=omega, theta=thetas, level_state=k_idx,
+                     level_units=i_idx, level_lo=lo, level_hi=hi,
+                     level_mass=mass, zero_mass=zero, cells=cells,
+                     probe_cells=probe_cells)
+
+
+def transmit_pmf(params: PolicyParams, probe_cells: int, cells: int,
+                 dist: GainDistribution) -> PolicyPmf:
+    """Distribution of the data spend under each occupancy state."""
+    return transmit_row(params.omega, params.theta, probe_cells, cells, dist)

@@ -26,6 +26,7 @@ from typing import Tuple, Union
 import numpy as np
 from scipy.special import exp1
 
+from .battery import _scalar, dot_last
 from .model import SuProfile, SystemConfig
 from .policy import PolicyPmf
 from .probing import EstimationStats
@@ -185,7 +186,10 @@ def antiderivative_m(x: ArrayLike, snr_scale: ArrayLike,
 
 @dataclass(frozen=True)
 class PerSuRate:
-    """Rate lower bound of one user, split by the true occupancy state."""
+    """Rate lower bound of one user, split by the true occupancy state.
+
+    For a stack of cutoffs each field is an array over the stack.
+    """
 
     total: float      # bits/s
     idle_part: float  # contribution from truly idle frames
@@ -206,19 +210,18 @@ def rate_lower_bound(config: SystemConfig, profile: SuProfile,
 
     Sums the closed-form gain integral of every (battery level, spend
     level) pair, weighted by the steady-state occupancy, separately under
-    the idle and busy channel laws.
+    the idle and busy channel laws.  For a stack of cutoffs (``stationary``
+    one law per row) every field is an array over the stack.
     """
-    if pmf.level_state.size == 0:
-        return PerSuRate(0.0, 0.0, 0.0)
     scale = config.data_fraction * config.bandwidth
-    weights = np.asarray(stationary)[pmf.level_state]
+    weights = np.asarray(stationary)[..., pmf.level_state]
     parts = []
-    for eps, joint, err, mean, extra_noise in (
-            (0, sensing.beta0, est.var_err_h0, est.var_hat_h0, 0.0),
-            (1, sensing.beta1, est.var_err_h1, est.var_hat_h1,
+    for joint, err, mean, extra_noise in (
+            (sensing.beta0, est.var_err_h0, est.var_hat_h0, 0.0),
+            (sensing.beta1, est.var_err_h1, est.var_hat_h1,
              est.pu_interference_var)):
         if joint <= 0.0 or mean <= 0.0:
-            parts.append(0.0)
+            parts.append(_scalar(np.zeros(weights.shape[:-1])))
             continue
         snr = _level_snr(pmf.level_units, err, profile.ap_noise + extra_noise,
                          config.unit_power)
@@ -226,44 +229,42 @@ def rate_lower_bound(config: SystemConfig, profile: SuProfile,
                  - antiderivative_m(pmf.level_lo, snr, mean))
         chunk = np.where(pmf.level_lo >= pmf.level_hi, 0.0,
                          np.maximum(chunk, 0.0))
-        parts.append(scale * joint * float(np.dot(weights, chunk)))
+        parts.append(scale * joint * dot_last(weights, chunk))
     return PerSuRate(parts[0] + parts[1], parts[0], parts[1])
 
 
 def aic_contribution(config: SystemConfig, profile: SuProfile,
                      sensing: SensingStats, pmf: PolicyPmf,
-                     stationary: np.ndarray) -> float:
+                     stationary: np.ndarray):
     """Average interference one user inflicts on the primary [W].
 
     Only busy-but-sensed-idle frames interfere; the data term averages the
     spend under the busy-band gain law and the probing term is a fixed
-    duty-cycled pilot power.
+    duty-cycled pilot power.  An array over the stack for stacked cutoffs.
     """
-    data_power = 0.0
-    if pmf.level_state.size:
-        weights = np.asarray(stationary)[pmf.level_state]
-        psi_busy = pmf.psi[1][pmf.level_state, pmf.level_units]
-        data_power = float(np.dot(weights * psi_busy,
-                                  pmf.level_units * config.unit_power))
+    weights = np.asarray(stationary)[..., pmf.level_state]
+    data_power = dot_last(weights * pmf.level_mass[..., 1, :],
+                          pmf.level_units * config.unit_power)
     pilot_power = config.probe_fraction * config.probe_power
     return sensing.beta1 * profile.su_pu_var * (data_power + pilot_power)
 
 
 def transmission_outage(stationary: np.ndarray, pmf: PolicyPmf,
-                        sensing: SensingStats, probe_cells: int) -> float:
+                        sensing: SensingStats, probe_cells: int):
     """Pr{no data is sent in a sensed-idle frame}.
 
     Either the battery is at or below the probe reserve, or the fed-back
     gain (under the sensed-idle mixture law) fails to clear the cutoff.
+    An array over the stack for stacked cutoffs.
     """
     stationary = np.asarray(stationary)
-    ks = np.arange(probe_cells + 1, stationary.size)
+    ks = np.arange(probe_cells + 1, stationary.shape[-1])
     if ks.size == 0:
-        return 1.0
-    low = float(np.sum(stationary[:probe_cells + 1]))
-    zero_spend = (sensing.omega0 * pmf.psi[0][ks, 0]
-                  + sensing.omega1 * pmf.psi[1][ks, 0])
-    return low + float(np.dot(stationary[ks], zero_spend))
+        return _scalar(np.ones(stationary.shape[:-1]))
+    low = _scalar(stationary[..., :probe_cells + 1].sum(axis=-1))
+    zero_spend = (sensing.omega0 * pmf.zero_mass[..., 0, ks]
+                  + sensing.omega1 * pmf.zero_mass[..., 1, ks])
+    return low + dot_last(stationary[..., ks], zero_spend)
 
 
 @dataclass(frozen=True)

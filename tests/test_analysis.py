@@ -1,10 +1,18 @@
 """End-to-end analytic chain and network assembly."""
 import math
 
+import numpy as np
 import pytest
 
 from ehcr.analysis import analyze, analyze_su
-from ehcr.model import NetworkModel, PolicyParams, SuProfile, SystemConfig
+from ehcr.battery import TransitionBuilder
+from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
+                        harvest_pmf)
+from ehcr.optimizer import SuEvaluator
+from ehcr.policy import spend_levels
+from ehcr.probing import GainDistribution, estimator_variances, gain_cdf
+from ehcr.rate import antiderivative_m
+from ehcr.sensing import sensing_stats
 
 
 def test_reference_point_scalars(reference_su):
@@ -73,3 +81,96 @@ def test_ideal_sensing_removes_all_interference():
     net = analyze(model, [PolicyParams(0.5, 0.1)] * 2, ideal_sensing=True)
     assert net.breakdown.aic_lhs == 0.0
     assert net.breakdown.aic_satisfied
+
+
+# ------------------------------------------- dense-psi reference chain ----
+
+def _dense_chain(model, params, ideal):
+    """The analytic chain built from the dense (2, K+1, K+1) spend law.
+
+    Spend levels become a dense psi whose zero column takes what the
+    positive levels leave; the transition matrix is the dense-law form of
+    ``TransitionBuilder.matrix`` (checked against a brute-force assembly
+    in test_battery; the steady state is too ill-conditioned at some
+    settings for an independently rounded matrix to agree to 1e-12); the
+    steady state is a plain balance solve; every term then reads psi.
+    """
+    cfg, prof = model.config, model.profiles[0]
+    k, r = cfg.battery_cells, cfg.probe_cells
+    sen = sensing_stats(cfg, prof, ideal=ideal)
+    est = estimator_variances(cfg, prof, sen)
+    dist = GainDistribution.from_stats(est, sen)
+    states, units, lo, hi = spend_levels(params, r, k)
+    psi = np.zeros((2, k + 1, k + 1))
+    for eps in (0, 1):
+        q = gain_cdf(dist, hi, eps) - gain_cdf(dist, lo, eps)
+        psi[eps, states, units] = np.where(lo >= hi, 0.0, np.maximum(q, 0.0))
+        psi[eps, :, 0] = np.maximum(1.0 - psi[eps, :, 1:].sum(axis=1), 0.0)
+
+    builder = TransitionBuilder(harvest_pmf(prof.harvest_rate, k), k, r)
+    phi = builder.matrix(psi[0], sen.pi_hat_idle, sen.pi_hat_busy)
+    zeta = np.linalg.solve(phi - np.eye(k + 1) + 1.0, np.ones(k + 1))
+    zeta = np.clip(zeta, 0.0, None)
+    zeta /= zeta.sum()
+
+    rate = 0.0
+    for eps, joint, err, mean, extra in (
+            (0, sen.beta0, est.var_err_h0, est.var_hat_h0, 0.0),
+            (1, sen.beta1, est.var_err_h1, est.var_hat_h1,
+             est.pu_interference_var)):
+        if joint <= 0.0 or mean <= 0.0 or not states.size:
+            continue
+        power = units * cfg.unit_power
+        snr = power / (err * power + prof.ap_noise + extra)
+        chunk = (antiderivative_m(hi, snr, mean)
+                 - antiderivative_m(lo, snr, mean))
+        chunk = np.where(lo >= hi, 0.0, np.maximum(chunk, 0.0))
+        rate += (cfg.data_fraction * cfg.bandwidth * joint
+                 * np.dot(zeta[states], chunk))
+    data_power = np.sum(zeta[:, None] * psi[1] * np.arange(k + 1)
+                        * cfg.unit_power)
+    load = (sen.beta1 * prof.su_pu_var
+            * (data_power + cfg.probe_fraction * cfg.probe_power))
+    ks = np.arange(r + 1, k + 1)
+    silent = (zeta[:r + 1].sum()
+              + np.dot(zeta[ks], sen.omega0 * psi[0, ks, 0]
+                       + sen.omega1 * psi[1, ks, 0]))
+    return rate, load, np.dot(zeta, np.arange(k + 1)), zeta[:r + 1].sum(), silent
+
+
+def _dense_settings():
+    rng = np.random.default_rng(71)
+    settings = []
+    for _ in range(20):
+        cells = int(rng.integers(12, 401))
+        config = SystemConfig(battery_cells=cells,
+                              probe_cells=int(rng.integers(0, 4)))
+        profile = SuProfile(harvest_rate=float(10.0 ** rng.uniform(-0.3, 1.5)),
+                            su_ap_var=float(10.0 ** rng.uniform(-1, 1)))
+        params = PolicyParams(float(rng.uniform(0.0, 1.0)),
+                              float(10.0 ** rng.uniform(-3, 0.5)))
+        settings.append((config, profile, params, bool(rng.integers(2))))
+    low_harvest = (SystemConfig(battery_cells=20, probe_cells=3),
+                   SuProfile(harvest_rate=0.8))
+    settings += [low_harvest + (PolicyParams(0.5, 0.1), False),
+                 (SystemConfig(), SuProfile(), PolicyParams(0.45, 0.2), True),
+                 (SystemConfig(), SuProfile(), PolicyParams(0.0, 0.2), False),
+                 low_harvest + (PolicyParams(0.0, 0.1), False)]
+    # theta at the search's default cap
+    config, profile = SystemConfig(battery_cells=40), SuProfile()
+    cap = SuEvaluator(NetworkModel(config=config, profiles=(profile,)),
+                      0).default_theta_cap()
+    settings.append((config, profile, PolicyParams(0.7, cap), False))
+    return settings
+
+
+@pytest.mark.parametrize("config, profile, params, ideal", _dense_settings())
+def test_chain_matches_the_dense_psi_reference(config, profile, params, ideal):
+    model = NetworkModel(config=config, profiles=(profile,))
+    su = analyze_su(model, 0, params, ideal_sensing=ideal)
+    rate, load, energy, battery, silent = _dense_chain(model, params, ideal)
+    assert su.rate.total == pytest.approx(rate, rel=1e-12, abs=0.0)
+    assert su.interference == pytest.approx(load, rel=1e-12, abs=0.0)
+    assert su.chain.avg_energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+    assert su.chain.outage == pytest.approx(battery, rel=0.0, abs=1e-13)
+    assert su.transmission_outage == pytest.approx(silent, rel=0.0, abs=1e-13)

@@ -213,3 +213,35 @@ def test_steady_state_rejects_classes_sharing_a_transient_state():
                       [0.0, 0.0, 0.0, 0.9, 0.1]])
     with pytest.raises(ChainNotErgodicError):
         steady_state(chain)
+
+
+def test_stacked_chains_are_solved_and_checked_one_by_one():
+    rng = np.random.default_rng(41)
+    chains = rng.random((4, 6, 6)) + 1e-3
+    chains /= chains.sum(axis=1, keepdims=True)
+    stacked = steady_state(chains)
+    for chain, z in zip(chains, stacked):
+        np.testing.assert_array_equal(steady_state(chain[None])[0], z)
+    # one reducible chain anywhere in the stack is rejected
+    two_classes = np.zeros((6, 6))
+    two_classes[:3, :3] = 1.0 / 3.0
+    two_classes[3:, 3:] = 1.0 / 3.0
+    for position in range(4):
+        mixed = chains.copy()
+        mixed[position] = two_classes
+        with pytest.raises(ChainNotErgodicError):
+            steady_state(mixed)
+
+
+def test_stacked_spend_laws_give_one_matrix_each():
+    cells, reserve = 15, 2
+    builder = TransitionBuilder(harvest_pmf(3.0, cells), cells, reserve)
+    rows = [transmit_pmf(PolicyParams(0.6, theta), reserve, cells, MIX)
+            for theta in (0.01, 0.2, 1.5)]
+    law = np.stack([pmf.idle_law for pmf in rows])
+    stacked = builder.matrix(law, 0.7, 0.3, rows[0].moves)
+    for pmf, phi in zip(rows, stacked):
+        np.testing.assert_array_equal(
+            phi, builder.matrix(pmf.idle_law, 0.7, 0.3, pmf.moves))
+        np.testing.assert_allclose(phi, builder.matrix(pmf.psi[0], 0.7, 0.3),
+                                   atol=1e-15)

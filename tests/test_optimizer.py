@@ -6,8 +6,8 @@ import pytest
 
 from ehcr.analysis import analyze_su
 from ehcr.model import NetworkModel, PolicyParams, SuProfile, SystemConfig
-from ehcr.optimizer import (SearchConfig, SuEvaluator, objective_surface,
-                            solve_p1)
+from ehcr.optimizer import (SearchConfig, SuEvaluator, SuPoint, _allocate,
+                            _frontier, objective_surface, solve_p1)
 
 # desk-scale search: small battery, light grids, quick refinement
 SMALL = SearchConfig(omega_points=7, theta_points=9, refine_levels=2,
@@ -144,3 +144,124 @@ def test_result_bookkeeping_fields():
     assert len(res.params) == len(res.per_su) == 1
     assert res.sum_rate == pytest.approx(
         math.fsum(p.rate for p in res.per_su), rel=1e-14)
+
+
+# ------------------------------------------------------------ row pricing
+
+def _row_settings():
+    yield _model(cells=12), 0.6, [0.02, 0.5, 0.02, 3.0, 0.11, 0.7, 1.4]
+    yield _model(cells=80, rho=15.0), 0.35, list(np.geomspace(1e-3, 9.0, 13))
+    yield _model(cells=80, rho=15.0), 0.0, [0.2, 0.2, 1e-3]
+    yield _model(cells=200, rho=15.0), 0.8, [0.05, 0.3, 0.05]
+
+
+@pytest.mark.parametrize("model, omega, thetas", _row_settings())
+def test_rows_price_every_point_as_it_prices_alone(model, omega, thetas):
+    rng = np.random.default_rng(5)
+    row = SuEvaluator(model, 0)
+    # a few cutoffs priced first, so the row is partly cached
+    cached = [thetas[i] for i in rng.choice(len(thetas), 2, replace=False)]
+    row.evaluate_row(omega, cached)
+    points = row.evaluate_row(omega, thetas)
+    assert row.evaluations == len(set(thetas))
+    for theta, point in zip(thetas, points):
+        assert point is row.evaluate(omega, theta)
+        alone = SuEvaluator(model, 0).evaluate(omega, theta)
+        assert point == alone
+
+
+def test_random_rows_match_points_priced_alone():
+    rng = np.random.default_rng(23)
+    model = _model(cells=80, rho=15.0)
+    ev = SuEvaluator(model, 0)
+    for _ in range(4):
+        omega = float(rng.uniform(0.0, 1.0))
+        # clipped cutoffs repeat the top one
+        thetas = np.minimum(np.geomspace(1e-3, 20.0, 16)
+                            * np.exp(rng.uniform(-0.1, 0.1, 16)), 5.0)
+        for theta, point in zip(thetas, ev.evaluate_row(omega, thetas)):
+            assert point == SuEvaluator(model, 0).evaluate(omega, theta)
+
+
+def test_search_prices_each_lattice_point_once():
+    model = NetworkModel(config=SystemConfig(interference_cap=1.0),
+                         profiles=(SuProfile(), SuProfile(harvest_rate=10.0)))
+    evs = [SuEvaluator(model, i) for i in range(2)]
+    res = solve_p1(model, evaluators=evs)
+    distinct = sum(len({(round(p.params.omega, 12),
+                         float(f"{p.params.theta:.12g}"))
+                        for p in ev.known_points()}) for ev in evs)
+    assert res.evaluations == distinct
+
+
+# ---------------------------------------------------------- budget split
+
+def _full_fold(per_su_points, cap):
+    """Budget split folding every user's frontier, the last one included."""
+    fronts = [_frontier(pts) for pts in per_su_points]
+    loads, rates = np.zeros(1), np.zeros(1)
+    picks = []
+    for f_loads, f_rates, _ in fronts:
+        total_load = (loads[:, None] + f_loads[None, :]).ravel()
+        total_rate = (rates[:, None] + f_rates[None, :]).ravel()
+        keep = total_load <= cap
+        if not keep.any():
+            return None
+        prev_idx, this_idx = np.divmod(np.flatnonzero(keep), f_loads.size)
+        order = np.lexsort((-total_rate[keep], total_load[keep]))
+        flat_load, flat_rate = total_load[keep][order], total_rate[keep][order]
+        first = np.ones(flat_rate.size, dtype=bool)
+        first[1:] = flat_rate[1:] > np.maximum.accumulate(flat_rate)[:-1]
+        loads, rates = flat_load[first], flat_rate[first]
+        picks = [p[prev_idx[order][first]] for p in picks]
+        picks.append(this_idx[order][first])
+    winner = int(np.argmax(rates))
+    return [front[2][int(pick[winner])] for front, pick in zip(fronts, picks)]
+
+
+def _points(loads, rates):
+    return [SuPoint(PolicyParams(0.5, 0.1 + i), float(r), float(l), 0.0, 0.0,
+                    0.0) for i, (l, r) in enumerate(zip(loads, rates))]
+
+
+def _random_points(rng, n, mode):
+    loads = rng.uniform(0.0, 1.0, n)
+    rates = rng.uniform(0.0, 10.0, n)
+    if mode == "tenths":  # sums like 0.6 + 1.1 land on either side of a cap
+        loads, rates = np.round(2.0 * loads, 1), np.round(rates, 0)
+    elif mode == "huge":  # a partial this large absorbs the last user's steps
+        rates = np.round(rates, 0) + 2.0 ** 53
+    return _points(loads, rates)
+
+
+@pytest.mark.parametrize("first, last, cap", [
+    # 1.7 - 0.6 rounds to 1.1, yet 0.6 + 1.1 rounds above 1.7
+    ((0.6,), (0.0, 1.1), 1.7),
+    # 2.4 - 1.5 rounds below 0.9, yet 1.5 + 0.9 rounds to 2.4
+    ((1.5,), (0.0, 0.9), 2.4),
+])
+def test_last_user_split_rounds_like_the_full_fold(first, last, cap):
+    pools = [_points(first, (1.0,)), _points(last, (0.0, 5.0))]
+    assert _allocate(pools, cap) == _full_fold(pools, cap)
+
+
+def test_last_user_split_matches_the_full_fold():
+    rng = np.random.default_rng(11)
+    for trial in range(600):
+        mode = ("plain", "tenths", "huge")[trial % 3]
+        users = int(rng.integers(1, 4))
+        pools = [_random_points(rng, int(rng.integers(1, 40)),
+                                mode if mode != "huge" or i == 0 else "tenths")
+                 for i in range(users)]
+        cap = float(rng.uniform(0.0, 2.0 * users))
+        if mode != "plain":
+            cap = round(cap, 1)
+        want = _full_fold(pools, cap)
+        got = _allocate(pools, cap)
+        if want is None:
+            assert got is None
+            continue
+        # the fold's own sums: feasible, and the same point wherever the
+        # fold and the split could break a tie differently
+        assert sum(p.interference for p in got) <= cap
+        assert got == want
