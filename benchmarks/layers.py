@@ -3,7 +3,7 @@
 
 Usage::
 
-    python3 benchmarks/layers.py --parent REV --out BENCH_7.json
+    python3 benchmarks/layers.py --parent REV --out BENCH_8.json
 
 ``REV``'s ``src/`` is extracted with ``git archive`` into a temporary
 directory.  Each of 11 rounds measures both trees in child processes
@@ -13,12 +13,13 @@ plus the per-side medians.
 
 For one user at the default configuration with K = 80 and K = 400 cells
 and policy (0.45, 0.2), a child times the layers ``SuEvaluator.evaluate``
-chains: the spend pmf, the transition matrix, the steady state, the rate
-bound, the interference and outage terms, and the uncached ``evaluate``
-itself (microseconds per call, median of repetitions).  It times an
-uncached row of cutoffs at omega = 0.45 in microseconds per point: 9
-cutoffs at K = 80 and 3 at K = 400 (``SuEvaluator.evaluate_row``, or one
-``evaluate`` per cutoff on a tree without it).  It also times
+chains on a one-cutoff row: the spend law (``transmit_row``), the
+transition matrix (from the row's spend moves), the steady state, the
+rate bound, the interference and outage terms, and the uncached
+``evaluate`` itself (microseconds per call, median of repetitions).  It
+times an uncached row of cutoffs at omega = 0.45 in microseconds per
+point: 9 cutoffs at K = 80 and 3 at K = 400
+(``SuEvaluator.evaluate_row``).  It also times
 ``rate._scaled_e1`` in nanoseconds per element on the arguments of a
 real rate-bound call: K = 80 at (0.15, 0.2), 370 arguments, and K = 400
 at (0.7, 0.2), about 55k arguments.  End to end, it runs ``solve_p1`` on
@@ -74,9 +75,9 @@ def measure() -> dict:
 
     from ehcr import rate
     from ehcr.battery import steady_state
-    from ehcr.model import PolicyParams, SuProfile, SystemConfig, validate
+    from ehcr.model import SuProfile, SystemConfig, validate
     from ehcr.optimizer import SuEvaluator, solve_p1
-    from ehcr.policy import transmit_pmf
+    from ehcr.policy import transmit_row
 
     def evaluator(cells):
         model = validate(SystemConfig(battery_cells=cells), (SuProfile(),))
@@ -86,16 +87,11 @@ def measure() -> dict:
     for cells in (80, 400):
         ev = evaluator(cells)
         cfg, prof = ev.config, ev.profile
-        params = PolicyParams(*POLICY)
-        pmf = transmit_pmf(params, cfg.probe_cells, cfg.battery_cells,
-                           ev.gain)
-        # the spend law as the evaluator hands it to the matrix: per-level
-        # moves where the tree has them, else the dense psi
-        probs = (ev.sensing.pi_hat_idle, ev.sensing.pi_hat_busy)
-        if hasattr(pmf, "moves"):
-            matrix_args = (pmf.idle_law,) + probs + (pmf.moves,)
-        else:
-            matrix_args = (pmf.psi[0],) + probs
+        omega, theta = POLICY
+        pmf = transmit_row(omega, [theta], cfg.probe_cells,
+                           cfg.battery_cells, ev.gain)
+        matrix_args = (pmf.idle_law, ev.sensing.pi_hat_idle,
+                       ev.sensing.pi_hat_busy, pmf.moves)
         phi = ev._builder.matrix(*matrix_args)
         zeta = steady_state(phi)
 
@@ -107,15 +103,11 @@ def measure() -> dict:
 
         def row():
             ev._cache.clear()
-            if hasattr(ev, "evaluate_row"):
-                ev.evaluate_row(POLICY[0], thetas)
-            else:
-                for theta in thetas:
-                    ev.evaluate(POLICY[0], theta)
+            ev.evaluate_row(omega, thetas)
 
         layers = {
-            "spend_pmf": lambda: transmit_pmf(
-                params, cfg.probe_cells, cfg.battery_cells, ev.gain),
+            "spend_pmf": lambda: transmit_row(
+                omega, [theta], cfg.probe_cells, cfg.battery_cells, ev.gain),
             "matrix": lambda: ev._builder.matrix(*matrix_args),
             "steady_state": lambda: steady_state(phi),
             "rate_bound": lambda: rate.rate_lower_bound(

@@ -15,19 +15,16 @@ __version__ = "0.1.0"
 
 from .analysis import NetworkAnalysis, SuAnalysis, analyze, analyze_su
 from .battery import (BatteryChain, ChainNotErgodicError, TransitionBuilder,
-                      avg_energy, battery_outage, build_transition_matrix,
-                      steady_state)
+                      avg_energy, battery_outage, steady_state)
 from .model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                     ValidationError, harvest_pmf, validate)
 from .optimizer import (OptimizationResult, SearchConfig, SuEvaluator,
                         SuPoint, objective_surface, solve_p1)
-from .policy import (PolicyPmf, gain_breakpoints, spend_levels,
-                     transmit_pmf, transmit_units)
+from .policy import PolicyPmf, transmit_row, transmit_units
 from .probing import (EstimationStats, GainDistribution,
                       estimator_variances, gain_cdf, sample_gain)
 from .rate import (PerSuRate, RateBreakdown, aic_contribution,
-                   antiderivative_m, exp_integral_ei, rate_lower_bound,
-                   transmission_outage)
+                   antiderivative_m, rate_lower_bound, transmission_outage)
 from .sensing import (SensingStats, detector_probabilities,
                       false_alarm_at_target_pd, joint_sensing_stats,
                       sensing_stats)
@@ -43,11 +40,10 @@ __all__ = [
     "SuAnalysis", "SuEvaluator", "SuPoint", "SuProfile", "SuTrace",
     "SystemConfig", "TransitionBuilder", "ValidationError",
     "aic_contribution", "analyze", "analyze_su",
-    "antiderivative_m", "avg_energy", "battery_outage",
-    "build_transition_matrix", "compare", "detector_probabilities",
-    "estimator_variances", "exp_integral_ei", "false_alarm_at_target_pd",
-    "gain_breakpoints", "gain_cdf", "harvest_pmf", "joint_sensing_stats",
-    "objective_surface", "rate_lower_bound", "sample_gain", "sensing_stats",
-    "simulate", "solve_p1", "spend_levels", "steady_state",
-    "transmission_outage", "transmit_pmf", "transmit_units", "validate",
+    "antiderivative_m", "avg_energy", "battery_outage", "compare",
+    "detector_probabilities", "estimator_variances",
+    "false_alarm_at_target_pd", "gain_cdf", "harvest_pmf",
+    "joint_sensing_stats", "objective_surface", "rate_lower_bound",
+    "sample_gain", "sensing_stats", "simulate", "solve_p1", "steady_state",
+    "transmission_outage", "transmit_row", "transmit_units", "validate",
 ]

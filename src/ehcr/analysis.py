@@ -30,7 +30,7 @@ class SuAnalysis:
     sensing: SensingStats
     estimation: EstimationStats
     gain: GainDistribution
-    pmf: PolicyPmf
+    pmf: PolicyPmf               # the policy's one-cutoff row
     chain: BatteryChain
     rate: PerSuRate
     interference: float          # average load on the primary [W]
@@ -62,7 +62,7 @@ def analyze_su(model: NetworkModel, index: int, params: PolicyParams,
                      busy_part=float(row.rate.busy_part[0]))
     return SuAnalysis(index=index, params=params, sensing=evaluator.sensing,
                       estimation=evaluator.estimation, gain=evaluator.gain,
-                      pmf=row.pmf.cutoff(0), chain=chain, rate=rate,
+                      pmf=row.pmf, chain=chain, rate=rate,
                       interference=float(row.interference[0]),
                       transmission_outage=float(row.transmission_outage[0]))
 

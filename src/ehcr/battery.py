@@ -18,9 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .policy import PolicyPmf
-from .sensing import SensingStats
-
 
 class ChainNotErgodicError(RuntimeError):
     """Steady state is not unique/reachable for this chain."""
@@ -29,11 +26,13 @@ class ChainNotErgodicError(RuntimeError):
 class TransitionBuilder:
     """Precomputed clamp-shift distributions for one harvest law.
 
-    Row ``s`` of the table is the distribution of ``clip(s + H, 0, K)``
-    where ``H`` is the harvested-cell count, for every shift ``s`` from
-    ``shift_min = -K - reserve`` up to ``K``.  Building the table once lets
-    many policies be priced against the same harvest law with one matrix
-    product each.
+    Row ``s + reserve`` of the table is the distribution of
+    ``clip(s + H, 0, K)`` where ``H`` is the harvested-cell count, for
+    every pre-harvest shift ``s`` a policy move can reach: from
+    ``-reserve`` (a level at or below the reserve that spends nothing)
+    up to ``K`` (a full battery in a busy frame).  Building the table
+    once lets many policies be priced against the same harvest law with
+    one matrix product each.
     """
 
     def __init__(self, harvest: np.ndarray, cells: int, probe_cells: int):
@@ -42,13 +41,11 @@ class TransitionBuilder:
             raise ValueError("harvest pmf must have cells+1 entries")
         self.cells = cells
         self.probe_cells = probe_cells
-        self.shift_min = -cells - probe_cells
         k = cells
-        shifts = np.arange(self.shift_min, k + 1)
+        shifts = np.arange(-probe_cells, k + 1)
         # interior levels map one-to-one onto harvest outcomes H = m - s:
         # a Toeplitz band, read as sliding windows over the padded pmf
-        padded = np.concatenate((np.zeros(k), harvest,
-                                 np.zeros(shifts.size - k - 1)))
+        padded = np.concatenate((np.zeros(k), harvest, np.zeros(probe_cells)))
         table = sliding_window_view(padded, k + 1)[::-1].copy()
         # level 0 absorbs every outcome H <= -s, level K every H >= K - s
         at_most = np.concatenate(([0.0], np.cumsum(harvest[:-1]), [1.0]))
@@ -59,43 +56,31 @@ class TransitionBuilder:
         self._table = table
 
     def matrix(self, idle_law: np.ndarray, idle_prob: float,
-               busy_prob: float, moves=None) -> np.ndarray:
+               busy_prob: float, moves) -> np.ndarray:
         """Column-stochastic transition matrix of each stacked spend law.
 
         ``moves = (state, units)`` lists spend moves: ``idle_law[..., m]``
         is the chance, in a sensed-idle frame, that battery level
         ``state[m]`` spends ``units[m]`` data cells (a policy law's
         :attr:`~ehcr.policy.PolicyPmf.moves`, one row of its ``idle_law``
-        per cutoff).  Without ``moves`` the law is a dense
-        ``psi_idle[..., j, i]`` over every level j and spend i.
-        Sensed-busy frames harvest without spending.  Every move's mass
-        is scattered onto its pre-harvest shift in a (shift x level)
-        matrix M, and the transition matrix is ``table.T @ M`` over the
-        shifts that occur; leading axes of the law give one matrix each.
+        per cutoff).  Sensed-busy frames harvest without spending.  Every
+        move's mass is scattered onto its pre-harvest shift in a
+        (shift x level) matrix M, and the transition matrix is
+        ``table.T @ M``; leading axes of the law give one matrix each.
+        A move that spends more than its level holds has a shift below
+        the table and raises ``ValueError``.
         """
-        k = self.cells
+        k, reserve = self.cells, self.probe_cells
         law = np.asarray(idle_law, dtype=float)
-        if moves is None:
-            law = law.reshape(law.shape[:-2] + (-1,))
-            state = np.repeat(np.arange(k + 1), k + 1)
-            units = np.tile(np.arange(k + 1), k + 1)
-        else:
-            state, units = moves
-        shifts = state - self.probe_cells - units
-        lowest = min(0, int(shifts.min())) if shifts.size else 0
-        mix = np.zeros(law.shape[:-1] + (k + 1 - lowest, k + 1))
-        mix[..., shifts - lowest, state] = idle_prob * law
+        state, units = moves
+        rows = state - units
+        if np.any(rows < 0):
+            raise ValueError("a spend move exceeds its battery level")
+        mix = np.zeros(law.shape[:-1] + (k + 1 + reserve, k + 1))
+        mix[..., rows, state] = idle_prob * law
         js = np.arange(k + 1)
-        mix[..., js - lowest, js] += busy_prob
-        return self._table[lowest - self.shift_min:].T @ mix
-
-
-def build_transition_matrix(pmf: PolicyPmf, sensing: SensingStats,
-                            harvest: np.ndarray) -> np.ndarray:
-    """Battery transition matrix for one policy, sensing point and harvest law."""
-    builder = TransitionBuilder(harvest, pmf.cells, pmf.probe_cells)
-    return builder.matrix(pmf.idle_law, sensing.pi_hat_idle,
-                          sensing.pi_hat_busy, pmf.moves)
+        mix[..., js + reserve, js] += busy_prob
+        return self._table.T @ mix
 
 
 def steady_state(matrix: np.ndarray) -> np.ndarray:
@@ -145,35 +130,26 @@ def steady_state(matrix: np.ndarray) -> np.ndarray:
     return z.reshape(matrix.shape[:-1])
 
 
-def battery_outage(dist: np.ndarray, probe_cells: int):
-    """Probability the battery cannot even cover the probe reserve.
-
-    A float for one law; an array for laws stacked on leading axes.
-    """
-    dist = np.asarray(dist)
-    return _scalar(dist[..., :probe_cells + 1].sum(axis=-1))
+def battery_outage(dist: np.ndarray, probe_cells: int) -> np.ndarray:
+    """Probability the battery cannot even cover the probe reserve (per law)."""
+    return np.asarray(dist)[..., :probe_cells + 1].sum(axis=-1)
 
 
-def avg_energy(dist: np.ndarray):
+def avg_energy(dist: np.ndarray) -> np.ndarray:
     """Mean battery level in cells (per law, for stacked laws)."""
     dist = np.asarray(dist)
     return dot_last(dist, np.arange(dist.shape[-1], dtype=float))
 
 
-def dot_last(a: np.ndarray, b: np.ndarray):
+def dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product over the last axis, one per stacked row.
 
     The products are laid out row by row and each row is summed on its
     own, so a row's result does not depend on the other rows or on where
     the arrays sit in memory (``np.dot`` and stacked BLAS products vary
-    with the operands' alignment).  A float for 1-D operands.
+    with the operands' alignment).
     """
-    return _scalar(np.multiply(a, b, order="C").sum(axis=-1))
-
-
-def _scalar(value: np.ndarray):
-    """A 0-d result as a Python float; anything else unchanged."""
-    return float(value) if np.ndim(value) == 0 else value
+    return np.multiply(a, b, order="C").sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -184,12 +160,3 @@ class BatteryChain:
     steady_state: np.ndarray
     avg_energy: float   # mean level [cells]
     outage: float       # Pr{level <= probe reserve}
-
-    @classmethod
-    def build(cls, pmf: PolicyPmf, sensing: SensingStats,
-              harvest: np.ndarray) -> "BatteryChain":
-        phi = build_transition_matrix(pmf, sensing, harvest)
-        zeta = steady_state(phi)
-        return cls(matrix=phi, steady_state=zeta,
-                   avg_energy=avg_energy(zeta),
-                   outage=battery_outage(zeta, pmf.probe_cells))

@@ -29,6 +29,7 @@ from .analysis import NetworkAnalysis, analyze
 from .model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                     ValidationError, validate)
 from .optimizer import SearchConfig, SuEvaluator, solve_p1
+from .policy import check_params
 from .sim import compare, simulate
 
 EXIT_OK = 0
@@ -104,12 +105,17 @@ class LoadedConfig:
         return list(self.policies)  # type: ignore[return-value]
 
 
-def _line_of(text: str, key: str) -> Optional[int]:
+def _at(text: str, section: str, key: str) -> str:
+    """`` (line N)`` for the line that sets ``key`` in ``[section]``, else ``""``."""
+    current = None
     for n, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if stripped.startswith(key) and "=" in stripped:
-            return n
-    return None
+        if stripped.startswith("["):
+            current = stripped[1:].split("]", 1)[0].strip()
+        elif (current == section and stripped.startswith(key)
+              and "=" in stripped):
+            return f" (line {n})"
+    return ""
 
 
 def _read_section(parser: configparser.ConfigParser, section: str,
@@ -117,8 +123,7 @@ def _read_section(parser: configparser.ConfigParser, section: str,
                   text: str, problems: List[str]) -> Dict[str, object]:
     values: Dict[str, object] = {}
     for key, raw in parser.items(section):
-        where = _line_of(text, key)
-        at = f" (line {where})" if where else ""
+        at = _at(text, section, key)
         if key in keys:
             caster = keys[key]
             try:
@@ -195,7 +200,13 @@ def load_config(path: str) -> LoadedConfig:
             problems.append(f"[{section}] {exc}")
             profiles.append(SuProfile())
         if len(policy_vals) == 2:
-            policies.append(PolicyParams(**policy_vals))
+            policy = PolicyParams(**policy_vals)
+            try:
+                check_params(policy)
+            except ValueError as exc:
+                key = str(exc).split()[0]
+                problems.append(f"[{section}] {exc}{_at(text, section, key)}")
+            policies.append(policy)
         elif len(policy_vals) == 1:
             problems.append(f"[{section}] omega and theta go together; "
                             f"got only {list(policy_vals)[0]!r}")
@@ -457,10 +468,13 @@ def _sweep_model(loaded: LoadedConfig, axis: str,
 def _sweep_policies(loaded: LoadedConfig, axis: str,
                     value: float) -> List[PolicyParams]:
     policies = loaded.require_policies()
-    if axis == "omega":
-        return [dataclasses.replace(p, omega=value) for p in policies]
-    if axis == "theta":
-        return [dataclasses.replace(p, theta=value) for p in policies]
+    if axis in ("omega", "theta"):
+        policies = [dataclasses.replace(p, **{axis: value}) for p in policies]
+    try:
+        for policy in policies:
+            check_params(policy)
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from exc
     return policies
 
 

@@ -10,9 +10,8 @@ intervals are what the analytic rate expressions integrate over as well.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -27,10 +26,13 @@ DENOM_EPS = 1e-12
 
 
 def check_params(params: PolicyParams) -> None:
-    """Reject a policy outside omega in [0, 1], theta >= 0."""
+    """Reject a policy outside omega in [0, 1], theta >= 0 (NaN included).
+
+    Each message starts with the name of the offending parameter.
+    """
     if not 0.0 <= params.omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
-    if params.theta < 0.0:
+    if not params.theta >= 0.0:
         raise ValueError("theta must be >= 0")
 
 
@@ -58,34 +60,6 @@ def transmit_units(state: int, gain: float, params: PolicyParams,
     return max(level - probe_cells, 0)
 
 
-def gain_breakpoints(state: int, params: PolicyParams,
-                     probe_cells: int) -> List[Tuple[int, float, float]]:
-    """Gain intervals [lo, hi) on which the spend equals each level i >= 1.
-
-    Returns (i, lo, hi) triples; ``hi`` is +inf on the top level.  States
-    at or below the probe reserve have no positive levels and return [].
-    """
-    k_idx, i_idx, lo, hi = spend_levels(params, probe_cells, state)
-    keep = k_idx == state
-    return [(int(i), float(a), float(c))
-            for i, a, c in zip(i_idx[keep], lo[keep], hi[keep])]
-
-
-def spend_levels(params: PolicyParams, probe_cells: int,
-                 cells: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened (state, level, gain-lo, gain-hi) arrays for every spend level.
-
-    Level i is chosen at state k when the gain lands in [lo, hi); the
-    boundaries follow from inverting the derating factor at each floor
-    step.  A non-positive inverted denominator means the level never
-    loses to the next one, so its upper edge is +inf.
-    """
-    check_params(params)
-    k_idx, i_idx, komega, d_lo = _skeleton(params.omega, probe_cells, cells)
-    lo, hi = _edges(np.asarray(params.theta, dtype=float), komega, d_lo)
-    return k_idx, i_idx, lo, hi
-
-
 def _skeleton(omega: float, probe_cells: int, cells: int):
     """Theta-free part of the spend levels: states, spends, k*omega, lower denominators."""
     ks = np.arange(cells + 1)
@@ -101,7 +75,12 @@ def _skeleton(omega: float, probe_cells: int, cells: int):
 
 def _edges(thetas: np.ndarray, komega: np.ndarray,
            d_lo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Gain edges theta*k*omega/d of every level, one row per cutoff."""
+    """Gain edges theta*k*omega/d of every level, one row per cutoff.
+
+    The edges invert the derating factor at each floor step; a
+    non-positive inverted denominator means the level never loses to the
+    next one, so its upper edge is +inf.
+    """
     d_hi = d_lo - 1.0
     num = thetas[..., None] * komega
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -112,38 +91,28 @@ def _edges(thetas: np.ndarray, komega: np.ndarray,
 
 @dataclass(frozen=True)
 class PolicyPmf:
-    """Spend law of one spend fraction at one cutoff or a stack of cutoffs.
+    """Spend laws of one spend fraction at a row of cutoffs.
 
     Spend level l takes ``level_units[l]`` cells from battery level
     ``level_state[l]`` when the fed-back gain lands in
-    ``[level_lo[..., l], level_hi[..., l])``.  ``level_mass[..., eps, l]``
-    is that chance under the idle (eps = 0) or busy (eps = 1) gain law,
-    and ``zero_mass[..., eps, k]`` the chance of spending nothing at
-    battery level k.  The level skeleton depends on ``omega`` only; when
-    ``theta`` is a vector, a leading axis on every other array runs over
-    its cutoffs.  The flattened level arrays mirror :func:`spend_levels`
-    so rate computations can reuse the same intervals.
+    ``[level_lo[b, l], level_hi[b, l])`` at cutoff ``theta[b]``.
+    ``level_mass[b, eps, l]`` is that chance under the idle (eps = 0) or
+    busy (eps = 1) gain law, and ``zero_mass[b, eps, k]`` the chance of
+    spending nothing at battery level k.  The level skeleton depends on
+    ``omega`` only; the leading axis of every other array runs over the
+    cutoffs.  The rate bound integrates over the same gain intervals.
     """
 
     omega: float
-    theta: np.ndarray        # cutoff, 0-d, or one per stacked law
+    theta: np.ndarray        # (cutoffs,)
     level_state: np.ndarray  # battery level k of each spend level
     level_units: np.ndarray  # spend i of each level
-    level_lo: np.ndarray     # lower gain edge of each level
-    level_hi: np.ndarray     # upper gain edge (may be +inf)
-    level_mass: np.ndarray   # (..., 2, levels)
-    zero_mass: np.ndarray    # (..., 2, cells+1)
+    level_lo: np.ndarray     # (cutoffs, levels) lower gain edge
+    level_hi: np.ndarray     # (cutoffs, levels) upper gain edge (may be +inf)
+    level_mass: np.ndarray   # (cutoffs, 2, levels)
+    zero_mass: np.ndarray    # (cutoffs, 2, cells+1)
     cells: int
     probe_cells: int
-
-    @property
-    def psi(self) -> np.ndarray:
-        """Dense ``psi[..., eps, k, i]`` = Pr{spend = i | battery k, occupancy eps}."""
-        n = self.cells + 1
-        psi = np.zeros(self.zero_mass.shape + (n,))
-        psi[..., 0] = self.zero_mass
-        psi[..., self.level_state, self.level_units] = self.level_mass
-        return psi
 
     @property
     def moves(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -155,20 +124,13 @@ class PolicyPmf:
     @property
     def idle_law(self) -> np.ndarray:
         """Masses of :attr:`moves` under the idle gain law (eps = 0)."""
-        return np.concatenate((self.level_mass[..., 0, :],
-                               self.zero_mass[..., 0, :]), axis=-1)
-
-    def cutoff(self, b: int) -> "PolicyPmf":
-        """The single-cutoff law of stacked cutoff ``b``."""
-        return replace(self, theta=self.theta[b], level_lo=self.level_lo[b],
-                       level_hi=self.level_hi[b],
-                       level_mass=self.level_mass[b],
-                       zero_mass=self.zero_mass[b])
+        return np.concatenate((self.level_mass[:, 0, :],
+                               self.zero_mass[:, 0, :]), axis=-1)
 
 
-def transmit_row(omega: float, thetas, probe_cells: int, cells: int,
-                 dist: GainDistribution) -> PolicyPmf:
-    """Spend laws of one spend fraction at a stack of cutoffs.
+def transmit_row(omega: float, thetas: Sequence[float], probe_cells: int,
+                 cells: int, dist: GainDistribution) -> PolicyPmf:
+    """Spend laws of one spend fraction at a row of cutoffs.
 
     Positive levels get the mixture-component probability of their gain
     interval; the zero level takes whatever remains, which also covers
@@ -179,31 +141,23 @@ def transmit_row(omega: float, thetas, probe_cells: int, cells: int,
     check_params(PolicyParams(omega, float(np.min(thetas, initial=0.0))))
     k_idx, i_idx, komega, d_lo = _skeleton(omega, probe_cells, cells)
     lo, hi = _edges(thetas, komega, d_lo)
-    mass = np.empty(thetas.shape + (2, k_idx.size))
+    mass = np.empty((thetas.size, 2, k_idx.size))
     for eps in (0, 1):
         q = (np.asarray(gain_cdf(dist, hi, eps))
              - np.asarray(gain_cdf(dist, lo, eps)))
-        mass[..., eps, :] = np.where(lo >= hi, 0.0, np.maximum(q, 0.0))
+        mass[:, eps, :] = np.where(lo >= hi, 0.0, np.maximum(q, 0.0))
     # every state from the first that spends up to K spends, its levels
     # contiguous from spend 1; a state's masses are summed over a row
-    # zero-padded to every spend 1..K, so the sum is the dense psi row's
-    # whatever the stack holds
+    # zero-padded to every spend 1..K, so the sum is that of its dense
+    # spend row whatever the stack holds
     start = int(k_idx[0]) if k_idx.size else cells + 1
     slots = (k_idx - start) * cells + i_idx - 1
-    laws = math.prod(mass.shape[:-1])
-    rows = np.zeros((laws, (cells + 1 - start) * cells))
-    for law, row in zip(mass.reshape(laws, -1), rows):
-        row[slots] = law
-    zero = np.ones(thetas.shape + (2, cells + 1))
+    rows = np.zeros((thetas.size, 2, (cells + 1 - start) * cells))
+    rows[..., slots] = mass
+    zero = np.ones((thetas.size, 2, cells + 1))
     zero[..., start:] = np.maximum(
-        1.0 - rows.reshape(mass.shape[:-1] + (-1, cells)).sum(axis=-1), 0.0)
+        1.0 - rows.reshape(thetas.size, 2, -1, cells).sum(axis=-1), 0.0)
     return PolicyPmf(omega=omega, theta=thetas, level_state=k_idx,
                      level_units=i_idx, level_lo=lo, level_hi=hi,
                      level_mass=mass, zero_mass=zero, cells=cells,
                      probe_cells=probe_cells)
-
-
-def transmit_pmf(params: PolicyParams, probe_cells: int, cells: int,
-                 dist: GainDistribution) -> PolicyPmf:
-    """Distribution of the data spend under each occupancy state."""
-    return transmit_row(params.omega, params.theta, probe_cells, cells, dist)

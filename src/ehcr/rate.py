@@ -14,8 +14,8 @@ by ``tools/fit_scaled_e1.py`` (mpmath at 40 digits): E1(t) = P(t) - ln t
 with P = -gamma + Ein for t < 2, and t*exp(t)*E1(t) as a polynomial in
 1/t on [2, 8) and on [8, 600), those two evaluated in one pass.  From
 t = 600 on a continued fraction takes over.  The relative error is below
-3e-14 on every piece (1e-13 is tested).
-``exp_integral_ei`` keeps ``scipy.special.exp1``.
+3e-14 on every piece (1e-13 is tested).  The terms below take a policy
+row (:func:`~ehcr.policy.transmit_row`) and give one value per cutoff.
 """
 from __future__ import annotations
 
@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
-from scipy.special import exp1
 
-from .battery import _scalar, dot_last
+from .battery import dot_last
 from .model import SuProfile, SystemConfig
 from .policy import PolicyPmf
 from .probing import EstimationStats
@@ -90,21 +89,6 @@ _E1_INV = np.array([
 ])
 
 
-def exp_integral_ei(x: ArrayLike) -> ArrayLike:
-    """Exponential integral Ei on the negative half-line.
-
-    Underflows to exactly 0 once exp(x)/|x| leaves the double range
-    (around x < -745); non-negative arguments are a domain error.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr >= 0.0):
-        raise ValueError("exp_integral_ei is defined for negative arguments only")
-    out = -exp1(-arr)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def _horner(coeffs, u: np.ndarray) -> np.ndarray:
     """Polynomial with coefficients highest power first, at every u.
 
@@ -158,7 +142,7 @@ def _scaled_e1(t: np.ndarray) -> np.ndarray:
 
 
 def antiderivative_m(x: ArrayLike, snr_scale: ArrayLike,
-                     mean_gain: float) -> ArrayLike:
+                     mean_gain: float) -> np.ndarray:
     """Antiderivative of log2(1 + snr_scale*g) under an exponential gain law.
 
     Evaluated so that the integral over [a, b) is M(b) - M(a); M(+inf) is 0
@@ -179,8 +163,6 @@ def antiderivative_m(x: ArrayLike, snr_scale: ArrayLike,
         big_t = ta + 1.0 / (sa * mean_gain)
         out[active] = -np.exp(-ta) * (_scaled_e1(big_t)
                                       + np.log1p(sa * xa)) / _LN2
-    if np.isscalar(x) and np.isscalar(snr_scale):
-        return float(out)
     return out
 
 
@@ -188,7 +170,9 @@ def antiderivative_m(x: ArrayLike, snr_scale: ArrayLike,
 class PerSuRate:
     """Rate lower bound of one user, split by the true occupancy state.
 
-    For a stack of cutoffs each field is an array over the stack.
+    :func:`rate_lower_bound` gives an array over the row's cutoffs in
+    each field; :class:`~ehcr.analysis.SuAnalysis` holds one cutoff's
+    floats.
     """
 
     total: float      # bits/s
@@ -210,8 +194,8 @@ def rate_lower_bound(config: SystemConfig, profile: SuProfile,
 
     Sums the closed-form gain integral of every (battery level, spend
     level) pair, weighted by the steady-state occupancy, separately under
-    the idle and busy channel laws.  For a stack of cutoffs (``stationary``
-    one law per row) every field is an array over the stack.
+    the idle and busy channel laws.  ``stationary`` holds one law per
+    cutoff of the row, and every field is an array over the cutoffs.
     """
     scale = config.data_fraction * config.bandwidth
     weights = np.asarray(stationary)[..., pmf.level_state]
@@ -221,7 +205,7 @@ def rate_lower_bound(config: SystemConfig, profile: SuProfile,
             (sensing.beta1, est.var_err_h1, est.var_hat_h1,
              est.pu_interference_var)):
         if joint <= 0.0 or mean <= 0.0:
-            parts.append(_scalar(np.zeros(weights.shape[:-1])))
+            parts.append(np.zeros(weights.shape[:-1]))
             continue
         snr = _level_snr(pmf.level_units, err, profile.ap_noise + extra_noise,
                          config.unit_power)
@@ -240,7 +224,7 @@ def aic_contribution(config: SystemConfig, profile: SuProfile,
 
     Only busy-but-sensed-idle frames interfere; the data term averages the
     spend under the busy-band gain law and the probing term is a fixed
-    duty-cycled pilot power.  An array over the stack for stacked cutoffs.
+    duty-cycled pilot power.  One value per cutoff of the row.
     """
     weights = np.asarray(stationary)[..., pmf.level_state]
     data_power = dot_last(weights * pmf.level_mass[..., 1, :],
@@ -255,13 +239,13 @@ def transmission_outage(stationary: np.ndarray, pmf: PolicyPmf,
 
     Either the battery is at or below the probe reserve, or the fed-back
     gain (under the sensed-idle mixture law) fails to clear the cutoff.
-    An array over the stack for stacked cutoffs.
+    One value per cutoff of the row.
     """
     stationary = np.asarray(stationary)
     ks = np.arange(probe_cells + 1, stationary.shape[-1])
     if ks.size == 0:
-        return _scalar(np.ones(stationary.shape[:-1]))
-    low = _scalar(stationary[..., :probe_cells + 1].sum(axis=-1))
+        return np.ones(stationary.shape[:-1])
+    low = stationary[..., :probe_cells + 1].sum(axis=-1)
     zero_spend = (sensing.omega0 * pmf.zero_mass[..., 0, ks]
                   + sensing.omega1 * pmf.zero_mass[..., 1, ks])
     return low + dot_last(stationary[..., ks], zero_spend)

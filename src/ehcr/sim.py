@@ -1,11 +1,12 @@
 """Slot-by-slot Monte Carlo of the harvesting uplink.
 
 This is the independent oracle for the analytic chain: occupancy comes
-from actually walking the battery recursion, spends from the scalar
-policy rule (not the vectorized pmf used by the analytics), and rate and
-interference from per-slot closed-form samples.  Users get independent
-substreams keyed by (seed, user index), so adding a user never perturbs
-the others' sample paths.
+from actually walking the battery recursion, spends from flooring each
+slot's drain at its sampled gain (the rule of :func:`transmit_units`, not
+the spend law the analytics price), and rate and interference from
+per-slot closed-form samples.  Users get independent substreams keyed
+by (seed, user index), so adding a user never perturbs the others'
+sample paths.
 
 Only the battery recursion depends on the level a slot starts from, so
 only it runs in a Python loop, over plain integers and floats.  Every

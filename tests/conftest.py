@@ -23,7 +23,7 @@ _ACCEPTANCE_LABELS = {
     "test_criterion_1": "transition matrices and spend distributions normalized",
     "test_criterion_2": "steady-state solver agrees with power iteration",
     "test_criterion_3": "event simulation matches the analytic chain",
-    "test_criterion_4": "exponential integral and rate antiderivative accuracy",
+    "test_criterion_4": "scaled exponential integral and rate antiderivative accuracy",
     "test_criterion_5": "reference battery means reproduced",
     "test_criterion_6": "qualitative trends: maxima, knee, monotone battery gains",
     "test_criterion_7": "policy search matches an exhaustive grid",

@@ -11,15 +11,15 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
+from ehcr import rate
 from ehcr.analysis import analyze, analyze_su
-from ehcr.battery import TransitionBuilder, build_transition_matrix, steady_state
+from ehcr.battery import TransitionBuilder, steady_state
 from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                         harvest_pmf)
 from ehcr.optimizer import SearchConfig, SuEvaluator, objective_surface, solve_p1
-from ehcr.policy import transmit_pmf
+from ehcr.policy import transmit_row
 from ehcr.probing import GainDistribution, estimator_variances, gain_cdf
-from ehcr.rate import (aic_contribution, antiderivative_m, exp_integral_ei,
-                       rate_lower_bound)
+from ehcr.rate import aic_contribution, antiderivative_m, rate_lower_bound
 from ehcr.sensing import sensing_stats
 from ehcr.sim import compare, simulate
 
@@ -52,10 +52,12 @@ def _random_transition_systems():
         sensing = sensing_stats(config, profile)
         est = estimator_variances(config, profile, sensing)
         dist = GainDistribution.from_stats(est, sensing)
-        pmf = transmit_pmf(params, config.probe_cells, config.battery_cells,
-                           dist)
-        phi = build_transition_matrix(
-            pmf, sensing, harvest_pmf(profile.harvest_rate, cells))
+        pmf = transmit_row(params.omega, [params.theta], config.probe_cells,
+                           cells, dist)
+        builder = TransitionBuilder(harvest_pmf(profile.harvest_rate, cells),
+                                    cells, config.probe_cells)
+        phi = builder.matrix(pmf.idle_law, sensing.pi_hat_idle,
+                             sensing.pi_hat_busy, pmf.moves)[0]
         systems.append((pmf, phi))
     return systems
 
@@ -87,8 +89,12 @@ def test_criterion_1_random_configs_are_stochastic():
     for pmf, phi in systems:
         col_dev = np.abs(phi.sum(axis=0) - 1.0).max()
         assert col_dev <= 1e-12, "column sums off by %.3e" % col_dev
-        psi_dev = np.abs(pmf.psi.sum(axis=2) - 1.0).max()
-        assert psi_dev <= 1e-12, "spend distribution off by %.3e" % psi_dev
+        # each level's zero spend plus its positive levels, per occupancy
+        spent = np.stack([np.bincount(pmf.level_state, weights=mass,
+                                      minlength=pmf.cells + 1)
+                          for mass in pmf.level_mass[0]])
+        law_dev = np.abs(pmf.zero_mass[0] + spent - 1.0).max()
+        assert law_dev <= 1e-12, "spend distribution off by %.3e" % law_dev
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, "runtime %.1f s exceeds the 10 s budget" % elapsed
 
@@ -127,13 +133,14 @@ def test_criterion_3_simulation_matches_analytic_chain():
 def test_criterion_4_special_function_accuracy():
     start = time.perf_counter()
 
-    # exponential integral against arbitrary-precision reference
-    xs = -np.geomspace(1e-8, 700.0, 250)
-    got = exp_integral_ei(xs)
-    for x, value in zip(xs, got):
-        want = float(mpmath.ei(mpmath.mpf(x)))
+    # the rate bound's exp(t)*E1(t) against arbitrary-precision reference
+    ts = np.geomspace(1e-8, 700.0, 250)
+    got = rate._scaled_e1(ts)
+    for t, value in zip(ts, got):
+        t_mp = mpmath.mpf(t)
+        want = float(mpmath.exp(t_mp) * mpmath.e1(t_mp))
         rel = abs(value - want) / abs(want)
-        assert rel < 1e-10, "Ei(%g) off by rel %.3e" % (x, rel)
+        assert rel < 1e-10, "exp(t)E1(t) at t=%g off by rel %.3e" % (t, rel)
 
     # rate antiderivative against adaptive quadrature
     rng = np.random.default_rng(7)
@@ -338,8 +345,10 @@ def test_criterion_7_search_matches_exhaustive_grid():
     omegas = np.linspace(0.0, 1.0, 201)
     thetas = np.geomspace(1e-3, 20.0, 201)
 
-    # price every grid point straight off the analytic chain, batching
-    # the steady-state solves; each solution is verified as a fixed point
+    # price every grid point straight off a dense spend law over every
+    # move a policy may make (spends 0..max(j - reserve, 0) at level j),
+    # batching the steady-state solves; each solution is verified as a
+    # fixed point
     sensing = sensing_stats(cfg, prof)
     est = estimator_variances(cfg, prof, sensing)
     dist = GainDistribution.from_stats(est, sensing)
@@ -348,24 +357,28 @@ def test_criterion_7_search_matches_exhaustive_grid():
         cfg.battery_cells, cfg.probe_cells)
     n = cfg.battery_cells + 1
     eye = np.eye(n)
+    levels = np.arange(n)
+    moves = np.nonzero(levels <= np.maximum(levels[:, None]
+                                            - cfg.probe_cells, 0))
     rates = np.empty((len(omegas), len(thetas)))
     loads = np.empty_like(rates)
     for a, omega in enumerate(omegas):
-        pmfs = [transmit_pmf(PolicyParams(float(omega), float(theta)),
-                             cfg.probe_cells, cfg.battery_cells, dist)
-                for theta in thetas]
-        mats = np.stack([builder.matrix(p.psi[0], sensing.pi_hat_idle,
-                                        sensing.pi_hat_busy) for p in pmfs])
+        row = transmit_row(float(omega), thetas, cfg.probe_cells,
+                           cfg.battery_cells, dist)
+        psi = np.zeros((len(thetas), n, n))
+        psi[:, :, 0] = row.zero_mass[:, 0]
+        psi[:, row.level_state, row.level_units] = row.level_mass[:, 0]
+        mats = builder.matrix(psi[:, moves[0], moves[1]],
+                              sensing.pi_hat_idle, sensing.pi_hat_busy, moves)
         zetas = np.linalg.solve(mats - eye + 1.0,
                                 np.ones((len(thetas), n, 1)))[..., 0]
         residual = np.abs(np.einsum("bij,bj->bi", mats, zetas) - zetas).max()
         assert residual < 1e-9, "batched steady state off by %.3e" % residual
         zetas = np.clip(zetas, 0.0, None)
         zetas /= zetas.sum(axis=1, keepdims=True)
-        for b, pmf in enumerate(pmfs):
-            rates[a, b] = rate_lower_bound(cfg, prof, sensing, est, pmf,
-                                           zetas[b]).total
-            loads[a, b] = aic_contribution(cfg, prof, sensing, pmf, zetas[b])
+        rates[a] = rate_lower_bound(cfg, prof, sensing, est, row,
+                                    zetas).total
+        loads[a] = aic_contribution(cfg, prof, sensing, row, zetas)
 
     # the brute grid and the solver's evaluator must price points alike
     free = NetworkModel(config=cfg, profiles=(prof,))

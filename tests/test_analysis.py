@@ -9,7 +9,7 @@ from ehcr.battery import TransitionBuilder
 from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                         harvest_pmf)
 from ehcr.optimizer import SuEvaluator
-from ehcr.policy import spend_levels
+from ehcr.policy import transmit_row
 from ehcr.probing import GainDistribution, estimator_variances, gain_cdf
 from ehcr.rate import antiderivative_m
 from ehcr.sensing import sensing_stats
@@ -88,19 +88,23 @@ def test_ideal_sensing_removes_all_interference():
 def _dense_chain(model, params, ideal):
     """The analytic chain built from the dense (2, K+1, K+1) spend law.
 
-    Spend levels become a dense psi whose zero column takes what the
-    positive levels leave; the transition matrix is the dense-law form of
-    ``TransitionBuilder.matrix`` (checked against a brute-force assembly
-    in test_battery; the steady state is too ill-conditioned at some
-    settings for an independently rounded matrix to agree to 1e-12); the
-    steady state is a plain balance solve; every term then reads psi.
+    Spend levels (with the policy row's gain edges) become a dense psi
+    whose zero column takes what the positive levels leave; the
+    transition matrix is ``TransitionBuilder.matrix`` over every move a
+    policy may make, spends 0..max(j - reserve, 0) at level j (checked
+    against a brute-force assembly in test_battery; the steady state is
+    too ill-conditioned at some settings for an independently rounded
+    matrix to agree to 1e-12); the steady state is a plain balance
+    solve; every term then reads psi.
     """
     cfg, prof = model.config, model.profiles[0]
     k, r = cfg.battery_cells, cfg.probe_cells
     sen = sensing_stats(cfg, prof, ideal=ideal)
     est = estimator_variances(cfg, prof, sen)
     dist = GainDistribution.from_stats(est, sen)
-    states, units, lo, hi = spend_levels(params, r, k)
+    row = transmit_row(params.omega, [params.theta], r, k, dist)
+    states, units = row.level_state, row.level_units
+    lo, hi = row.level_lo[0], row.level_hi[0]
     psi = np.zeros((2, k + 1, k + 1))
     for eps in (0, 1):
         q = gain_cdf(dist, hi, eps) - gain_cdf(dist, lo, eps)
@@ -108,7 +112,10 @@ def _dense_chain(model, params, ideal):
         psi[eps, :, 0] = np.maximum(1.0 - psi[eps, :, 1:].sum(axis=1), 0.0)
 
     builder = TransitionBuilder(harvest_pmf(prof.harvest_rate, k), k, r)
-    phi = builder.matrix(psi[0], sen.pi_hat_idle, sen.pi_hat_busy)
+    levels = np.arange(k + 1)
+    moves = np.nonzero(levels <= np.maximum(levels[:, None] - r, 0))
+    phi = builder.matrix(psi[0][moves], sen.pi_hat_idle, sen.pi_hat_busy,
+                         moves)
     zeta = np.linalg.solve(phi - np.eye(k + 1) + 1.0, np.ones(k + 1))
     zeta = np.clip(zeta, 0.0, None)
     zeta /= zeta.sum()

@@ -4,55 +4,82 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ehcr.battery import (BatteryChain, ChainNotErgodicError,
-                          TransitionBuilder, avg_energy, battery_outage,
-                          build_transition_matrix, steady_state)
-from ehcr.model import PolicyParams, harvest_pmf
-from ehcr.policy import transmit_pmf
+from ehcr.analysis import analyze_su
+from ehcr.battery import (ChainNotErgodicError, TransitionBuilder, avg_energy,
+                          battery_outage, steady_state)
+from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
+                        harvest_pmf)
+from ehcr.policy import transmit_row
 from ehcr.probing import GainDistribution
 from ehcr.sensing import joint_sensing_stats
 
 MIX = GainDistribution(weights=(0.9, 0.1), means=(2.0, 1.0))
 
 
-def _brute_force_matrix(psi_idle, idle_prob, busy_prob, harvest, cells,
+def _brute_force_matrix(moves, law, idle_prob, busy_prob, harvest, cells,
                         reserve):
-    """O(K^3) reference built straight from the slot dynamics."""
+    """O(K^3) reference built straight from the slot dynamics.
+
+    ``law[m]`` is the chance that level ``moves[0][m]`` spends
+    ``moves[1][m]`` data cells in a sensed-idle frame.
+    """
     phi = np.zeros((cells + 1, cells + 1))
     for j in range(cells + 1):
         for h, p_h in enumerate(harvest):
             # sensed busy: harvest only
             phi[min(j + h, cells), j] += busy_prob * p_h
+    for j, s, p_s in zip(*moves, law):
+        for h, p_h in enumerate(harvest):
             # sensed idle: burn reserve plus spend, clamp at empty and full
-            for s in range(cells + 1):
-                p_s = psi_idle[j, s]
-                if p_s:
-                    nxt = min(max(j - reserve - s + h, 0), cells)
-                    phi[nxt, j] += idle_prob * p_s * p_h
+            nxt = min(max(j - reserve - s + h, 0), cells)
+            phi[nxt, j] += idle_prob * p_s * p_h
     return phi
+
+
+def _random_legal_law(rng, cells, reserve):
+    """Random spend law over every move a policy may make.
+
+    Level j may spend 0..max(j - reserve, 0) cells; the masses of each
+    level sum to one.
+    """
+    caps = np.maximum(np.arange(cells + 1) - reserve, 0)
+    state = np.repeat(np.arange(cells + 1), caps + 1)
+    units = np.concatenate([np.arange(cap + 1) for cap in caps])
+    law = rng.random(state.size)
+    law /= np.bincount(state, weights=law)[state]
+    return (state, units), law
 
 
 def test_transition_matrix_matches_direct_construction():
     cells, reserve = 9, 2
     harvest = harvest_pmf(2.5, cells)
-    pmf = transmit_pmf(PolicyParams(0.8, 0.15), reserve, cells, MIX)
+    pmf = transmit_row(0.8, [0.15], reserve, cells, MIX)
     sensing = joint_sensing_stats(0.7, 0.1, 0.85)
-    got = build_transition_matrix(pmf, sensing, harvest)
-    want = _brute_force_matrix(pmf.psi[0], sensing.pi_hat_idle,
-                               sensing.pi_hat_busy, harvest, cells, reserve)
+    got = TransitionBuilder(harvest, cells, reserve).matrix(
+        pmf.idle_law, sensing.pi_hat_idle, sensing.pi_hat_busy, pmf.moves)[0]
+    want = _brute_force_matrix(pmf.moves, pmf.idle_law[0],
+                               sensing.pi_hat_idle, sensing.pi_hat_busy,
+                               harvest, cells, reserve)
     np.testing.assert_allclose(got, want, atol=1e-14)
     np.testing.assert_allclose(got.sum(axis=0), 1.0, atol=1e-12)
 
 
-def test_transition_matrix_arbitrary_spend_law():
-    rng = np.random.default_rng(9)
+def test_moves_below_the_reserve_shift_are_rejected():
     cells, reserve = 6, 1
     harvest = harvest_pmf(1.2, cells)
-    psi = rng.random((cells + 1, cells + 1))
-    psi /= psi.sum(axis=1, keepdims=True)
-    got = TransitionBuilder(harvest, cells, reserve).matrix(psi, 0.6, 0.4)
-    want = _brute_force_matrix(psi, 0.6, 0.4, harvest, cells, reserve)
+    builder = TransitionBuilder(harvest, cells, reserve)
+    state = np.array([0, 1, 2, 2, 3, 4, 5, 6])
+    # level 2 spending its whole charge sits on the lowest shift, -reserve
+    units = np.array([0, 0, 0, 2, 0, 0, 0, 0])
+    law = np.array([1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0])
+    got = builder.matrix(law, 0.6, 0.4, (state, units))
+    want = _brute_force_matrix((state, units), law, 0.6, 0.4, harvest, cells,
+                               reserve)
     np.testing.assert_allclose(got, want, atol=1e-14)
+    # one cell more would fall below the table
+    units[3] = 3
+    with pytest.raises(ValueError):
+        builder.matrix(law, 0.6, 0.4, (state, units))
 
 
 def test_column_stochastic_over_random_inputs():
@@ -61,22 +88,27 @@ def test_column_stochastic_over_random_inputs():
         cells = int(rng.integers(2, 30))
         reserve = int(rng.integers(0, cells))
         harvest = harvest_pmf(float(rng.uniform(0.1, 40.0)), cells)
-        pmf = transmit_pmf(PolicyParams(float(rng.uniform(0, 1)),
-                                        float(rng.uniform(0.01, 2.0))),
-                           reserve, cells, MIX)
+        pmf = transmit_row(float(rng.uniform(0, 1)),
+                           [float(rng.uniform(0.01, 2.0))], reserve, cells,
+                           MIX)
         idle = float(rng.uniform(0.05, 0.95))
         phi = TransitionBuilder(harvest, cells, reserve).matrix(
-            pmf.psi[0], idle, 1.0 - idle)
+            pmf.idle_law, idle, 1.0 - idle, pmf.moves)[0]
         assert np.all(phi >= 0.0)
         np.testing.assert_allclose(phi.sum(axis=0), 1.0, atol=1e-12)
+
+
+def _always_busy_matrix(cells, harvest):
+    pmf = transmit_row(0.9, [0.1], 1, cells, MIX)
+    sensing = joint_sensing_stats(0.5, 1.0, 1.0)
+    return TransitionBuilder(harvest, cells, 1).matrix(
+        pmf.idle_law, sensing.pi_hat_idle, sensing.pi_hat_busy, pmf.moves)[0]
 
 
 def test_always_busy_reduces_to_pure_harvesting():
     cells = 8
     harvest = harvest_pmf(3.0, cells)
-    pmf = transmit_pmf(PolicyParams(0.9, 0.1), 1, cells, MIX)
-    phi = build_transition_matrix(pmf, joint_sensing_stats(0.5, 1.0, 1.0),
-                                  harvest)
+    phi = _always_busy_matrix(cells, harvest)
     expected = np.zeros_like(phi)
     for j in range(cells + 1):
         for h, p_h in enumerate(harvest):
@@ -86,10 +118,7 @@ def test_always_busy_reduces_to_pure_harvesting():
 
 def test_no_harvest_always_busy_freezes_the_chain():
     cells = 5
-    harvest = harvest_pmf(1e-12, cells)
-    pmf = transmit_pmf(PolicyParams(0.9, 0.1), 1, cells, MIX)
-    phi = build_transition_matrix(pmf, joint_sensing_stats(0.5, 1.0, 1.0),
-                                  harvest)
+    phi = _always_busy_matrix(cells, harvest_pmf(1e-12, cells))
     np.testing.assert_allclose(phi, np.eye(cells + 1), atol=1e-11)
 
 
@@ -133,10 +162,9 @@ def test_chain_summary_metrics():
 
 def test_chain_build_bundles_consistent_pieces():
     cells = 12
-    harvest = harvest_pmf(4.0, cells)
-    pmf = transmit_pmf(PolicyParams(0.6, 0.1), 1, cells, MIX)
-    sensing = joint_sensing_stats(0.7, 0.1, 0.85)
-    chain = BatteryChain.build(pmf, sensing, harvest)
+    model = NetworkModel(config=SystemConfig(battery_cells=cells),
+                         profiles=(SuProfile(harvest_rate=4.0),))
+    chain = analyze_su(model, 0, PolicyParams(0.6, 0.1)).chain
     np.testing.assert_allclose(chain.matrix @ chain.steady_state,
                                chain.steady_state, atol=1e-9)
     assert chain.avg_energy == avg_energy(chain.steady_state)
@@ -146,10 +174,14 @@ def test_chain_build_bundles_consistent_pieces():
 
 def test_avg_energy_monotone_in_harvest_rate():
     cells = 40
-    pmf = transmit_pmf(PolicyParams(0.35, 0.2), 1, cells, MIX)
+    pmf = transmit_row(0.35, [0.2], 1, cells, MIX)
     sensing = joint_sensing_stats(0.7, 0.1, 0.85)
-    means = [BatteryChain.build(pmf, sensing, harvest_pmf(rho, cells)).avg_energy
-             for rho in [0.5, 2.0, 5.0, 10.0, 20.0]]
+    means = []
+    for rho in [0.5, 2.0, 5.0, 10.0, 20.0]:
+        phi = TransitionBuilder(harvest_pmf(rho, cells), cells, 1).matrix(
+            pmf.idle_law, sensing.pi_hat_idle, sensing.pi_hat_busy,
+            pmf.moves)
+        means.append(float(avg_energy(steady_state(phi))[0]))
     assert all(b >= a - 1e-9 for a, b in zip(means, means[1:]))
 
 
@@ -162,28 +194,29 @@ def test_transition_matrix_matches_brute_force_over_random_settings():
         # deficit eats into the harvest
         harvest = harvest_pmf(float(rng.uniform(0.05, 8.0)), cells)
         if trial % 2:
-            # dense spend law: spends may exceed the level
-            psi = rng.random((cells + 1, cells + 1))
-            psi /= psi.sum(axis=1, keepdims=True)
+            # random law over every legal move, not only a policy's
+            moves, law = _random_legal_law(rng, cells, reserve)
         else:
-            psi = transmit_pmf(PolicyParams(float(rng.uniform(0, 1)),
-                                            float(rng.uniform(0.01, 2.0))),
-                               reserve, cells, MIX).psi[0]
+            pmf = transmit_row(float(rng.uniform(0, 1)),
+                               [float(rng.uniform(0.01, 2.0))], reserve,
+                               cells, MIX)
+            moves, law = pmf.moves, pmf.idle_law[0]
         idle = float(rng.uniform(0.05, 0.95))
         got = TransitionBuilder(harvest, cells, reserve).matrix(
-            psi, idle, 1.0 - idle)
-        want = _brute_force_matrix(psi, idle, 1.0 - idle, harvest, cells,
-                                   reserve)
+            law, idle, 1.0 - idle, moves)
+        want = _brute_force_matrix(moves, law, idle, 1.0 - idle, harvest,
+                                   cells, reserve)
         np.testing.assert_allclose(got, want, atol=1e-14)
 
 
 def test_transition_matrix_memory_at_large_battery():
     cells = 400
     builder = TransitionBuilder(harvest_pmf(4.0, cells), cells, 1)
-    psi = transmit_pmf(PolicyParams(0.5, 0.2), 1, cells, MIX).psi[0]
+    pmf = transmit_row(0.5, [0.2], 1, cells, MIX)
+    law, moves = pmf.idle_law, pmf.moves
     tracemalloc.start()
     try:
-        builder.matrix(psi, 0.7, 0.3)
+        builder.matrix(law, 0.7, 0.3, moves)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -235,13 +268,15 @@ def test_stacked_chains_are_solved_and_checked_one_by_one():
 
 def test_stacked_spend_laws_give_one_matrix_each():
     cells, reserve = 15, 2
-    builder = TransitionBuilder(harvest_pmf(3.0, cells), cells, reserve)
-    rows = [transmit_pmf(PolicyParams(0.6, theta), reserve, cells, MIX)
-            for theta in (0.01, 0.2, 1.5)]
-    law = np.stack([pmf.idle_law for pmf in rows])
-    stacked = builder.matrix(law, 0.7, 0.3, rows[0].moves)
-    for pmf, phi in zip(rows, stacked):
+    harvest = harvest_pmf(3.0, cells)
+    builder = TransitionBuilder(harvest, cells, reserve)
+    thetas = (0.01, 0.2, 1.5)
+    row = transmit_row(0.6, thetas, reserve, cells, MIX)
+    stacked = builder.matrix(row.idle_law, 0.7, 0.3, row.moves)
+    for theta, law, phi in zip(thetas, row.idle_law, stacked):
+        one = transmit_row(0.6, [theta], reserve, cells, MIX)
         np.testing.assert_array_equal(
-            phi, builder.matrix(pmf.idle_law, 0.7, 0.3, pmf.moves))
-        np.testing.assert_allclose(phi, builder.matrix(pmf.psi[0], 0.7, 0.3),
-                                   atol=1e-15)
+            phi, builder.matrix(one.idle_law, 0.7, 0.3, one.moves)[0])
+        want = _brute_force_matrix(row.moves, law, 0.7, 0.3, harvest, cells,
+                                   reserve)
+        np.testing.assert_allclose(phi, want, atol=1e-15)

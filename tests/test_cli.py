@@ -132,6 +132,25 @@ def test_unknown_key_points_to_its_line(tmp_path, capsys):
     assert "(line 3)" in err
 
 
+def test_out_of_range_policy_points_to_its_line(tmp_path, capsys):
+    text = BASE_CONFIG.replace("omega = 0.6", "omega = 1.5")
+    text += "\n[su.2]\nharvest_rate = 4.0\nomega = 0.5\ntheta = -1\n"
+    cfg = _write(tmp_path, text)
+    assert main(["analyze", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[su.1] omega must lie in [0, 1] (line 7)" in err
+    assert "[su.2] theta must be >= 0 (line 13)" in err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["simulate", "--slots", "10"]])
+def test_nan_cutoff_is_a_config_error(tmp_path, capsys, command):
+    cfg = _write(tmp_path, BASE_CONFIG.replace("theta = 0.1", "theta = nan"))
+    assert main(command + ["--config", cfg,
+                           "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "theta must be >= 0 (line 8)" in capsys.readouterr().err
+
+
 def test_load_config_collects_every_problem(tmp_path):
     cfg = _write(tmp_path, "[system]\nbattery_cells = zero\nbogus = 3\n"
                  "\n[su.1]\nomega = 0.5\n")
@@ -277,6 +296,17 @@ def test_sweep_marks_impossible_rows_instead_of_dying(tmp_path):
     assert statuses[0] == "ok"
     assert statuses[-1].startswith("invalid:")
     assert "tau_d" in statuses[-1]
+
+
+def test_sweep_marks_out_of_range_policies_invalid(tmp_path):
+    cfg = _write(tmp_path, BASE_CONFIG)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--axis", "omega", "--from", "0.5", "--to", "1.5",
+                 "--points", "3"]) == EXIT_OK
+    rows = _read_csv(out / "sweep.csv")
+    assert [r[1] for r in rows[1:]] == [
+        "ok", "ok", "invalid: omega must lie in [0; 1]"]
 
 
 def test_sweep_optimizing_over_the_cap_never_degrades(tmp_path):

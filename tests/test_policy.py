@@ -3,10 +3,21 @@ import numpy as np
 import pytest
 
 from ehcr.model import PolicyParams
-from ehcr.policy import (gain_breakpoints, transmit_pmf, transmit_units)
+from ehcr.policy import transmit_row, transmit_units
 from ehcr.probing import GainDistribution, sample_gain
 
 MIX = GainDistribution(weights=(0.9, 0.1), means=(2.0, 1.0))
+
+
+def _levels(pmf, k):
+    """Spend, lower and upper gain edge of every level at battery level k."""
+    at_k = pmf.level_state == k
+    return pmf.level_units[at_k], pmf.level_lo[0, at_k], pmf.level_hi[0, at_k]
+
+
+def _top_levels(k, params):
+    """The levels of battery level k, priced in a battery of k cells."""
+    return _levels(transmit_row(params.omega, [params.theta], 1, k, MIX), k)
 
 
 def test_transmit_units_reference_case():
@@ -39,19 +50,18 @@ def test_transmit_units_rejects_bad_parameters():
 
 
 def test_gain_breakpoints_reference_case():
-    triples = gain_breakpoints(7, PolicyParams(omega=0.75, theta=0.02), 1)
-    assert [i for i, _, _ in triples] == [1, 2, 3, 4]
-    _, lo1, hi1 = triples[0]
-    assert lo1 == pytest.approx(0.02 * 5.25 / (5.25 - 2.0), rel=1e-12)
-    assert lo1 == pytest.approx(0.03231, abs=5e-6)
-    assert hi1 == pytest.approx(0.02 * 5.25 / (5.25 - 3.0), rel=1e-12)
-    assert triples[-1][2] == np.inf  # top tier keeps every higher gain
+    units, lo, hi = _top_levels(7, PolicyParams(omega=0.75, theta=0.02))
+    assert units.tolist() == [1, 2, 3, 4]
+    assert lo[0] == pytest.approx(0.02 * 5.25 / (5.25 - 2.0), rel=1e-12)
+    assert lo[0] == pytest.approx(0.03231, abs=5e-6)
+    assert hi[0] == pytest.approx(0.02 * 5.25 / (5.25 - 3.0), rel=1e-12)
+    assert hi[-1] == np.inf  # top tier keeps every higher gain
 
 
 def test_gain_breakpoints_below_reserve_is_empty():
-    params = PolicyParams(omega=0.75, theta=0.02)
-    assert gain_breakpoints(1, params, 1) == []
-    assert gain_breakpoints(0, params, 1) == []
+    pmf = transmit_row(0.75, [0.02], 1, 7, MIX)
+    assert _levels(pmf, 1)[0].size == 0
+    assert _levels(pmf, 0)[0].size == 0
 
 
 def test_top_spend_tier_is_unbounded():
@@ -59,15 +69,14 @@ def test_top_spend_tier_is_unbounded():
     for _ in range(200):
         params = PolicyParams(omega=float(rng.uniform(0.05, 1.0)),
                               theta=float(rng.uniform(0.001, 2.0)))
-        triples = gain_breakpoints(int(rng.integers(2, 120)), params, 1)
-        if triples:
-            assert triples[-1][2] == np.inf
+        _, _, hi = _top_levels(int(rng.integers(2, 120)), params)
+        if hi.size:
+            assert hi[-1] == np.inf
 
 
 def test_breakpoint_intervals_are_contiguous():
-    triples = gain_breakpoints(33, PolicyParams(omega=0.87, theta=0.31), 1)
-    for (_, _, hi), (_, lo, _) in zip(triples, triples[1:]):
-        assert hi == pytest.approx(lo, rel=1e-12)
+    _, lo, hi = _top_levels(33, PolicyParams(omega=0.87, theta=0.31))
+    np.testing.assert_allclose(hi[:-1], lo[1:], rtol=1e-12)
 
 
 def test_spend_matches_interval_lookup():
@@ -76,13 +85,13 @@ def test_spend_matches_interval_lookup():
     for params in [PolicyParams(0.75, 0.02), PolicyParams(0.35, 0.2),
                    PolicyParams(1.0, 1.0), PolicyParams(0.61, 0.007)]:
         for k in [2, 3, 7, 23, 80]:
-            triples = gain_breakpoints(k, params, 1)
+            levels = _top_levels(k, params)
             gains = rng.exponential(scale=max(2.0 * params.theta, 1.0),
                                     size=1000)
             for g in gains:
                 direct = transmit_units(k, float(g), params, 1)
                 from_intervals = 0
-                for i, lo, hi in triples:
+                for i, lo, hi in zip(*levels):
                     if lo <= g < hi:
                         from_intervals = i
                         break
@@ -112,36 +121,40 @@ def test_spend_monotone_in_gain_and_level():
 
 
 def test_transmit_pmf_is_normalized_with_causal_support():
-    pmf = transmit_pmf(PolicyParams(0.75, 0.02), 1, 7, MIX)
-    assert pmf.psi.shape == (2, 8, 8)
-    assert np.all(pmf.psi >= 0.0)
-    np.testing.assert_allclose(pmf.psi.sum(axis=2), 1.0, atol=1e-12)
-    for k in range(8):
-        cap = max(int(np.floor(0.75 * k + 1e-9)) - 1, 0)
-        assert np.all(pmf.psi[:, k, cap + 1:] == 0.0)
+    pmf = transmit_row(0.75, [0.02], 1, 7, MIX)
+    assert pmf.level_mass.shape == (1, 2, pmf.level_state.size)
+    assert pmf.zero_mass.shape == (1, 2, 8)
+    assert np.all(pmf.level_mass >= 0.0) and np.all(pmf.zero_mass >= 0.0)
+    for eps in (0, 1):
+        spent = np.bincount(pmf.level_state, weights=pmf.level_mass[0, eps],
+                            minlength=8)
+        np.testing.assert_allclose(pmf.zero_mass[0, eps] + spent, 1.0,
+                                   atol=1e-12)
+    caps = np.maximum(np.floor(0.75 * np.arange(8) + 1e-9).astype(int) - 1, 0)
+    assert np.all(pmf.level_units <= caps[pmf.level_state])
     # at or below the probe reserve nothing is ever spent
-    np.testing.assert_array_equal(pmf.psi[:, :2, 0], 1.0)
+    np.testing.assert_array_equal(pmf.zero_mass[0, :, :2], 1.0)
 
 
 def test_transmit_pmf_zero_support_cases():
-    silent = transmit_pmf(PolicyParams(omega=0.0, theta=0.2), 1, 9, MIX)
-    np.testing.assert_array_equal(silent.psi[:, :, 0], 1.0)
-    lofty = transmit_pmf(PolicyParams(omega=0.9, theta=1e9), 1, 9, MIX)
-    np.testing.assert_allclose(lofty.psi[:, :, 0], 1.0, atol=1e-12)
-    assert lofty.psi[:, :, 1:].max() < 1e-12
+    silent = transmit_row(0.0, [0.2], 1, 9, MIX)
+    np.testing.assert_array_equal(silent.zero_mass, 1.0)
+    lofty = transmit_row(0.9, [1e9], 1, 9, MIX)
+    np.testing.assert_allclose(lofty.zero_mass, 1.0, atol=1e-12)
+    assert lofty.level_mass.max() < 1e-12
 
 
 def test_transmit_pmf_matches_sampled_frequencies():
     """Tier probabilities agree with Monte Carlo spend frequencies."""
-    params = PolicyParams(omega=0.35, theta=0.2)
     k, cells = 60, 80
-    pmf = transmit_pmf(params, 1, cells, MIX)
-    tiers = gain_breakpoints(k, params, 1)
-    edges = np.array([t[1] for t in tiers] + [np.inf])
+    pmf = transmit_row(0.35, [0.2], 1, cells, MIX)
+    at_k = pmf.level_state == k
+    edges = np.append(pmf.level_lo[0, at_k], np.inf)
     rng = np.random.default_rng(23)
     for eps in (0, 1):
         draws = sample_gain(MIX, eps, rng, size=1_000_000)
         spend = np.searchsorted(edges, draws, side="right")  # 0: below tier 1
-        freq = np.bincount(spend, minlength=cells + 1) / draws.size
-        tv = 0.5 * np.abs(freq - pmf.psi[eps, k]).sum()
+        freq = np.bincount(spend, minlength=edges.size) / draws.size
+        want = np.append(pmf.zero_mass[0, eps, k], pmf.level_mass[0, eps, at_k])
+        tv = 0.5 * np.abs(freq - want).sum()
         assert tv < 0.005

@@ -1,4 +1,4 @@
-"""Exponential integral, rate lower bound, interference load, outage."""
+"""Scaled exponential integral, rate lower bound, interference load, outage."""
 import math
 import subprocess
 import sys
@@ -14,10 +14,9 @@ from ehcr import rate
 from ehcr.analysis import analyze_su
 from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                         harvest_pmf)
-from ehcr.policy import transmit_pmf
+from ehcr.policy import transmit_row
 from ehcr.probing import GainDistribution, estimator_variances
-from ehcr.rate import (antiderivative_m, exp_integral_ei, rate_lower_bound,
-                       transmission_outage)
+from ehcr.rate import antiderivative_m, rate_lower_bound, transmission_outage
 from ehcr.sensing import joint_sensing_stats
 
 
@@ -29,32 +28,6 @@ def _m_quad(a, b, snr, mean):
     val, _ = quad(lambda g: math.log2(1.0 + snr * g)
                   * math.exp(-g / mean) / mean, a, b, limit=200)
     return val
-
-
-# ---------------------------------------------------------------- Ei ----
-
-def test_ei_reference_values():
-    assert exp_integral_ei(-1.0) == pytest.approx(-0.219383934396, abs=5e-9)
-    assert exp_integral_ei(-0.1) == pytest.approx(-1.8229239584, abs=5e-8)
-
-
-def test_ei_matches_mpmath_over_the_working_range():
-    xs = -np.geomspace(1e-8, 700.0, 120)
-    got = exp_integral_ei(xs)
-    for x, g in zip(xs, got):
-        want = float(mpmath.ei(mpmath.mpf(x)))
-        assert g == pytest.approx(want, rel=1e-10)
-
-
-def test_ei_underflows_to_zero():
-    assert exp_integral_ei(-800.0) == 0.0
-
-
-def test_ei_rejects_nonnegative_arguments():
-    with pytest.raises(ValueError):
-        exp_integral_ei(0.0)
-    with pytest.raises(ValueError):
-        exp_integral_ei(np.array([-1.0, 0.5]))
 
 
 # ------------------------------------------------ scaled E1 fit ----
@@ -119,14 +92,14 @@ def test_rate_terms_match_the_scipy_formula(monkeypatch, config, profile,
                                             params, ideal):
     su = analyze_su(NetworkModel(config=config, profiles=(profile,)), 0,
                     params, ideal_sensing=ideal)
-    zeta = su.chain.steady_state
+    zeta = su.chain.steady_state[None]   # one law per cutoff of su.pmf
 
     # aic_contribution and transmission_outage read only the spend pmf and
     # the steady state, never _scaled_e1, so only the rate bound is compared
     def terms():
         r = rate_lower_bound(config, profile, su.sensing, su.estimation,
                              su.pmf, zeta)
-        return r.total, r.idle_part, r.busy_part
+        return r.total[0], r.idle_part[0], r.busy_part[0]
 
     got = terms()
     monkeypatch.setattr(rate, "_scaled_e1", _scaled_e1_scipy)
@@ -201,7 +174,7 @@ def test_rate_matches_per_tier_quadrature():
              est.pu_interference_var)):
         acc = 0.0
         for k, i, lo, hi in zip(pmf.level_state, pmf.level_units,
-                                pmf.level_lo, pmf.level_hi):
+                                pmf.level_lo[0], pmf.level_hi[0]):
             if lo >= hi:
                 continue
             power = i * cfg.unit_power
@@ -228,8 +201,7 @@ def test_rate_zero_when_band_never_sensed_idle():
     sen = joint_sensing_stats(0.5, 1.0, 1.0)   # false alarm always fires
     est = estimator_variances(cfg, prof, sen)
     dist = GainDistribution.from_stats(est, sen)
-    pmf = transmit_pmf(PolicyParams(0.6, 0.1), cfg.probe_cells,
-                       cfg.battery_cells, dist)
+    pmf = transmit_row(0.6, [0.1], cfg.probe_cells, cfg.battery_cells, dist)
     z = np.full(cfg.battery_cells + 1, 1.0 / (cfg.battery_cells + 1))
     r = rate_lower_bound(cfg, prof, sen, est, pmf, z)
     assert r.total == 0.0 and r.idle_part == 0.0 and r.busy_part == 0.0
