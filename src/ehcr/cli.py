@@ -17,7 +17,6 @@ import configparser
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -72,8 +71,6 @@ _SEARCH_KEYS = {
     "refine_levels": int,
     "refine_points": int,
     "top_candidates": int,
-    "max_sweeps": int,
-    "sweep_tol": float,
 }
 
 SWEEP_AXES = ("tau_s", "alpha_t", "omega", "theta", "K", "rho", "I_av")
@@ -252,8 +249,6 @@ def _fmt(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return format(value, ".12g")
     if value is None:
         return ""
@@ -295,16 +290,9 @@ def _write_manifest(out_dir: str, command: str, loaded: LoadedConfig,
         "outputs": sorted(outputs),
     }
     manifest.update(extras)
-
-    def _default(obj):
-        if isinstance(obj, float) and math.isinf(obj):
-            return "inf"
-        raise TypeError(f"not JSON serializable: {obj!r}")
-
     path = os.path.join(out_dir, "run_manifest.json")
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True,
-                  allow_nan=True, default=_default)
+        json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 

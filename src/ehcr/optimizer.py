@@ -5,8 +5,8 @@ Each user's rate and primary-side load depend only on that user's own
 a shared interference budget.  The solver therefore grids each user's
 plane once behind a memoizing evaluator, splits the budget exactly over
 the priced points by folding per-user rate/load trade-off frontiers
-together, alternates per-user best responses against the remaining
-budget, and polishes the winners with nested local grids.
+together, polishes each user's share with nested local grids, and splits
+the budget again over everything priced.
 
 The evaluator prices one spend fraction at many cutoffs in one stacked
 pass, so every grid is walked one omega row at a time.  The coarse and
@@ -54,8 +54,6 @@ class SearchConfig:
     refine_levels: int = 3        # nested local grids around each winner
     refine_points: int = 9        # points per axis and refinement level
     top_candidates: int = 3       # coarse cells seeding the refinement
-    max_sweeps: int = 50          # alternating best-response passes
-    sweep_tol: float = 1e-6       # relative sum-rate improvement to continue
 
 
 # A row stacks at most this many transition-matrix entries, cutoffs times
@@ -200,7 +198,7 @@ class OptimizationResult:
     aic_lhs: float      # total load on the primary [W]
     feasible: bool      # load within the cap (else least-loading point)
     evaluations: int    # distinct policy points priced
-    sweeps: int         # alternating passes actually run
+    sweeps: int         # budget-split passes run (0: infeasible at once)
     grid_shape: Tuple[int, int]
     refine_levels: int
 
@@ -388,14 +386,15 @@ def solve_p1(model: NetworkModel, search: Optional[SearchConfig] = None,
              ) -> OptimizationResult:
     """Maximize the network sum-rate bound subject to the interference cap.
 
-    Coarse-grids every user's plane, splits the interference budget
-    exactly over the users' priced points, alternates per-user best
-    responses against the leftover budget, and refines the best few
-    cells of each user locally.  The returned selection is never worse
-    than the exact budget split over every point priced along the way,
-    so loosening the cap (with reused evaluators) never lowers the sum
-    rate.  When even all-silent operation overloads the primary, the
-    least-loading point is reported with ``feasible=False``.
+    Coarse-grids every user's plane and splits the interference budget
+    exactly over the users' priced points, then refines the best few
+    cells of each user within the budget the others leave and splits the
+    budget again over everything priced, at most twice.  The returned
+    selection is never worse than the exact budget split over every
+    point priced along the way, so loosening the cap (with reused
+    evaluators) never lowers the sum rate.  When even all-silent
+    operation overloads the primary, the least-loading point is reported
+    with ``feasible=False``.
     """
     search = search if search is not None else SearchConfig()
     if evaluators is None:
@@ -417,34 +416,14 @@ def solve_p1(model: NetworkModel, search: Optional[SearchConfig] = None,
     if current is None:  # cap within rounding of the probing floor
         current = [ev.evaluate(0.0, search.theta_floor) for ev in evaluators]
 
-    sweeps = 0
-    for _ in range(2):
-        pools = [ev.known_points() for ev in evaluators]
-
-        total = math.fsum(p.rate for p in current)
-        for _ in range(search.max_sweeps):
-            sweeps += 1
-            for i in range(len(evaluators)):
-                others = math.fsum(p.interference
-                                   for j, p in enumerate(current) if j != i)
-                budget = cap - others
-                best = current[i]
-                for point in pools[i]:
-                    if point.interference <= budget and point.rate > best.rate:
-                        best = point
-                current[i] = best
-            new_total = math.fsum(p.rate for p in current)
-            if new_total - total <= search.sweep_tol * max(total, 1e-300):
-                total = new_total
-                break
-            total = new_total
-
+    for passes in (1, 2):
         for i, (evaluator, lattice) in enumerate(zip(evaluators, lattices)):
             others = math.fsum(p.interference
                                for j, p in enumerate(current) if j != i)
             budget = cap - others
             feasible = sorted(
-                (p for p in pools[i] if p.interference <= budget),
+                (p for p in evaluator.known_points()
+                 if p.interference <= budget),
                 key=lambda p: p.rate, reverse=True)
             seeds = feasible[:search.top_candidates]
             if current[i] not in seeds:
@@ -466,7 +445,7 @@ def solve_p1(model: NetworkModel, search: Optional[SearchConfig] = None,
         current = candidate
 
     return _result(current, cap, sum(ev.evaluations for ev in evaluators),
-                   sweeps, search)
+                   passes, search)
 
 
 def objective_surface(model: NetworkModel, omega_grid: Sequence[float],

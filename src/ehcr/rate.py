@@ -205,7 +205,7 @@ def rate_lower_bound(config: SystemConfig, profile: SuProfile,
             (sensing.beta1, est.var_err_h1, est.var_hat_h1,
              est.pu_interference_var)):
         if joint <= 0.0 or mean <= 0.0:
-            parts.append(np.zeros(weights.shape[:-1]))
+            parts.append(np.zeros(pmf.theta.shape))
             continue
         snr = _level_snr(pmf.level_units, err, profile.ap_noise + extra_noise,
                          config.unit_power)
@@ -244,7 +244,7 @@ def transmission_outage(stationary: np.ndarray, pmf: PolicyPmf,
     stationary = np.asarray(stationary)
     ks = np.arange(probe_cells + 1, stationary.shape[-1])
     if ks.size == 0:
-        return np.ones(stationary.shape[:-1])
+        return np.ones(pmf.theta.shape)
     low = stationary[..., :probe_cells + 1].sum(axis=-1)
     zero_spend = (sensing.omega0 * pmf.zero_mass[..., 0, ks]
                   + sensing.omega1 * pmf.zero_mass[..., 1, ks])

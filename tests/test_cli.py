@@ -130,6 +130,13 @@ def test_unknown_key_points_to_its_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown key 'bogus'" in err
     assert "(line 3)" in err
+    # a removed search knob is no longer a key
+    cfg = _write(tmp_path, BASE_CONFIG + "\n[search]\nmax_sweeps = 5\n")
+    assert main(["analyze", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown key 'max_sweeps'" in err
+    assert "(line 11)" in err
 
 
 def test_out_of_range_policy_points_to_its_line(tmp_path, capsys):

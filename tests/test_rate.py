@@ -92,7 +92,7 @@ def test_rate_terms_match_the_scipy_formula(monkeypatch, config, profile,
                                             params, ideal):
     su = analyze_su(NetworkModel(config=config, profiles=(profile,)), 0,
                     params, ideal_sensing=ideal)
-    zeta = su.chain.steady_state[None]   # one law per cutoff of su.pmf
+    zeta = su.chain.steady_state
 
     # aic_contribution and transmission_outage read only the spend pmf and
     # the steady state, never _scaled_e1, so only the rate bound is compared
@@ -258,6 +258,7 @@ def test_transmission_outage_extremes():
     full_reserve = transmission_outage(su.chain.steady_state, su.pmf,
                                        su.sensing, model.config.battery_cells)
     assert full_reserve == 1.0
+    assert full_reserve.shape == (1,)   # one entry per cutoff of su.pmf
 
 
 def test_transmission_outage_within_unit_interval():
