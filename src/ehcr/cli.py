@@ -27,7 +27,7 @@ from . import __version__
 from .analysis import NetworkAnalysis, analyze
 from .model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                     ValidationError, validate)
-from .optimizer import SearchConfig, SuEvaluator, solve_p1
+from .optimizer import SearchConfig, SuEvaluator, check_search, solve_p1
 from .policy import check_params
 from .sim import compare, simulate
 
@@ -216,6 +216,12 @@ def load_config(path: str) -> LoadedConfig:
     if parser.has_section("search"):
         search_vals = _read_section(parser, "search", _SEARCH_KEYS, (),
                                     text, problems)
+    search = SearchConfig(**search_vals)  # type: ignore[arg-type]
+    try:
+        check_search(search)
+    except ValueError as exc:
+        key = str(exc).split()[0]
+        problems.append(f"[search] {exc}{_at(text, 'search', key)}")
 
     known = {"system", "search"} | set(su_sections)
     for section in parser.sections():
@@ -233,7 +239,6 @@ def load_config(path: str) -> LoadedConfig:
         model = validate(config, profiles)
     except ValidationError as exc:
         raise ConfigError(list(exc.errors)) from exc
-    search = SearchConfig(**search_vals)  # type: ignore[arg-type]
 
     snapshot = {
         "system": {k: getattr(config, k) for k in _SYSTEM_KEYS},

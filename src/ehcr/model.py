@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln
+
+from .special import log_factorial
 
 
 class ValidationError(ValueError):
@@ -209,6 +210,7 @@ def harvest_pmf(rate: float, cells: int) -> np.ndarray:
     if cells < 1:
         raise ValueError("cells must be >= 1")
     r = np.arange(cells)
-    body = np.exp(-rate + r * math.log(rate) - gammaln(r + 1.0))
+    log_fact = np.array([log_factorial(n) for n in range(cells)])
+    body = np.exp(-rate + r * math.log(rate) - log_fact)
     tail = max(1.0 - float(body.sum()), 0.0)
     return np.append(body, tail)

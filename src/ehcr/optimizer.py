@@ -56,6 +56,18 @@ class SearchConfig:
     top_candidates: int = 3       # coarse cells seeding the refinement
 
 
+def check_search(search: SearchConfig) -> None:
+    """Reject a search whose refinement cannot leave the coarse grid.
+
+    Each refine level spans one step of the level before it, so with 2 or
+    3 points per axis its grid never shrinks below a coarse cell.  The
+    message starts with the name of the offending field.
+    """
+    if search.refine_points < 4:
+        raise ValueError("refine_points must be >= 4: with fewer the refine "
+                         "grids never shrink below a coarse cell")
+
+
 # A row stacks at most this many transition-matrix entries, cutoffs times
 # (K+1)^2: nine cutoffs at K = 80 and one from K = 181 on, so a stack
 # never holds more than 512 KB of matrices unless one matrix alone does.

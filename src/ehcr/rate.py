@@ -151,19 +151,18 @@ def antiderivative_m(x: ArrayLike, snr_scale: ArrayLike,
     """
     if mean_gain <= 0.0:
         raise ValueError("mean_gain must be > 0")
-    x_arr, snr_arr = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                         np.asarray(snr_scale, dtype=float))
-    out = np.zeros(x_arr.shape)
-    t = x_arr / mean_gain
-    active = (snr_arr > 0.0) & np.isfinite(x_arr) & (t <= _EXP_UNDERFLOW)
-    if np.any(active):
-        xa = x_arr[active]
-        sa = snr_arr[active]
-        ta = t[active]
-        big_t = ta + 1.0 / (sa * mean_gain)
-        out[active] = -np.exp(-ta) * (_scaled_e1(big_t)
-                                      + np.log1p(sa * xa)) / _LN2
-    return out
+    x = np.asarray(x, dtype=float)
+    snr = np.asarray(snr_scale, dtype=float)
+    t = x / mean_gain
+    # +inf edges fail the second test; inactive entries are priced at
+    # (x, slope) = (0, 1), which raises no warning, and then zeroed
+    active = (snr > 0.0) & (t <= _EXP_UNDERFLOW)
+    x = np.where(active, x, 0.0)
+    t = np.where(active, t, 0.0)
+    snr = np.where(active, snr, 1.0)
+    big_t = t + 1.0 / (snr * mean_gain)
+    out = -np.exp(-t) * (_scaled_e1(big_t) + np.log1p(snr * x)) / _LN2
+    return np.where(active, out, 0.0)
 
 
 @dataclass(frozen=True)

@@ -10,24 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
-
-import numpy as np
-from scipy.special import ndtr, ndtri
+from typing import Tuple
 
 from .model import SuProfile, SystemConfig
+from .special import ndtr, ndtri
 
-ArrayLike = Union[float, np.ndarray]
 
-
-def gaussian_tail(x: ArrayLike) -> ArrayLike:
+def gaussian_tail(x: float) -> float:
     """Upper tail of the standard normal, Pr{N(0,1) > x}."""
-    return ndtr(-np.asarray(x, dtype=float))
+    return ndtr(-x)
 
 
-def gaussian_tail_inv(p: ArrayLike) -> ArrayLike:
+def gaussian_tail_inv(p: float) -> float:
     """Inverse of :func:`gaussian_tail` on (0, 1)."""
-    return -ndtri(np.asarray(p, dtype=float))
+    return -ndtri(p)
 
 
 def detector_probabilities(threshold: float, snr: float, samples: int,
@@ -43,9 +39,9 @@ def detector_probabilities(threshold: float, snr: float, samples: int,
     if noise_power <= 0:
         raise ValueError("noise_power must be > 0")
     rel = threshold / noise_power
-    p_fa = float(gaussian_tail((rel - 1.0) * math.sqrt(samples)))
-    p_d = float(gaussian_tail((rel - snr - 1.0)
-                              * math.sqrt(samples / (2.0 * snr + 1.0))))
+    p_fa = gaussian_tail((rel - 1.0) * math.sqrt(samples))
+    p_d = gaussian_tail((rel - snr - 1.0)
+                        * math.sqrt(samples / (2.0 * snr + 1.0)))
     return p_fa, p_d
 
 
@@ -61,9 +57,9 @@ def false_alarm_at_target_pd(snr: float, samples: int, target_pd: float) -> floa
         raise ValueError("target_pd must lie in (0, 1)")
     if snr < 0:
         raise ValueError("snr must be >= 0")
-    arg = (math.sqrt(2.0 * snr + 1.0) * float(gaussian_tail_inv(target_pd))
+    arg = (math.sqrt(2.0 * snr + 1.0) * gaussian_tail_inv(target_pd)
            + snr * math.sqrt(samples))
-    return min(max(float(gaussian_tail(arg)), 0.0), 1.0)
+    return gaussian_tail(arg)
 
 
 @dataclass(frozen=True)

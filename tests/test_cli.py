@@ -139,6 +139,17 @@ def test_unknown_key_points_to_its_line(tmp_path, capsys):
     assert "(line 11)" in err
 
 
+def test_refine_points_below_four_points_to_its_line(tmp_path, capsys):
+    cfg = _write(tmp_path, BASE_CONFIG + "\n[search]\nrefine_levels = 2\n"
+                 "refine_points = 3\n")
+    for command in (["analyze"], ["optimize"]):
+        assert main(command + ["--config", cfg,
+                               "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[search] refine_points must be >= 4" in err
+        assert "(line 12)" in err
+
+
 def test_out_of_range_policy_points_to_its_line(tmp_path, capsys):
     text = BASE_CONFIG.replace("omega = 0.6", "omega = 1.5")
     text += "\n[su.2]\nharvest_rate = 4.0\nomega = 0.5\ntheta = -1\n"

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ehcr.analysis import analyze_su
 from ehcr.model import NetworkModel, PolicyParams, SuProfile, SystemConfig
 from ehcr.optimizer import (SearchConfig, SuEvaluator, SuPoint, _allocate,
-                            _frontier, objective_surface, solve_p1)
+                            _frontier, check_search, objective_surface,
+                            solve_p1)
 
 # desk-scale search: small battery, light grids, quick refinement
 SMALL = SearchConfig(omega_points=7, theta_points=9, refine_levels=2,
@@ -19,6 +20,14 @@ def _model(cap=math.inf, cells=12, rho=3.0):
     return NetworkModel(
         config=SystemConfig(battery_cells=cells, interference_cap=cap),
         profiles=(SuProfile(harvest_rate=rho),))
+
+
+@pytest.mark.parametrize("points", [2, 3])
+def test_refine_grids_that_cannot_shrink_are_rejected(points):
+    with pytest.raises(ValueError, match=r"^refine_points must be >= 4"):
+        check_search(SearchConfig(refine_points=points))
+    check_search(SearchConfig(refine_points=4))
+    check_search(SearchConfig())
 
 
 def _two_user(cap):
