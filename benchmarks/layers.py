@@ -16,15 +16,16 @@ and policy (0.45, 0.2), a child times the layers ``SuEvaluator.evaluate``
 chains on a one-cutoff row: the spend law (``transmit_row``), the
 transition matrix (from the row's spend moves), the steady state, the
 rate bound, the interference and outage terms, and the uncached
-``evaluate`` itself (microseconds per call, median of repetitions).  It
-times an uncached row of cutoffs at omega = 0.45 in microseconds per
-point: 9 cutoffs at K = 80 and 3 at K = 400
-(``SuEvaluator.evaluate_row``).  It also times
-``rate._scaled_e1`` in nanoseconds per element on the arguments of a
-real rate-bound call: K = 80 at (0.15, 0.2), 370 arguments, and K = 400
-at (0.7, 0.2), about 55k arguments.  End to end, it runs ``solve_p1`` on
-the README's two-user model once and records its seconds and the points
-it priced.
+``evaluate`` itself (microseconds per call, median of repetitions).  At
+K = 80 it times the same layers on the 9-cutoff row at omega = 0.45
+(keys ``k80_row9_<layer>_us``, microseconds per row), the shape of most
+rows of the policy search.  It times an uncached row of cutoffs at
+omega = 0.45 in microseconds per point: 9 cutoffs at K = 80 and 3 at
+K = 400 (``SuEvaluator.evaluate_row``).  It also times
+``rate._scaled_e1`` in nanoseconds per element on the arguments of the
+largest call of a real rate bound: K = 80 at (0.15, 0.2) and K = 400 at
+(0.7, 0.2).  End to end, it runs ``solve_p1`` on the README's two-user
+model once and records its seconds and the points it priced.
 """
 from __future__ import annotations
 
@@ -83,17 +84,33 @@ def measure() -> dict:
         model = validate(SystemConfig(battery_cells=cells), (SuProfile(),))
         return SuEvaluator(model, 0)
 
-    out = {}
-    for cells in (80, 400):
-        ev = evaluator(cells)
+    def layers(ev, thetas):
+        """Each layer of the analytic chain on one row of cutoffs."""
         cfg, prof = ev.config, ev.profile
-        omega, theta = POLICY
-        pmf = transmit_row(omega, [theta], cfg.probe_cells,
-                           cfg.battery_cells, ev.gain)
+        omega = POLICY[0]
+        pmf = transmit_row(omega, thetas, cfg.probe_cells, cfg.battery_cells,
+                           ev.gain)
         matrix_args = (pmf.idle_law, ev.sensing.pi_hat_idle,
                        ev.sensing.pi_hat_busy, pmf.moves)
         phi = ev._builder.matrix(*matrix_args)
         zeta = steady_state(phi)
+        return pmf, {
+            "spend_pmf": lambda: transmit_row(
+                omega, thetas, cfg.probe_cells, cfg.battery_cells, ev.gain),
+            "matrix": lambda: ev._builder.matrix(*matrix_args),
+            "steady_state": lambda: steady_state(phi),
+            "rate_bound": lambda: rate.rate_lower_bound(
+                cfg, prof, ev.sensing, ev.estimation, pmf, zeta),
+            "aic_outage": lambda: (
+                rate.aic_contribution(cfg, prof, ev.sensing, pmf, zeta),
+                rate.transmission_outage(zeta, pmf, ev.sensing,
+                                         cfg.probe_cells)),
+        }
+
+    out = {}
+    for cells in (80, 400):
+        ev = evaluator(cells)
+        omega = POLICY[0]
 
         def uncached():
             ev._cache.clear()
@@ -105,21 +122,13 @@ def measure() -> dict:
             ev._cache.clear()
             ev.evaluate_row(omega, thetas)
 
-        layers = {
-            "spend_pmf": lambda: transmit_row(
-                omega, [theta], cfg.probe_cells, cfg.battery_cells, ev.gain),
-            "matrix": lambda: ev._builder.matrix(*matrix_args),
-            "steady_state": lambda: steady_state(phi),
-            "rate_bound": lambda: rate.rate_lower_bound(
-                cfg, prof, ev.sensing, ev.estimation, pmf, zeta),
-            "aic_outage": lambda: (
-                rate.aic_contribution(cfg, prof, ev.sensing, pmf, zeta),
-                rate.transmission_outage(zeta, pmf, ev.sensing,
-                                         cfg.probe_cells)),
-            "evaluate_uncached": uncached,
-        }
-        for name, fn in layers.items():
+        pmf, timed = layers(ev, [POLICY[1]])
+        timed["evaluate_uncached"] = uncached
+        for name, fn in timed.items():
             out[f"k{cells}_{name}_us"] = _per_call(fn) * 1e6
+        if cells == 80:
+            for name, fn in layers(ev, thetas)[1].items():
+                out[f"k80_row{len(thetas)}_{name}_us"] = _per_call(fn) * 1e6
         out[f"k{cells}_row{len(thetas)}_us_per_point"] = (
             _per_call(row) / len(thetas) * 1e6)
         out[f"k{cells}_spend_levels"] = int(pmf.level_state.size)

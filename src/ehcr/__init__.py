@@ -22,12 +22,11 @@ from .optimizer import (OptimizationResult, SearchConfig, SuEvaluator,
                         SuPoint, objective_surface, solve_p1)
 from .policy import PolicyPmf, transmit_row, transmit_units
 from .probing import (EstimationStats, GainDistribution,
-                      estimator_variances, gain_cdf, sample_gain)
+                      estimator_variances, gain_cdf)
 from .rate import (PerSuRate, RateBreakdown, aic_contribution,
                    antiderivative_m, rate_lower_bound, transmission_outage)
-from .sensing import (SensingStats, detector_probabilities,
-                      false_alarm_at_target_pd, joint_sensing_stats,
-                      sensing_stats)
+from .sensing import (SensingStats, false_alarm_at_target_pd,
+                      joint_sensing_stats, sensing_stats)
 from .sim import (CompareCheck, CompareReport, SimTrace, SuTrace, compare,
                   simulate)
 
@@ -41,9 +40,9 @@ __all__ = [
     "SystemConfig", "TransitionBuilder", "ValidationError",
     "aic_contribution", "analyze", "analyze_su",
     "antiderivative_m", "avg_energy", "battery_outage", "compare",
-    "detector_probabilities", "estimator_variances",
+    "estimator_variances",
     "false_alarm_at_target_pd", "gain_cdf", "harvest_pmf",
     "joint_sensing_stats", "objective_surface", "rate_lower_bound",
-    "sample_gain", "sensing_stats", "simulate", "solve_p1", "steady_state",
+    "sensing_stats", "simulate", "solve_p1", "steady_state",
     "transmission_outage", "transmit_row", "transmit_units", "validate",
 ]

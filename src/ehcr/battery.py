@@ -33,6 +33,14 @@ class TransitionBuilder:
     up to ``K`` (a full battery in a busy frame).  Building the table
     once lets many policies be priced against the same harvest law with
     one matrix product each.
+
+    The table is checked once: a sensed-busy frame must be able to raise
+    every level below K, that is, the chance of harvesting nothing must
+    stay below 1 in floating point.  Then every level reaches K through
+    busy frames, so every chain :meth:`matrix` builds has one closed
+    class and one steady state (Levin, Peres & Wilmer, *Markov Chains and
+    Mixing Times*, 2nd ed., ch. 1), whatever the policy.  A harvest law
+    that fails raises :class:`ChainNotErgodicError`.
     """
 
     def __init__(self, harvest: np.ndarray, cells: int, probe_cells: int):
@@ -53,6 +61,14 @@ class TransitionBuilder:
             ([1.0], np.cumsum(harvest[::-1])[::-1][1:], [0.0]))
         table[:, 0] = at_most[np.clip(1 - shifts, 0, k + 1)]
         table[:, k] = at_least[np.clip(k - shifts, 0, k + 1)]
+        # row j + reserve holds level j's busy-frame move; its mass at or
+        # below j must stay under 1 for every j < K
+        stay = np.tril(table[probe_cells:probe_cells + k, :k]).sum(axis=1)
+        if not np.all(stay < 1.0):
+            raise ChainNotErgodicError(
+                "chain not ergodic: a sensed-busy frame cannot raise level "
+                f"{int(np.argmax(stay >= 1.0))}, harvest[0] = "
+                f"{float(harvest[0])!r}")
         self._table = table
 
     def matrix(self, idle_law: np.ndarray, idle_prob: float,
@@ -68,8 +84,12 @@ class TransitionBuilder:
         (shift x level) matrix M, and the transition matrix is
         ``table.T @ M``; leading axes of the law give one matrix each.
         A move that spends more than its level holds has a shift below
-        the table and raises ``ValueError``.
+        the table and raises ``ValueError``.  ``busy_prob`` must be
+        positive: busy frames are what give the chain one closed class.
         """
+        if not busy_prob > 0.0:
+            raise ChainNotErgodicError(
+                "chain not ergodic: no sensed-busy frames (busy_prob <= 0)")
         k, reserve = self.cells, self.probe_cells
         law = np.asarray(idle_law, dtype=float)
         state, units = moves
@@ -89,11 +109,10 @@ def steady_state(matrix: np.ndarray) -> np.ndarray:
     Solved in closed form by replacing one redundant balance constraint
     with normalization, one stacked solve for all chains.  The law is
     unique exactly when the chain has one closed communicating class,
-    that is when every state reaches one state of it; a backward search
-    over the positive entries checks that every state reaches the most
-    likely level.  A singular system, a fixed-point residual above 1e-9
-    or a state that cannot reach that level means the chain has no
-    unique reachable steady state.
+    which every :class:`TransitionBuilder` matrix has by construction, so
+    it is not searched for here.  A singular system or a fixed-point
+    residual above 1e-9 in any chain of the stack raises
+    :class:`ChainNotErgodicError`.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[-1]
@@ -113,20 +132,6 @@ def steady_state(matrix: np.ndarray) -> np.ndarray:
     if np.any(resid > 1e-9):
         raise ChainNotErgodicError(
             f"chain not ergodic: fixed-point residual {resid.max():.2e}")
-
-    # column j steps to row m when matrix[m, j] > 0, so a frontier row's
-    # positive columns are the states one step behind it
-    for steps, law in zip(stack > 0.0, z):
-        reached = np.zeros(n, dtype=bool)
-        frontier = np.array([np.argmax(law)])
-        reached[frontier] = True
-        while frontier.size:
-            behind = steps[frontier].any(axis=0) & ~reached
-            reached |= behind
-            frontier = np.flatnonzero(behind)
-        if not reached.all():
-            raise ChainNotErgodicError(
-                "chain not ergodic: more than one closed class")
     return z.reshape(matrix.shape[:-1])
 
 

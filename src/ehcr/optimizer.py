@@ -100,9 +100,9 @@ class SuEvaluator:
     :meth:`evaluate_row` therefore prices the uncached cutoffs of one
     omega together, up to ``STACK_ENTRIES // (K+1)**2`` at a time: one
     spend-law pass, one stacked matrix product for the transition
-    matrices, one stacked steady-state solve (residual and reachability
-    still checked per cutoff) and one pass of the rate, load and outage
-    terms.  A point's values do not depend on which cutoffs share its
+    matrices, one stacked steady-state solve (singular system and
+    residual still checked per cutoff) and one pass of the rate, load and
+    outage terms.  A point's values do not depend on which cutoffs share its
     stack.  Results are cached per (omega, theta); :meth:`evaluate` is a
     one-cutoff row.
     """

@@ -16,13 +16,20 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .model import PolicyParams
-from .probing import GainDistribution, gain_cdf
+from .probing import GainDistribution, conditional_cdfs
 
 # Upward nudge applied before flooring so values sitting a hair below an
 # integer (from decimal omega*k products) land on it; breakpoint
 # denominators within DENOM_EPS of zero mean the level is unreachable.
 FLOOR_NUDGE = 1e-9
 DENOM_EPS = 1e-12
+
+# The passes over a row's gain edges (the spend law's CDFs here, the rate
+# bound's antiderivatives) take at most this many flattened (cutoff,
+# level) entries at a time, each under both laws at both edges, so every
+# temporary of a pass holds at most 2^14 doubles (128 KB).  On the K=80
+# search 2^11 measured slower, and 2^13 raised the peak memory.
+BLOCK_ENTRIES = 2 ** 12
 
 
 def check_params(params: PolicyParams) -> None:
@@ -133,7 +140,8 @@ def transmit_row(omega: float, thetas: Sequence[float], probe_cells: int,
     """Spend laws of one spend fraction at a row of cutoffs.
 
     Positive levels get the mixture-component probability of their gain
-    interval; the zero level takes whatever remains, which also covers
+    interval, both components at both edges in one CDF pass per block
+    of levels; the zero level takes whatever remains, which also covers
     gains below the cutoff.
     """
     thetas = np.asarray(thetas, dtype=float)
@@ -141,11 +149,17 @@ def transmit_row(omega: float, thetas: Sequence[float], probe_cells: int,
     check_params(PolicyParams(omega, float(np.min(thetas, initial=0.0))))
     k_idx, i_idx, komega, d_lo = _skeleton(omega, probe_cells, cells)
     lo, hi = _edges(thetas, komega, d_lo)
-    mass = np.empty((thetas.size, 2, k_idx.size))
-    for eps in (0, 1):
-        q = (np.asarray(gain_cdf(dist, hi, eps))
-             - np.asarray(gain_cdf(dist, lo, eps)))
-        mass[:, eps, :] = np.where(lo >= hi, 0.0, np.maximum(q, 0.0))
+    flat_lo, flat_hi = lo.reshape(-1), hi.reshape(-1)
+    mass = np.empty((2, flat_lo.size))
+    for start in range(0, flat_lo.size, BLOCK_ENTRIES):
+        cut = slice(start, start + BLOCK_ENTRIES)
+        cdf = conditional_cdfs(dist, np.stack((flat_hi[cut], flat_lo[cut])))
+        mass[:, cut] = np.where(flat_lo[cut] >= flat_hi[cut], 0.0,
+                                np.maximum(cdf[:, 0] - cdf[:, 1], 0.0))
+    # (law, cutoff, level) to (cutoff, law, level), laid out contiguously
+    # for the scatter below
+    mass = np.ascontiguousarray(
+        mass.reshape(2, thetas.size, k_idx.size).swapaxes(0, 1))
     # every state from the first that spends up to K spends, its levels
     # contiguous from spend 1; a state's masses are summed over a row
     # zero-padded to every spend 1..K, so the sum is that of its dense

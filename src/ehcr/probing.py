@@ -25,16 +25,13 @@ class EstimationStats:
     """Means of estimated/error gains under each occupancy state.
 
     ``var_hat_*`` are the means of the estimated power gain, ``var_err_*``
-    the means of the estimation-error power gain; the unconditional values
-    mix the two states with the sensed-idle weights.
+    the means of the estimation-error power gain.
     """
 
     var_hat_h0: float          # E{estimated gain | idle}
     var_hat_h1: float          # E{estimated gain | busy}
-    var_hat: float             # E{estimated gain}, mixture
     var_err_h0: float          # E{error gain | idle}
     var_err_h1: float          # E{error gain | busy}
-    var_err: float             # E{error gain}, mixture
     pu_interference_var: float # residual primary power at the AP [W]
 
 
@@ -54,14 +51,11 @@ def estimator_variances(config: SystemConfig, profile: SuProfile,
     denom = (a + v + sensing.omega1 * p) ** 2
     var_hat_h0 = gamma * a * (a + v) / denom
     var_hat_h1 = gamma * a * (a + v + p) / denom
-    var_hat = sensing.omega0 * var_hat_h0 + sensing.omega1 * var_hat_h1
     return EstimationStats(
         var_hat_h0=var_hat_h0,
         var_hat_h1=var_hat_h1,
-        var_hat=var_hat,
         var_err_h0=gamma - var_hat_h0,
         var_err_h1=gamma - var_hat_h1,
-        var_err=gamma - var_hat,
         pu_interference_var=p,
     )
 
@@ -84,12 +78,20 @@ class GainDistribution:
                    means=(est.var_hat_h0, est.var_hat_h1))
 
 
-def _exp_cdf(x: np.ndarray, mean: float) -> np.ndarray:
-    if mean <= 0.0:
-        # degenerate at zero (no pilot energy): all mass below any x > 0
-        return np.where(x > 0.0, 1.0, 0.0)
-    out = -np.expm1(-x / mean)
-    return np.where(np.isinf(x), 1.0, out)
+def _exp_cdf(x: np.ndarray, mean: ArrayLike) -> np.ndarray:
+    """Exponential CDF at x >= 0; ``mean`` broadcasts against ``x``.
+
+    A mean <= 0 is the law degenerate at zero (no pilot energy): all
+    mass below any x > 0.  At x = +inf a positive mean gives
+    -expm1(-inf) = 1 exactly.
+    """
+    live = np.asarray(mean) > 0.0
+    out = np.asarray(-x / np.where(live, mean, 1.0))
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    if live.all():
+        return out
+    return np.where(live, out, np.where(x > 0.0, 1.0, 0.0))
 
 
 def gain_cdf(dist: GainDistribution, x: ArrayLike,
@@ -112,13 +114,11 @@ def gain_cdf(dist: GainDistribution, x: ArrayLike,
     return out
 
 
-def sample_gain(dist: GainDistribution, hypothesis: int,
-                rng: np.random.Generator, size: Optional[int] = None):
-    """Draw fed-back gains under the given occupancy state by inverse CDF."""
-    if hypothesis not in (0, 1):
-        raise ValueError("hypothesis must be 0 or 1")
-    mean = dist.means[hypothesis]
-    u = rng.random(size)
-    if mean <= 0.0:
-        return np.zeros_like(u) if size is not None else 0.0
-    return -mean * np.log1p(-u)
+def conditional_cdfs(dist: GainDistribution, x: np.ndarray) -> np.ndarray:
+    """CDF of the fed-back gain under the idle and the busy law, in one pass.
+
+    Returns ``(2,) + x.shape``, entry ``[eps]`` equal bit for bit to
+    ``gain_cdf(dist, x, eps)``.
+    """
+    arr = np.maximum(np.asarray(x, dtype=float), 0.0)
+    return _exp_cdf(arr, np.reshape(dist.means, (2,) + (1,) * arr.ndim))

@@ -6,7 +6,8 @@ closed-form antiderivative built from the exponential integral.  Summing
 those pieces over battery levels (weighted by the steady state) and over
 spend levels gives the achievable-rate lower bound; the same spend
 distribution under a busy band prices the interference inflicted on the
-primary.
+primary.  The rate bound prices both gain laws at both edges of every
+spend level in one antiderivative pass per block of levels.
 
 The rate bound's scaled exponential integral exp(t)*E1(t) never calls a
 special function.  Below t = 600 it is three polynomials fitted offline
@@ -27,7 +28,7 @@ import numpy as np
 
 from .battery import dot_last
 from .model import SuProfile, SystemConfig
-from .policy import PolicyPmf
+from .policy import BLOCK_ENTRIES, PolicyPmf
 from .probing import EstimationStats
 from .sensing import SensingStats
 
@@ -113,7 +114,9 @@ def _scaled_e1(t: np.ndarray) -> np.ndarray:
     no argument.  Relative error against ``mpmath.e1``: at most 3e-14
     below 600 and under 1e-15 above.
     """
-    t = np.asarray(t, dtype=float)
+    shape = np.shape(t)
+    # the masks below gather and scatter fastest on a flat array
+    t = np.asarray(t, dtype=float).reshape(-1)
     out = np.empty_like(t)
     near = t < _NEAR_END
     tail = t >= _CF_SWITCH
@@ -121,8 +124,9 @@ def _scaled_e1(t: np.ndarray) -> np.ndarray:
     tn = t[near]
     if tn.size:
         acc = _horner(_E1_NEAR, tn)
-        acc -= np.log(tn)
-        acc *= np.exp(tn)
+        factor = np.log(tn)
+        acc -= factor
+        acc *= np.exp(tn, out=factor)
         out[near] = acc
     ti = t[inverse]
     if ti.size:
@@ -138,18 +142,22 @@ def _scaled_e1(t: np.ndarray) -> np.ndarray:
         for k in range(40, 0, -1):
             acc = (k * k) / (tb + 2.0 * k + 1.0 - acc)
         out[tail] = 1.0 / (tb + 1.0 - acc)
-    return out
+    return out.reshape(shape)
 
 
 def antiderivative_m(x: ArrayLike, snr_scale: ArrayLike,
-                     mean_gain: float) -> np.ndarray:
+                     mean_gain: ArrayLike) -> np.ndarray:
     """Antiderivative of log2(1 + snr_scale*g) under an exponential gain law.
 
     Evaluated so that the integral over [a, b) is M(b) - M(a); M(+inf) is 0
     and a zero slope contributes nothing.  Uses the scaled exponential
-    integral so huge 1/(snr*mean) exponents never overflow.
+    integral so huge 1/(snr*mean) exponents never overflow.  The edge, the
+    slope and the gain mean broadcast against each other, so one call
+    prices several laws; every entry goes through the same elementwise
+    steps whatever it is stacked with.
     """
-    if mean_gain <= 0.0:
+    mean_gain = np.asarray(mean_gain, dtype=float)
+    if np.any(mean_gain <= 0.0):
         raise ValueError("mean_gain must be > 0")
     x = np.asarray(x, dtype=float)
     snr = np.asarray(snr_scale, dtype=float)
@@ -157,12 +165,25 @@ def antiderivative_m(x: ArrayLike, snr_scale: ArrayLike,
     # +inf edges fail the second test; inactive entries are priced at
     # (x, slope) = (0, 1), which raises no warning, and then zeroed
     active = (snr > 0.0) & (t <= _EXP_UNDERFLOW)
-    x = np.where(active, x, 0.0)
     t = np.where(active, t, 0.0)
     snr = np.where(active, snr, 1.0)
-    big_t = t + 1.0 / (snr * mean_gain)
-    out = -np.exp(-t) * (_scaled_e1(big_t) + np.log1p(snr * x)) / _LN2
-    return np.where(active, out, 0.0)
+    # -exp(-t) * (exp(T) E1(T) + log1p(snr x)) / ln 2 at T = t + 1/(snr
+    # mean), step by step in place to keep few arrays alive; products
+    # commute and the sign moves onto ln 2, which changes no bit
+    log_term = np.where(active, x, 0.0)
+    log_term *= snr
+    np.log1p(log_term, out=log_term)
+    snr *= mean_gain
+    np.divide(1.0, snr, out=snr)
+    snr += t
+    out = _scaled_e1(snr)
+    del snr
+    out += log_term
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    t *= out
+    t /= -_LN2
+    return np.where(active, t, 0.0)
 
 
 @dataclass(frozen=True)
@@ -186,6 +207,33 @@ def _level_snr(units: np.ndarray, err_var: float, noise: float,
     return power / (err_var * power + noise)
 
 
+def _interval_integrals(lo: np.ndarray, hi: np.ndarray, snr: np.ndarray,
+                        means: np.ndarray) -> np.ndarray:
+    """Gain integral over [lo, hi) of every (cutoff, level) entry, per law.
+
+    ``lo`` and ``hi`` are (cutoffs, levels) edges, ``snr`` has one slope
+    per law and level and ``means`` one gain mean per law.  Returns (laws,
+    cutoffs, levels): M(hi) - M(lo) clipped at 0, and 0 on an empty
+    interval.  Both edges under every law go through one
+    :func:`antiderivative_m` call per block of at most
+    :data:`~ehcr.policy.BLOCK_ENTRIES` flattened entries.
+    """
+    cutoffs, levels = lo.shape
+    lo, hi = lo.reshape(-1), hi.reshape(-1)
+    # one slope per law and flattened entry
+    snr = np.tile(snr, cutoffs)[:, None, :] if cutoffs > 1 else snr[:, None, :]
+    means = means[:, None, None]
+    out = np.empty((means.size, lo.size))
+    for start in range(0, lo.size, BLOCK_ENTRIES):
+        cut = slice(start, start + BLOCK_ENTRIES)
+        m = antiderivative_m(np.stack((hi[cut], lo[cut])), snr[..., cut],
+                             means)
+        gain = np.subtract(m[:, 0], m[:, 1], out=out[:, cut])
+        np.maximum(gain, 0.0, out=gain)
+        np.copyto(gain, 0.0, where=lo[cut] >= hi[cut])
+    return out.reshape(means.size, cutoffs, levels)
+
+
 def rate_lower_bound(config: SystemConfig, profile: SuProfile,
                      sensing: SensingStats, est: EstimationStats,
                      pmf: PolicyPmf, stationary: np.ndarray) -> PerSuRate:
@@ -193,26 +241,26 @@ def rate_lower_bound(config: SystemConfig, profile: SuProfile,
 
     Sums the closed-form gain integral of every (battery level, spend
     level) pair, weighted by the steady-state occupancy, separately under
-    the idle and busy channel laws.  ``stationary`` holds one law per
-    cutoff of the row, and every field is an array over the cutoffs.
+    the idle and busy channel laws; a law that is never sensed idle or
+    whose fed-back gain is zero adds nothing.  ``stationary`` holds one
+    law per cutoff of the row, and every field is an array over the
+    cutoffs.
     """
     scale = config.data_fraction * config.bandwidth
     weights = np.asarray(stationary)[..., pmf.level_state]
-    parts = []
-    for joint, err, mean, extra_noise in (
-            (sensing.beta0, est.var_err_h0, est.var_hat_h0, 0.0),
+    # (joint probability, error-gain mean, gain mean, noise) per law
+    laws = ((sensing.beta0, est.var_err_h0, est.var_hat_h0, profile.ap_noise),
             (sensing.beta1, est.var_err_h1, est.var_hat_h1,
-             est.pu_interference_var)):
-        if joint <= 0.0 or mean <= 0.0:
-            parts.append(np.zeros(pmf.theta.shape))
-            continue
-        snr = _level_snr(pmf.level_units, err, profile.ap_noise + extra_noise,
-                         config.unit_power)
-        chunk = (antiderivative_m(pmf.level_hi, snr, mean)
-                 - antiderivative_m(pmf.level_lo, snr, mean))
-        chunk = np.where(pmf.level_lo >= pmf.level_hi, 0.0,
-                         np.maximum(chunk, 0.0))
-        parts.append(scale * joint * dot_last(weights, chunk))
+             profile.ap_noise + est.pu_interference_var))
+    live = [eps for eps in (0, 1) if laws[eps][0] > 0.0 and laws[eps][2] > 0.0]
+    parts = [np.zeros(pmf.theta.shape), np.zeros(pmf.theta.shape)]
+    if live:
+        snr = np.array([_level_snr(pmf.level_units, laws[eps][1], laws[eps][3],
+                                   config.unit_power) for eps in live])
+        gains = _interval_integrals(pmf.level_lo, pmf.level_hi, snr,
+                                    np.array([laws[eps][2] for eps in live]))
+        for eps, gain in zip(live, gains):
+            parts[eps] = scale * laws[eps][0] * dot_last(weights, gain)
     return PerSuRate(parts[0] + parts[1], parts[0], parts[1])
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 from .model import SuProfile, SystemConfig
 from .special import ndtr, ndtri
@@ -24,25 +23,6 @@ def gaussian_tail(x: float) -> float:
 def gaussian_tail_inv(p: float) -> float:
     """Inverse of :func:`gaussian_tail` on (0, 1)."""
     return -ndtri(p)
-
-
-def detector_probabilities(threshold: float, snr: float, samples: int,
-                           noise_power: float) -> Tuple[float, float]:
-    """False-alarm and detection probability of the energy detector.
-
-    `threshold` is the decision level on the averaged received power,
-    `snr` the primary signal-to-noise ratio at the detector, `samples`
-    the number of integrated samples.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if noise_power <= 0:
-        raise ValueError("noise_power must be > 0")
-    rel = threshold / noise_power
-    p_fa = gaussian_tail((rel - 1.0) * math.sqrt(samples))
-    p_d = gaussian_tail((rel - snr - 1.0)
-                        * math.sqrt(samples / (2.0 * snr + 1.0)))
-    return p_fa, p_d
 
 
 def false_alarm_at_target_pd(snr: float, samples: int, target_pd: float) -> float:

@@ -143,13 +143,21 @@ def test_steady_state_fixed_point_on_random_chains():
 
 
 def test_steady_state_rejects_reducible_chains():
+    # busy frames that cannot raise a level are rejected where the chain
+    # is built: a harvest law whose 1 - harvest[0] rounds to 0, or no
+    # busy frame at all
+    cells = 6
+    for harvest in (harvest_pmf(1e-17, cells), np.eye(cells + 1)[0]):
+        assert harvest[0] == 1.0
+        with pytest.raises(ChainNotErgodicError):
+            TransitionBuilder(harvest, cells, 1)
+    builder = TransitionBuilder(harvest_pmf(2.0, cells), cells, 1)
+    pmf = transmit_row(0.5, [0.1], 1, cells, MIX)
+    with pytest.raises(ChainNotErgodicError):
+        builder.matrix(pmf.idle_law, 1.0, 0.0, pmf.moves)
+    # the steady state still rejects a singular balance system
     with pytest.raises(ChainNotErgodicError):
         steady_state(np.eye(3))
-    two_classes = np.zeros((4, 4))
-    two_classes[:2, :2] = [[0.5, 0.5], [0.5, 0.5]]
-    two_classes[2:, 2:] = [[0.1, 0.9], [0.9, 0.1]]
-    with pytest.raises(ChainNotErgodicError):
-        steady_state(two_classes)
 
 
 def test_chain_summary_metrics():
@@ -236,16 +244,50 @@ def test_steady_state_zero_on_transient_states():
     np.testing.assert_allclose(z[2:], inner, atol=1e-12)
 
 
+def _reaches_top(chain):
+    """Whether every state reaches the last one along positive entries."""
+    n = chain.shape[-1]
+    reached = np.zeros(n, dtype=bool)
+    reached[-1] = True
+    frontier = np.array([n - 1])
+    while frontier.size:
+        # column j steps to row m when chain[m, j] > 0
+        behind = (chain[frontier] > 0.0).any(axis=0) & ~reached
+        reached |= behind
+        frontier = np.flatnonzero(behind)
+    return bool(reached.all())
+
+
 def test_steady_state_rejects_classes_sharing_a_transient_state():
     # state 0 feeds both closed classes {1, 2} and {3, 4}; the balance
-    # system solves without error to a stationary mixture with no residual
-    chain = np.array([[0.2, 0.0, 0.0, 0.0, 0.0],
-                      [0.4, 0.5, 0.5, 0.0, 0.0],
-                      [0.0, 0.5, 0.5, 0.0, 0.0],
-                      [0.4, 0.0, 0.0, 0.1, 0.9],
-                      [0.0, 0.0, 0.0, 0.9, 0.1]])
-    with pytest.raises(ChainNotErgodicError):
-        steady_state(chain)
+    # system solves without error to a stationary mixture with no
+    # residual, so only the chain's structure can rule it out
+    shared = np.array([[0.2, 0.0, 0.0, 0.0, 0.0],
+                       [0.4, 0.5, 0.5, 0.0, 0.0],
+                       [0.0, 0.5, 0.5, 0.0, 0.0],
+                       [0.4, 0.0, 0.0, 0.1, 0.9],
+                       [0.0, 0.0, 0.0, 0.9, 0.1]])
+    assert not _reaches_top(shared)
+    # every chain the builder makes lets every level reach K, so it has
+    # one closed class: random legal laws, reserves down to 0 (levels
+    # that stay put in idle frames) and harvest laws with gaps
+    rng = np.random.default_rng(43)
+    for trial in range(40):
+        cells = int(rng.integers(1, 30))
+        reserve = int(rng.integers(0, cells))
+        if trial % 2:
+            harvest = np.zeros(cells + 1)
+            harvest[0] = float(rng.uniform(0.0, 0.999))
+            harvest[int(rng.integers(1, cells + 1))] = 1.0 - harvest[0]
+        else:
+            harvest = harvest_pmf(float(10.0 ** rng.uniform(-2, 1.5)), cells)
+        moves, law = _random_legal_law(rng, cells, reserve)
+        busy = float(rng.uniform(1e-3, 0.95))
+        phi = TransitionBuilder(harvest, cells, reserve).matrix(
+            law, 1.0 - busy, busy, moves)
+        assert _reaches_top(phi)
+        z = steady_state(phi)
+        assert np.max(np.abs(phi @ z - z)) < 1e-9
 
 
 def test_stacked_chains_are_solved_and_checked_one_by_one():
@@ -255,15 +297,15 @@ def test_stacked_chains_are_solved_and_checked_one_by_one():
     stacked = steady_state(chains)
     for chain, z in zip(chains, stacked):
         np.testing.assert_array_equal(steady_state(chain[None])[0], z)
-    # one reducible chain anywhere in the stack is rejected
-    two_classes = np.zeros((6, 6))
-    two_classes[:3, :3] = 1.0 / 3.0
-    two_classes[3:, 3:] = 1.0 / 3.0
-    for position in range(4):
-        mixed = chains.copy()
-        mixed[position] = two_classes
-        with pytest.raises(ChainNotErgodicError):
-            steady_state(mixed)
+    # one singular system or one residual above 1e-9 anywhere in the
+    # stack is rejected
+    leaky = chains[0] * np.linspace(0.9, 1.0, 6)
+    for bad in (np.eye(6), leaky):
+        for position in range(4):
+            mixed = chains.copy()
+            mixed[position] = bad
+            with pytest.raises(ChainNotErgodicError):
+                steady_state(mixed)
 
 
 def test_stacked_spend_laws_give_one_matrix_each():

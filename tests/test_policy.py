@@ -4,7 +4,7 @@ import pytest
 
 from ehcr.model import PolicyParams
 from ehcr.policy import transmit_row, transmit_units
-from ehcr.probing import GainDistribution, sample_gain
+from ehcr.probing import GainDistribution, gain_cdf
 
 MIX = GainDistribution(weights=(0.9, 0.1), means=(2.0, 1.0))
 
@@ -152,9 +152,45 @@ def test_transmit_pmf_matches_sampled_frequencies():
     edges = np.append(pmf.level_lo[0, at_k], np.inf)
     rng = np.random.default_rng(23)
     for eps in (0, 1):
-        draws = sample_gain(MIX, eps, rng, size=1_000_000)
+        # exponential gains by inverse CDF
+        draws = -MIX.means[eps] * np.log1p(-rng.random(1_000_000))
         spend = np.searchsorted(edges, draws, side="right")  # 0: below tier 1
         freq = np.bincount(spend, minlength=edges.size) / draws.size
         want = np.append(pmf.zero_mass[0, eps, k], pmf.level_mass[0, eps, at_k])
         tv = 0.5 * np.abs(freq - want).sum()
         assert tv < 0.005
+
+
+def test_level_mass_equals_four_gain_cdf_calls():
+    """One CDF pass over (law, edge) prices what four calls did, bit for bit."""
+    rng = np.random.default_rng(8)
+    cases = [(80, 1, 1.0, (0.0, 0.02, 0.2, 0.8, 5.0, 1e3), MIX),
+             (400, 1, 0.7, (0.2,), MIX),
+             (30, 0, 0.5, (0.0, 0.1), GainDistribution((1.0, 0.0), (0.0, 0.0))),
+             (50, 2, 0.0, (0.3,), MIX)]
+    for _ in range(8):
+        cells = int(rng.integers(12, 401))
+        means = (float(10.0 ** rng.uniform(-2, 1)),
+                 float(10.0 ** rng.uniform(-2, 1)) if rng.integers(4) else 0.0)
+        thetas = tuple(np.sort(10.0 ** rng.uniform(-3, 1, rng.integers(1, 4))))
+        cases.append((cells, int(rng.integers(0, 4)), float(rng.uniform(0, 1)),
+                      thetas, GainDistribution((0.8, 0.2), means)))
+    def cdf(x, mean):
+        """One law's CDF, written as one expression."""
+        x = np.maximum(x, 0.0)
+        if mean <= 0.0:
+            return np.where(x > 0.0, 1.0, 0.0)
+        return np.where(np.isinf(x), 1.0, -np.expm1(-x / mean))
+
+    for cells, reserve, omega, thetas, dist in cases:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            pmf = transmit_row(omega, thetas, reserve, cells, dist)
+        for eps in (0, 1):
+            for edge in (pmf.level_lo, pmf.level_hi):
+                assert (gain_cdf(dist, edge, eps)
+                        == cdf(edge, dist.means[eps])).all()
+            q = (np.asarray(gain_cdf(dist, pmf.level_hi, eps))
+                 - np.asarray(gain_cdf(dist, pmf.level_lo, eps)))
+            want = np.where(pmf.level_lo >= pmf.level_hi, 0.0,
+                            np.maximum(q, 0.0))
+            assert (pmf.level_mass[:, eps, :] == want).all()

@@ -3,11 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from ehcr.model import SuProfile, SystemConfig
-from ehcr.probing import (GainDistribution, estimator_variances, gain_cdf,
-                          sample_gain)
+from ehcr.probing import (GainDistribution, conditional_cdfs,
+                          estimator_variances, gain_cdf)
 from ehcr.sensing import joint_sensing_stats, sensing_stats
 
 
@@ -18,7 +17,6 @@ def test_estimate_and_error_share_the_channel_gain():
     gamma = prof.su_ap_var
     assert abs(est.var_hat_h0 + est.var_err_h0 - gamma) < 1e-14
     assert abs(est.var_hat_h1 + est.var_err_h1 - gamma) < 1e-14
-    assert abs(est.var_hat + est.var_err - gamma) < 1e-14
 
 
 def test_reference_estimator_value():
@@ -103,30 +101,20 @@ def test_zero_pilot_energy_collapses_the_gain_at_zero():
     d = GainDistribution(weights=(1.0, 0.0), means=(0.0, 0.0))
     assert gain_cdf(d, 1e-12) == 1.0
     assert gain_cdf(d, 0.0) == 0.0
-    rng = np.random.default_rng(3)
-    assert sample_gain(d, 0, rng) == 0.0
-    assert np.all(sample_gain(d, 0, rng, size=5) == 0.0)
 
 
-def test_sample_gain_statistics():
-    d = GainDistribution(weights=(0.9, 0.1), means=(2.0, 1.0))
-    draws = sample_gain(d, 0, np.random.default_rng(42), size=1_000_000)
-    assert draws.mean() == pytest.approx(2.0, abs=0.01)
-    again = sample_gain(d, 0, np.random.default_rng(42), size=1_000_000)
-    np.testing.assert_array_equal(draws, again)  # seeded reproducibility
-
-
-def test_sample_gain_equal_means_are_indistinguishable():
-    d = GainDistribution(weights=(0.5, 0.5), means=(1.3, 1.3))
-    rng = np.random.default_rng(11)
-    a = sample_gain(d, 0, rng, size=20_000)
-    b = sample_gain(d, 1, rng, size=20_000)
-    assert stats.ks_2samp(a, b).pvalue > 0.01
+def test_conditional_cdfs_equal_gain_cdf_bitwise():
+    xs = np.array([[-1.0, 0.0, 1e-300, 0.3, 2.0, 45.0],
+                   [7e2, 1e5, np.inf, 0.0, 1.7, 1e-9]])
+    for means in ((1.7, 0.9), (2.0, 0.0), (0.0, 0.0), (1e-3, 1e3)):
+        d = GainDistribution(weights=(0.6, 0.4), means=means)
+        both = conditional_cdfs(d, xs)
+        assert both.shape == (2,) + xs.shape
+        for eps in (0, 1):
+            np.testing.assert_array_equal(both[eps], gain_cdf(d, xs, eps))
 
 
 def test_hypothesis_argument_is_checked():
     d = GainDistribution(weights=(1.0, 0.0), means=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        sample_gain(d, 2, np.random.default_rng(0))
     with pytest.raises(ValueError):
         gain_cdf(d, 1.0, hypothesis=3)

@@ -12,12 +12,13 @@ from scipy.special import exp1
 
 from ehcr import rate
 from ehcr.analysis import analyze_su
+from ehcr.battery import dot_last
 from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                         harvest_pmf)
-from ehcr.policy import transmit_row
+from ehcr.policy import BLOCK_ENTRIES, transmit_row
 from ehcr.probing import GainDistribution, estimator_variances
 from ehcr.rate import antiderivative_m, rate_lower_bound, transmission_outage
-from ehcr.sensing import joint_sensing_stats
+from ehcr.sensing import joint_sensing_stats, sensing_stats
 
 
 FIT_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "fit_scaled_e1.py"
@@ -156,9 +157,113 @@ def test_m_rejects_bad_mean():
         antiderivative_m(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         antiderivative_m(1.0, 1.0, -2.0)
+    with pytest.raises(ValueError):
+        antiderivative_m(1.0, 1.0, np.array([[1.0], [0.0]]))
+
+
+def test_m_broadcast_means_equal_one_call_per_mean():
+    x = np.array([0.0, 0.3, 2.0, 44.0, 600.0, 760.0, np.inf])
+    snr = np.array([1.0, 0.0, 1e-3, 2.0, 0.01, 5.0, 1.0])
+    means = np.array([0.05, 1.0, 30.0])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        stacked = antiderivative_m(x, snr, means[:, None])
+    for row, mean in zip(stacked, means):
+        assert (row == antiderivative_m(x, snr, float(mean))).all()
+        assert (row == _m_reference(x, snr, float(mean))).all()
 
 
 # ------------------------------------------------- rate lower bound ----
+
+def _m_reference(x, snr, mean):
+    """``antiderivative_m`` for one scalar mean, written as one expression."""
+    t = x / mean
+    active = (snr > 0.0) & (t <= rate._EXP_UNDERFLOW)
+    x = np.where(active, x, 0.0)
+    t = np.where(active, t, 0.0)
+    snr = np.where(active, snr, 1.0)
+    big_t = t + 1.0 / (snr * mean)
+    out = (-np.exp(-t) * (rate._scaled_e1(big_t) + np.log1p(snr * x))
+           / rate._LN2)
+    return np.where(active, out, 0.0)
+
+
+def _four_call_rate(config, profile, sensing, est, pmf, stationary):
+    """The rate bound with one antiderivative call per law and edge."""
+    scale = config.data_fraction * config.bandwidth
+    weights = np.asarray(stationary)[..., pmf.level_state]
+    parts = []
+    for joint, err, mean, extra in (
+            (sensing.beta0, est.var_err_h0, est.var_hat_h0, 0.0),
+            (sensing.beta1, est.var_err_h1, est.var_hat_h1,
+             est.pu_interference_var)):
+        if joint <= 0.0 or mean <= 0.0:
+            parts.append(np.zeros(pmf.theta.shape))
+            continue
+        power = pmf.level_units * config.unit_power
+        snr = power / (err * power + (profile.ap_noise + extra))
+        chunk = (_m_reference(pmf.level_hi, snr, mean)
+                 - _m_reference(pmf.level_lo, snr, mean))
+        chunk = np.where(pmf.level_lo >= pmf.level_hi, 0.0,
+                         np.maximum(chunk, 0.0))
+        parts.append(scale * joint * dot_last(weights, chunk))
+    return parts[0] + parts[1], parts[0], parts[1]
+
+
+def _bitwise_settings():
+    nine = (0.02, 0.04, 0.07, 0.1, 0.15, 0.2, 0.3, 0.5, 0.8)
+    settings = [
+        # rows of many blocks at K = 80 and K = 400
+        (SystemConfig(), SuProfile(), 1.0, nine, False),
+        (SystemConfig(battery_cells=400), SuProfile(), 0.7, (0.2,), False),
+        # theta = 0 beside cutoffs whose edges pass t = 745 or are +inf
+        (SystemConfig(), SuProfile(), 0.6, (0.0, 0.2, 50.0, 1e4), False),
+        # ideal sensing skips the busy law; omega = 0 has no level
+        (SystemConfig(), SuProfile(), 0.45, (0.2,), True),
+        (SystemConfig(), SuProfile(), 0.0, (0.0, 0.2), False),
+        # no pilot energy: both gain means are 0 and both laws are skipped
+        (SystemConfig(probe_cells=0), SuProfile(), 0.5, (0.1,), False),
+    ]
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        config = SystemConfig(battery_cells=int(rng.integers(12, 401)),
+                              probe_cells=int(rng.integers(1, 4)))
+        profile = SuProfile(su_ap_var=float(10.0 ** rng.uniform(-1, 1)),
+                            ap_noise=float(10.0 ** rng.uniform(-2, 1)))
+        thetas = tuple(np.sort(10.0 ** rng.uniform(-3, 1, rng.integers(1, 4))))
+        settings.append((config, profile, float(rng.uniform(0, 1)), thetas,
+                         bool(rng.integers(4) == 0)))
+    return settings
+
+
+def test_rate_bound_equals_four_antiderivative_calls():
+    """One pass per block of (law, edge, cutoff, level) entries changes no bit."""
+    rng = np.random.default_rng(4)
+    seen = set()
+    for config, profile, omega, thetas, ideal in _bitwise_settings():
+        sensing = sensing_stats(config, profile, ideal=ideal)
+        est = estimator_variances(config, profile, sensing)
+        pmf = transmit_row(omega, thetas, config.probe_cells,
+                           config.battery_cells,
+                           GainDistribution.from_stats(est, sensing))
+        zeta = rng.dirichlet(np.ones(config.battery_cells + 1), len(thetas))
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = rate_lower_bound(config, profile, sensing, est, pmf, zeta)
+        want = _four_call_rate(config, profile, sensing, est, pmf, zeta)
+        for field, ref in zip((got.total, got.idle_part, got.busy_part), want):
+            assert field.shape == pmf.theta.shape
+            assert (field == ref).all()
+        t = pmf.level_hi / max(est.var_hat_h0, est.var_hat_h1, 1e-300)
+        seen.update({
+            "blocks": pmf.level_lo.size > 2 * BLOCK_ENTRIES,
+            "skipped law": sensing.beta1 == 0.0 or est.var_hat_h0 == 0.0,
+            "no levels": pmf.level_state.size == 0,
+            "theta 0": 0.0 in thetas,
+            "inf edge": bool(np.isinf(pmf.level_hi).any()),
+            "t > 745": bool(((t > 745.0) & np.isfinite(t)).any()),
+        }.items())
+    assert {name for name, hit in seen if hit} == {
+        "blocks", "skipped law", "no levels", "theta 0", "inf edge", "t > 745"}
+
 
 def test_rate_matches_per_tier_quadrature():
     model = NetworkModel(config=SystemConfig(battery_cells=7, probe_cells=1),

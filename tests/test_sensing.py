@@ -1,14 +1,12 @@
 """Detector tail probabilities, operating point and joint occupancy stats."""
-import math
-
 import mpmath as mp
 import numpy as np
 import pytest
 
 from ehcr.model import SuProfile, SystemConfig
-from ehcr.sensing import (detector_probabilities, false_alarm_at_target_pd,
-                          gaussian_tail, gaussian_tail_inv,
-                          joint_sensing_stats, sensing_stats)
+from ehcr.sensing import (false_alarm_at_target_pd, gaussian_tail,
+                          gaussian_tail_inv, joint_sensing_stats,
+                          sensing_stats)
 
 mp.mp.dps = 40
 
@@ -40,28 +38,11 @@ def test_gaussian_tail_inverse_roundtrip():
                                                     rel=1e-12)
 
 
-def test_detector_coin_flip_thresholds():
-    # threshold at the noise floor: false alarm is a coin flip
-    p_fa, _ = detector_probabilities(1.0, 0.5, 64, 1.0)
-    assert p_fa == pytest.approx(0.5, abs=1e-14)
-    # threshold at the busy-band mean power: detection is a coin flip
-    _, p_d = detector_probabilities(1.5, 0.5, 64, 1.0)
-    assert p_d == pytest.approx(0.5, abs=1e-14)
-
-
-def test_detector_example_point():
-    p_fa, p_d = detector_probabilities(1.2, 1.0, 400, 1.0)
-    assert p_fa == pytest.approx(_q_ref(4.0), rel=1e-12)
-    assert p_d == pytest.approx(_q_ref(-0.8 * math.sqrt(400 / 3.0)),
-                                rel=1e-12)
-    assert p_d == pytest.approx(1.0, abs=1e-15)
-
-
 def test_detector_guards():
-    with pytest.raises(ValueError):
-        detector_probabilities(1.0, 0.5, 0, 1.0)
-    with pytest.raises(ValueError):
-        detector_probabilities(1.0, 0.5, 10, 0.0)
+    for samples, target_pd, snr in ((0, 0.85, 1.0), (10, 0.0, 1.0),
+                                    (10, 1.0, 1.0), (10, 0.85, -0.5)):
+        with pytest.raises(ValueError):
+            false_alarm_at_target_pd(snr, samples, target_pd)
 
 
 def test_blind_detector_false_alarm_equals_target():
