@@ -25,7 +25,10 @@ K = 400 (``SuEvaluator.evaluate_row``).  It also times
 ``rate._scaled_e1`` in nanoseconds per element on the arguments of the
 largest call of a real rate bound: K = 80 at (0.15, 0.2) and K = 400 at
 (0.7, 0.2).  End to end, it runs ``solve_p1`` on the README's two-user
-model once and records its seconds and the points it priced.
+model once and records its seconds and the points it priced, and times
+``simulate`` of that model with both users at policy (0.45, 0.2) over
+``SIM_SLOTS`` slots in microseconds per slot per user
+(``readme_simulate_us_per_slot_user``).
 """
 from __future__ import annotations
 
@@ -49,6 +52,7 @@ E1_POINTS = {"e1_k80_ns_per_arg": (80, (0.15, 0.2)),
              "e1_k400_ns_per_arg": (400, (0.7, 0.2))}
 ROW_THETAS = {80: (0.02, 0.04, 0.07, 0.1, 0.15, 0.2, 0.3, 0.5, 0.8),
               400: (0.05, 0.2, 0.8)}
+SIM_SLOTS = 100_000
 
 
 def _per_call(fn, repeats: int = 7, min_time: float = 0.05) -> float:
@@ -76,9 +80,10 @@ def measure() -> dict:
 
     from ehcr import rate
     from ehcr.battery import steady_state
-    from ehcr.model import SuProfile, SystemConfig, validate
+    from ehcr.model import PolicyParams, SuProfile, SystemConfig, validate
     from ehcr.optimizer import SuEvaluator, solve_p1
     from ehcr.policy import transmit_row
+    from ehcr.sim import simulate
 
     def evaluator(cells):
         model = validate(SystemConfig(battery_cells=cells), (SuProfile(),))
@@ -151,6 +156,10 @@ def measure() -> dict:
     result = solve_p1(readme)
     out["readme_solve_p1_s"] = time.perf_counter() - start
     out["readme_solve_p1_evaluations"] = result.evaluations
+    policies = [PolicyParams(*POLICY)] * readme.n_users
+    out["readme_simulate_us_per_slot_user"] = _per_call(
+        lambda: simulate(readme, policies, SIM_SLOTS, seed=3),
+        repeats=3) / (SIM_SLOTS * readme.n_users) * 1e6
     return out
 
 

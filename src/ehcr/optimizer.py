@@ -9,25 +9,33 @@ together, polishes each user's share with nested local grids, and splits
 the budget again over everything priced.
 
 The evaluator prices one spend fraction at many cutoffs in one stacked
-pass, so every grid is walked one omega row at a time.  The coarse and
+pass, so every grid is walked one omega row at a time.  A stack's
+pricing has a policy side (the spend laws and the gain integral of every
+spend level, which read the user's channel statistics only) and a user
+side (the battery chain and what it weights).  The coarse grid is walked
+for all users together, and users with identical channel statistics
+(say, users that differ only in harvest rate or in their gain towards
+the primary) price each stack's policy side once.  The coarse and
 refine grids all sit on one integer lattice, so a policy point reached
 twice has one cache key.  Everything is deterministic for a given model
-and search configuration.
+and search configuration, and no point's value depends on which users
+shared its policy side.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .battery import TransitionBuilder, avg_energy, battery_outage, steady_state
 from .model import NetworkModel, PolicyParams, harvest_pmf
-from .policy import PolicyPmf, transmit_row
+from .policy import LevelSkeleton, PolicyPmf, level_skeleton, transmit_row
 from .probing import GainDistribution, estimator_variances
-from .rate import (PerSuRate, aic_contribution, rate_lower_bound,
-                   transmission_outage)
+from .rate import (PerSuRate, interference_load, level_gains, level_weights,
+                   rate_sum, transmission_outage)
 from .sensing import sensing_stats
 
 
@@ -90,21 +98,48 @@ class PricedRow(NamedTuple):
     transmission_outage: np.ndarray
 
 
+class PolicySide:
+    """The battery-independent half of one stack's pricing.
+
+    The spend laws of one omega at a stack of cutoffs, and the gain
+    integral of every spend level under each channel law, computed on
+    first use so that a large row does not hold them through the first
+    user's chain.  Both read only :attr:`SuEvaluator.channel`, so every
+    user with that channel can price its user side from one instance.
+    """
+
+    def __init__(self, evaluator: "SuEvaluator", pmf: PolicyPmf):
+        self._evaluator = evaluator
+        self.pmf = pmf
+
+    @cached_property
+    def gains(self):
+        """:func:`~ehcr.rate.level_gains` of the stack."""
+        ev = self._evaluator
+        return level_gains(ev.config, ev.profile, ev.sensing, ev.estimation,
+                           self.pmf)
+
+
 class SuEvaluator:
     """Memoized analytic chain for one user, priced one omega row at a time.
 
     Sensing statistics, the estimator, the harvest law and the clamp-shift
     table are policy-independent, so they are built once.  The spend
     levels of a policy (which battery level spends how many cells) depend
-    on omega only; a cutoff only rescales their gain edges.
-    :meth:`evaluate_row` therefore prices the uncached cutoffs of one
-    omega together, up to ``STACK_ENTRIES // (K+1)**2`` at a time: one
-    spend-law pass, one stacked matrix product for the transition
-    matrices, one stacked steady-state solve (singular system and
-    residual still checked per cutoff) and one pass of the rate, load and
-    outage terms.  A point's values do not depend on which cutoffs share its
-    stack.  Results are cached per (omega, theta); :meth:`evaluate` is a
-    one-cutoff row.
+    on omega only, so a row builds them once; a cutoff only rescales
+    their gain edges.  :meth:`evaluate_row` therefore prices the uncached
+    cutoffs of one omega together, up to ``STACK_ENTRIES // (K+1)**2`` at
+    a time.  Each stack is priced in two halves: the policy side
+    (:meth:`policy_side`: one spend-law pass and the per-law level
+    integrals of the rate bound) and the user side (:meth:`price_user`:
+    one stacked matrix product for the transition matrices, one stacked
+    steady-state solve with singular system and residual still checked
+    per cutoff, one gather of each level's steady-state weight, and one
+    pass of the rate sum, load and outage terms).  Evaluators with equal
+    :attr:`channel` keys may share a policy side (:func:`_price_rows`).
+    A point's values do not depend on which cutoffs share its stack or
+    which users share its policy side.  Results are cached per
+    (omega, theta); :meth:`evaluate` is a one-cutoff row.
     """
 
     def __init__(self, model: NetworkModel, index: int,
@@ -135,6 +170,18 @@ class SuEvaluator:
         return list(self._cache.values())
 
     @property
+    def channel(self) -> tuple:
+        """Everything a stack's policy side reads, compared exactly.
+
+        The system constants, the access point's noise and the sensing,
+        estimation and fed-back gain statistics.  The harvest rate and
+        the gain towards the primary are not in it: they reach only the
+        user side.
+        """
+        return (self.config, self.profile.ap_noise, self.sensing,
+                self.estimation, self.gain)
+
+    @property
     def interference_floor(self) -> float:
         """Load the probe pilots alone place on the primary [W].
 
@@ -148,24 +195,37 @@ class SuEvaluator:
         """Upper search bound: cutoffs this high reject almost every gain."""
         return 10.0 * max(self.gain.means)
 
-    def price_row(self, omega: float, thetas: Sequence[float]) -> PricedRow:
-        """Uncached analytic chain of one omega at a stack of cutoffs."""
+    def policy_side(self, omega: float, thetas: Sequence[float],
+                    skeleton: Optional[LevelSkeleton] = None) -> PolicySide:
+        """Spend laws (and, lazily, level integrals) of one stack.
+
+        ``skeleton`` is omega's :func:`~ehcr.policy.level_skeleton`.
+        """
         config = self.config
-        pmf = transmit_row(omega, thetas, config.probe_cells,
-                           config.battery_cells, self.gain)
+        return PolicySide(self, transmit_row(
+            omega, thetas, config.probe_cells, config.battery_cells,
+            self.gain, skeleton))
+
+    def price_user(self, side: PolicySide) -> PricedRow:
+        """Uncached user side of one stack, from its policy side."""
+        config, pmf = self.config, side.pmf
         phi = self._builder.matrix(pmf.idle_law, self.sensing.pi_hat_idle,
                                    self.sensing.pi_hat_busy, pmf.moves)
         zeta = steady_state(phi)
+        weights = level_weights(zeta, pmf)
         return PricedRow(
             pmf=pmf, matrix=phi, steady_state=zeta,
-            rate=rate_lower_bound(config, self.profile, self.sensing,
-                                  self.estimation, pmf, zeta),
-            interference=aic_contribution(config, self.profile, self.sensing,
-                                          pmf, zeta),
+            rate=rate_sum(config, self.sensing, pmf, side.gains, weights),
+            interference=interference_load(config, self.profile,
+                                           self.sensing, pmf, weights),
             avg_energy=avg_energy(zeta),
             battery_outage=battery_outage(zeta, config.probe_cells),
             transmission_outage=transmission_outage(zeta, pmf, self.sensing,
                                                     config.probe_cells))
+
+    def price_row(self, omega: float, thetas: Sequence[float]) -> PricedRow:
+        """Uncached analytic chain of one omega at a stack of cutoffs."""
+        return self.price_user(self.policy_side(omega, thetas))
 
     def evaluate_row(self, omega: float, thetas: Sequence[float]
                      ) -> List[SuPoint]:
@@ -174,17 +234,21 @@ class SuEvaluator:
         Repeated cutoffs are priced once and give the same point object.
         """
         omega = float(omega)
-        keys = [(omega, float(theta)) for theta in thetas]
-        todo = [theta for _, theta in dict.fromkeys(
-            key for key in keys if key not in self._cache)]
-        for start in range(0, len(todo), self._stack):
-            self._store(omega, todo[start:start + self._stack])
-        return [self._cache[key] for key in keys]
+        thetas = [float(theta) for theta in thetas]
+        _price_rows([self], omega, [thetas])
+        return [self._cache[(omega, theta)] for theta in thetas]
 
-    def _store(self, omega: float, thetas: List[float]) -> None:
-        """Price one stack and cache its points; the stack's arrays are
-        released before the next one is priced."""
-        row = self.price_row(omega, thetas)
+    def _uncached(self, omega: float, thetas: Sequence[float]) -> List[float]:
+        """Distinct cutoffs of ``thetas`` not yet priced at ``omega``."""
+        return list(dict.fromkeys(
+            theta for theta in map(float, thetas)
+            if (omega, theta) not in self._cache))
+
+    def _store(self, omega: float, thetas: List[float],
+               side: PolicySide) -> None:
+        """Price one stack's user side and cache its points; the stack's
+        arrays are released before the next one is priced."""
+        row = self.price_user(side)
         values = zip(thetas, row.rate.total.tolist(),
                      row.interference.tolist(), row.avg_energy.tolist(),
                      row.battery_outage.tolist(),
@@ -198,6 +262,33 @@ class SuEvaluator:
     def evaluate(self, omega: float, theta: float) -> SuPoint:
         """The point (omega, theta): a one-cutoff row."""
         return self.evaluate_row(omega, [theta])[0]
+
+
+def _price_rows(evaluators: Sequence[SuEvaluator], omega: float,
+                rows: Sequence[Sequence[float]]) -> None:
+    """Price and cache the uncached cutoffs of one omega for every user.
+
+    ``rows[i]`` holds the cutoffs of ``evaluators[i]``.  Users whose
+    channel keys and uncached cutoffs are equal form a group: the group
+    builds omega's level skeleton once and each stack's policy side once,
+    and every member prices its own user side from it.  Each user's
+    stacks and cache order are those it would have alone.
+    """
+    groups: Dict[tuple, List[SuEvaluator]] = {}
+    for evaluator, thetas in zip(evaluators, rows):
+        todo = tuple(evaluator._uncached(omega, thetas))
+        if todo:
+            groups.setdefault((evaluator.channel, todo), []).append(evaluator)
+    for (_, todo), group in groups.items():
+        lead = group[0]
+        skeleton = level_skeleton(omega, lead.config.probe_cells,
+                                  lead.config.battery_cells)
+        for start in range(0, len(todo), lead._stack):
+            stack = list(todo[start:start + lead._stack])
+            side = lead.policy_side(omega, stack, skeleton)
+            for evaluator in group:
+                evaluator._store(omega, stack, side)
+            del side  # released before the next stack is priced
 
 
 @dataclass(frozen=True)
@@ -249,11 +340,18 @@ class _Lattice:
                 round((math.log(params.theta) - self.log_lo) / self.log_step))
 
 
-def _coarse_points(search: SearchConfig, evaluator: SuEvaluator,
-                   lattice: _Lattice) -> None:
-    thetas = lattice.thetas(lattice.fine * np.arange(search.theta_points))
-    for omega in lattice.omegas(lattice.fine * np.arange(search.omega_points)):
-        evaluator.evaluate_row(omega, thetas)
+def _coarse_points(search: SearchConfig, evaluators: Sequence[SuEvaluator],
+                   lattices: Sequence[_Lattice]) -> None:
+    """Every user's coarse grid, one omega row for all users at a time.
+
+    The omega grid depends on the search only, so the users share it;
+    users with one channel share each row's policy side.
+    """
+    rows = [lattice.thetas(lattice.fine * np.arange(search.theta_points))
+            for lattice in lattices]
+    first = lattices[0]
+    for omega in first.omegas(first.fine * np.arange(search.omega_points)):
+        _price_rows(evaluators, float(omega), rows)
 
 
 def _refine(evaluator: SuEvaluator, lattice: _Lattice, start: SuPoint,
@@ -422,8 +520,7 @@ def solve_p1(model: NetworkModel, search: Optional[SearchConfig] = None,
                        sum(ev.evaluations for ev in evaluators), 0, search)
 
     lattices = [_Lattice(search, ev) for ev in evaluators]
-    for evaluator, lattice in zip(evaluators, lattices):
-        _coarse_points(search, evaluator, lattice)
+    _coarse_points(search, evaluators, lattices)
     current = _allocate([ev.known_points() for ev in evaluators], cap)
     if current is None:  # cap within rounding of the probing floor
         current = [ev.evaluate(0.0, search.theta_floor) for ev in evaluators]

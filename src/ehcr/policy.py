@@ -11,7 +11,7 @@ intervals are what the analytic rate expressions integrate over as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,17 +67,30 @@ def transmit_units(state: int, gain: float, params: PolicyParams,
     return max(level - probe_cells, 0)
 
 
-def _skeleton(omega: float, probe_cells: int, cells: int):
-    """Theta-free part of the spend levels: states, spends, k*omega, lower denominators."""
+class LevelSkeleton(NamedTuple):
+    """Theta-free part of one spend fraction's spend levels.
+
+    A :class:`PolicyPmf` built from it shares these arrays, so keeping it
+    across the stacks of a row holds no extra memory.
+    """
+
+    level_state: np.ndarray  # battery level k of each spend level
+    level_units: np.ndarray  # spend i of each level
+
+
+def level_skeleton(omega: float, probe_cells: int, cells: int) -> LevelSkeleton:
+    """Spend levels of ``omega`` before any cutoff scales their gain edges.
+
+    A row priced in several stacks of cutoffs builds it once and passes
+    it to :func:`transmit_row` for each stack.
+    """
     ks = np.arange(cells + 1)
     caps = np.floor(omega * ks + FLOOR_NUDGE).astype(int) - probe_cells
     caps = np.clip(caps, 0, None)
     total = int(caps.sum())
     k_idx = np.repeat(ks, caps)
     starts = np.concatenate(([0], np.cumsum(caps)[:-1]))
-    i_idx = np.arange(total) - np.repeat(starts, caps) + 1
-    komega = omega * k_idx
-    return k_idx, i_idx, komega, komega - probe_cells - i_idx
+    return LevelSkeleton(k_idx, np.arange(total) - np.repeat(starts, caps) + 1)
 
 
 def _edges(thetas: np.ndarray, komega: np.ndarray,
@@ -136,19 +149,24 @@ class PolicyPmf:
 
 
 def transmit_row(omega: float, thetas: Sequence[float], probe_cells: int,
-                 cells: int, dist: GainDistribution) -> PolicyPmf:
+                 cells: int, dist: GainDistribution,
+                 skeleton: Optional[LevelSkeleton] = None) -> PolicyPmf:
     """Spend laws of one spend fraction at a row of cutoffs.
 
     Positive levels get the mixture-component probability of their gain
     interval, both components at both edges in one CDF pass per block
     of levels; the zero level takes whatever remains, which also covers
-    gains below the cutoff.
+    gains below the cutoff.  ``skeleton`` is ``omega``'s
+    :func:`level_skeleton`, built here when not given.
     """
     thetas = np.asarray(thetas, dtype=float)
     # the smallest cutoff stands for them all
     check_params(PolicyParams(omega, float(np.min(thetas, initial=0.0))))
-    k_idx, i_idx, komega, d_lo = _skeleton(omega, probe_cells, cells)
-    lo, hi = _edges(thetas, komega, d_lo)
+    if skeleton is None:
+        skeleton = level_skeleton(omega, probe_cells, cells)
+    k_idx, i_idx = skeleton
+    komega = omega * k_idx
+    lo, hi = _edges(thetas, komega, komega - probe_cells - i_idx)
     flat_lo, flat_hi = lo.reshape(-1), hi.reshape(-1)
     mass = np.empty((2, flat_lo.size))
     for start in range(0, flat_lo.size, BLOCK_ENTRIES):

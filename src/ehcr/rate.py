@@ -6,23 +6,31 @@ closed-form antiderivative built from the exponential integral.  Summing
 those pieces over battery levels (weighted by the steady state) and over
 spend levels gives the achievable-rate lower bound; the same spend
 distribution under a busy band prices the interference inflicted on the
-primary.  The rate bound prices both gain laws at both edges of every
-spend level in one antiderivative pass per block of levels.
+primary.
+
+The rate bound has two halves.  :func:`level_gains` is its policy side:
+the gain integral of every spend level under each channel law, which
+reads the row's gain edges and the channel statistics but not the
+battery, so users with identical channel statistics can share it.  It
+prices both gain laws at both edges of every spend level in one
+antiderivative pass per block of levels.  :func:`rate_sum` weights those
+integrals by the steady-state chance of each level's battery state
+(:func:`level_weights`), and :func:`rate_lower_bound` composes the two.
 
 The rate bound's scaled exponential integral exp(t)*E1(t) never calls a
 special function.  Below t = 600 it is three polynomials fitted offline
 by ``tools/fit_scaled_e1.py`` (mpmath at 40 digits): E1(t) = P(t) - ln t
 with P = -gamma + Ein for t < 2, and t*exp(t)*E1(t) as a polynomial in
-1/t on [2, 8) and on [8, 600), those two evaluated in one pass.  From
-t = 600 on a continued fraction takes over.  The relative error is below
-3e-14 on every piece (1e-13 is tested).  The terms below take a policy
-row (:func:`~ehcr.policy.transmit_row`) and give one value per cutoff.
+1/t on [2, 8) and on [8, 600).  From t = 600 on a continued fraction
+takes over.  The relative error is below 3e-14 on every piece (1e-13 is
+tested).  The terms below take a policy row
+(:func:`~ehcr.policy.transmit_row`) and give one value per cutoff.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,9 +50,9 @@ _CF_SWITCH = 600.0
 _EXP_UNDERFLOW = 745.0
 
 # _scaled_e1 uses E1(t) = P(t) - ln t below _NEAR_END and P(1/t)/t from
-# there to _CF_SWITCH, where the pieces of P start at _INV_SPLITS
+# there to _CF_SWITCH, with one P below _MID_END and another from there
 _NEAR_END = 2.0
-_INV_SPLITS = np.array([8.0])
+_MID_END = 8.0
 
 
 def _as_arrays(coeffs) -> tuple:
@@ -88,13 +96,13 @@ _E1_INV = np.array([
     (-0.9997784159302694, -0.9999999999797865),
     (0.9999970473069972, 0.999999999999983),
 ])
+# the two columns as 0-d arrays, so each piece runs its own Horner pass
+# on scalar coefficients
+_E1_MID, _E1_FAR = (_as_arrays(column) for column in _E1_INV.T)
 
 
 def _horner(coeffs, u: np.ndarray) -> np.ndarray:
-    """Polynomial with coefficients highest power first, at every u.
-
-    Each coefficient is a scalar or an array of one value per u.
-    """
+    """Polynomial with scalar coefficients, highest power first, at every u."""
     acc = u * coeffs[0]
     acc += coeffs[1]
     for c in coeffs[2:]:
@@ -108,19 +116,19 @@ def _scaled_e1(t: np.ndarray) -> np.ndarray:
 
     Below t = 2, exp(t) * (P(t) - ln t) with P(t) = -gamma + Ein(t)
     (degree 12).  From 2 to 600, P(1/t) / t with P fitted to
-    t*exp(t)*E1(t) on [2, 8) and on [8, 600) (degree 16 each), evaluated
-    in one Horner pass on coefficients gathered by piece.  From t = 600
-    on, a 40-term continued fraction.  Each range is skipped when it has
-    no argument.  Relative error against ``mpmath.e1``: at most 3e-14
-    below 600 and under 1e-15 above.
+    t*exp(t)*E1(t) on [2, 8) and on [8, 600) (degree 16 each).  From
+    t = 600 on, a 40-term continued fraction.  Each range gathers its
+    arguments into one contiguous array and is skipped when it has
+    none.  Relative error against ``mpmath.e1``: at most 3e-14 below 600
+    and under 1e-15 above.
     """
     shape = np.shape(t)
     # the masks below gather and scatter fastest on a flat array
     t = np.asarray(t, dtype=float).reshape(-1)
     out = np.empty_like(t)
     near = t < _NEAR_END
+    below_far = t < _MID_END
     tail = t >= _CF_SWITCH
-    inverse = ~(near | tail)
     tn = t[near]
     if tn.size:
         acc = _horner(_E1_NEAR, tn)
@@ -128,13 +136,15 @@ def _scaled_e1(t: np.ndarray) -> np.ndarray:
         acc -= factor
         acc *= np.exp(tn, out=factor)
         out[near] = acc
-    ti = t[inverse]
-    if ti.size:
-        v = np.reciprocal(ti)
-        piece = np.searchsorted(_INV_SPLITS, ti, side="right")
-        acc = _horner(_E1_INV[:, piece], v)
-        acc *= v
-        out[inverse] = acc
+    # a NaN falls to the far piece, as it compares false everywhere
+    for piece, coeffs in ((below_far & ~near, _E1_MID),
+                          (~(below_far | tail), _E1_FAR)):
+        ti = t[piece]
+        if ti.size:
+            v = np.reciprocal(ti)
+            acc = _horner(coeffs, v)
+            acc *= v
+            out[piece] = acc
     tb = t[tail]
     if tb.size:
         # descending continued fraction 1/(t+1- 1^2/(t+3- 2^2/(t+5- ...)))
@@ -234,6 +244,55 @@ def _interval_integrals(lo: np.ndarray, hi: np.ndarray, snr: np.ndarray,
     return out.reshape(means.size, cutoffs, levels)
 
 
+def level_weights(stationary: np.ndarray, pmf: PolicyPmf) -> np.ndarray:
+    """Steady-state chance of every spend level's battery state, per cutoff.
+
+    One contiguous (cutoffs, levels) gather, read by both the rate sum
+    and the interference load.
+    """
+    return np.take(stationary, pmf.level_state, axis=-1)
+
+
+def level_gains(config: SystemConfig, profile: SuProfile,
+                sensing: SensingStats, est: EstimationStats,
+                pmf: PolicyPmf) -> Tuple[Optional[np.ndarray], ...]:
+    """Gain integral of every (cutoff, spend level) under the idle and busy law.
+
+    The policy side of the rate bound: it reads the row's gain edges and
+    the channel statistics, never the battery.  Each entry is a
+    (cutoffs, levels) array, or None for a law that adds nothing because
+    it is never sensed idle or its fed-back gain is zero.
+    """
+    # (joint probability, error-gain mean, gain mean, noise) per law
+    laws = ((sensing.beta0, est.var_err_h0, est.var_hat_h0, profile.ap_noise),
+            (sensing.beta1, est.var_err_h1, est.var_hat_h1,
+             profile.ap_noise + est.pu_interference_var))
+    live = [eps for eps in (0, 1) if laws[eps][0] > 0.0 and laws[eps][2] > 0.0]
+    gains = [None, None]
+    if live:
+        snr = np.array([_level_snr(pmf.level_units, laws[eps][1], laws[eps][3],
+                                   config.unit_power) for eps in live])
+        integrals = _interval_integrals(
+            pmf.level_lo, pmf.level_hi, snr,
+            np.array([laws[eps][2] for eps in live]))
+        for eps, gain in zip(live, integrals):
+            gains[eps] = gain
+    return tuple(gains)
+
+
+def rate_sum(config: SystemConfig, sensing: SensingStats, pmf: PolicyPmf,
+             gains: Tuple[Optional[np.ndarray], ...],
+             weights: np.ndarray) -> PerSuRate:
+    """Rate bound from the :func:`level_gains` of a row and its
+    :func:`level_weights`: each law's integrals weighted by the steady
+    state and by the law's joint chance of a sensed-idle frame."""
+    scale = config.data_fraction * config.bandwidth
+    parts = [np.zeros(pmf.theta.shape) if gain is None
+             else scale * joint * dot_last(weights, gain)
+             for joint, gain in zip((sensing.beta0, sensing.beta1), gains)]
+    return PerSuRate(parts[0] + parts[1], parts[0], parts[1])
+
+
 def rate_lower_bound(config: SystemConfig, profile: SuProfile,
                      sensing: SensingStats, est: EstimationStats,
                      pmf: PolicyPmf, stationary: np.ndarray) -> PerSuRate:
@@ -244,24 +303,22 @@ def rate_lower_bound(config: SystemConfig, profile: SuProfile,
     the idle and busy channel laws; a law that is never sensed idle or
     whose fed-back gain is zero adds nothing.  ``stationary`` holds one
     law per cutoff of the row, and every field is an array over the
-    cutoffs.
+    cutoffs.  :func:`rate_sum` of :func:`level_gains` and
+    :func:`level_weights`.
     """
-    scale = config.data_fraction * config.bandwidth
-    weights = np.asarray(stationary)[..., pmf.level_state]
-    # (joint probability, error-gain mean, gain mean, noise) per law
-    laws = ((sensing.beta0, est.var_err_h0, est.var_hat_h0, profile.ap_noise),
-            (sensing.beta1, est.var_err_h1, est.var_hat_h1,
-             profile.ap_noise + est.pu_interference_var))
-    live = [eps for eps in (0, 1) if laws[eps][0] > 0.0 and laws[eps][2] > 0.0]
-    parts = [np.zeros(pmf.theta.shape), np.zeros(pmf.theta.shape)]
-    if live:
-        snr = np.array([_level_snr(pmf.level_units, laws[eps][1], laws[eps][3],
-                                   config.unit_power) for eps in live])
-        gains = _interval_integrals(pmf.level_lo, pmf.level_hi, snr,
-                                    np.array([laws[eps][2] for eps in live]))
-        for eps, gain in zip(live, gains):
-            parts[eps] = scale * laws[eps][0] * dot_last(weights, gain)
-    return PerSuRate(parts[0] + parts[1], parts[0], parts[1])
+    return rate_sum(config, sensing, pmf,
+                    level_gains(config, profile, sensing, est, pmf),
+                    level_weights(stationary, pmf))
+
+
+def interference_load(config: SystemConfig, profile: SuProfile,
+                      sensing: SensingStats, pmf: PolicyPmf,
+                      weights: np.ndarray):
+    """:func:`aic_contribution` from the row's :func:`level_weights`."""
+    data_power = dot_last(weights * pmf.level_mass[..., 1, :],
+                          pmf.level_units * config.unit_power)
+    pilot_power = config.probe_fraction * config.probe_power
+    return sensing.beta1 * profile.su_pu_var * (data_power + pilot_power)
 
 
 def aic_contribution(config: SystemConfig, profile: SuProfile,
@@ -273,11 +330,8 @@ def aic_contribution(config: SystemConfig, profile: SuProfile,
     spend under the busy-band gain law and the probing term is a fixed
     duty-cycled pilot power.  One value per cutoff of the row.
     """
-    weights = np.asarray(stationary)[..., pmf.level_state]
-    data_power = dot_last(weights * pmf.level_mass[..., 1, :],
-                          pmf.level_units * config.unit_power)
-    pilot_power = config.probe_fraction * config.probe_power
-    return sensing.beta1 * profile.su_pu_var * (data_power + pilot_power)
+    return interference_load(config, profile, sensing, pmf,
+                             level_weights(stationary, pmf))
 
 
 def transmission_outage(stationary: np.ndarray, pmf: PolicyPmf,

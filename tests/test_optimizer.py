@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ehcr import optimizer
 from ehcr.analysis import analyze_su
 from ehcr.model import NetworkModel, PolicyParams, SuProfile, SystemConfig
 from ehcr.optimizer import (SearchConfig, SuEvaluator, SuPoint, _allocate,
-                            _frontier, check_search, objective_surface,
-                            solve_p1)
+                            _coarse_points, _frontier, _Lattice, check_search,
+                            objective_surface, solve_p1)
 
 # desk-scale search: small battery, light grids, quick refinement
 SMALL = SearchConfig(omega_points=7, theta_points=9, refine_levels=2,
@@ -233,6 +234,91 @@ def test_search_prices_each_lattice_point_once():
                          float(f"{p.params.theta:.12g}"))
                         for p in ev.known_points()}) for ev in evs)
     assert res.evaluations == distinct
+
+
+# ------------------------------------------------- shared policy sides
+
+def _count_spend_laws(monkeypatch):
+    """A list that grows by one per ``transmit_row`` call of the optimizer."""
+    calls = []
+    transmit_row = optimizer.transmit_row
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return transmit_row(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "transmit_row", counted)
+    return calls
+
+
+def _coarse_spend_laws(monkeypatch, model, search):
+    evs = [SuEvaluator(model, i) for i in range(model.n_users)]
+    calls = _count_spend_laws(monkeypatch)
+    _coarse_points(search, evs, [_Lattice(search, ev) for ev in evs])
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("profiles, cap", [
+    ((SuProfile(harvest_rate=3.0), SuProfile(harvest_rate=6.0, su_pu_var=0.4)),
+     0.3),
+    ((SuProfile(harvest_rate=3.0), SuProfile(harvest_rate=6.0),
+      SuProfile(harvest_rate=3.0, su_pu_var=2.5)), 0.5),
+])
+def test_users_sharing_a_channel_price_as_they_would_alone(monkeypatch,
+                                                           profiles, cap):
+    model = NetworkModel(
+        config=SystemConfig(battery_cells=40, interference_cap=cap),
+        profiles=profiles)
+    rows = []
+    price_rows = optimizer._price_rows
+
+    def recorded(evaluators, omega, thetas):
+        rows.extend((ev.index, omega, list(row))
+                    for ev, row in zip(evaluators, thetas))
+        return price_rows(evaluators, omega, thetas)
+
+    monkeypatch.setattr(optimizer, "_price_rows", recorded)
+    evs = [SuEvaluator(model, i) for i in range(model.n_users)]
+    # part of one coarse row priced by the first user alone, so that row's
+    # uncached cutoffs differ between the users
+    lattice = _Lattice(SMALL, evs[0])
+    evs[0].evaluate_row(lattice.omegas(2 * lattice.fine),
+                        lattice.thetas(lattice.fine * np.arange(0, 9, 3)))
+    solve_p1(model, SMALL, evaluators=evs)
+    monkeypatch.undo()
+    assert len({ev.channel for ev in evs}) == 1
+
+    for ev, profile in zip(evs, profiles):
+        alone = SuEvaluator(NetworkModel(config=model.config,
+                                         profiles=(profile,)), 0)
+        for index, omega, thetas in rows:
+            if index == ev.index:
+                alone.evaluate_row(omega, thetas)
+        assert list(alone._cache.items()) == list(ev._cache.items())
+
+
+def test_users_with_different_pilot_channels_share_nothing(monkeypatch):
+    config = SystemConfig(battery_cells=12)
+    same = NetworkModel(config=config, profiles=(
+        SuProfile(harvest_rate=3.0), SuProfile(harvest_rate=5.0)))
+    other = NetworkModel(config=config, profiles=(
+        SuProfile(harvest_rate=3.0), SuProfile(harvest_rate=3.0,
+                                               su_ap_var=1.9)))
+    # one stack per row at K = 12
+    assert _coarse_spend_laws(monkeypatch, same, SMALL) == SMALL.omega_points
+    assert (_coarse_spend_laws(monkeypatch, other, SMALL)
+            == 2 * SMALL.omega_points)
+    a, b = (SuEvaluator(other, i) for i in range(2))
+    assert a.channel != b.channel
+
+
+def test_readme_coarse_grid_prices_each_stack_once(monkeypatch):
+    model = NetworkModel(config=SystemConfig(interference_cap=1.0),
+                         profiles=(SuProfile(), SuProfile(harvest_rate=10.0)))
+    search = SearchConfig()
+    # 21 omega rows of 25 cutoffs, in stacks of at most 9 at K = 80
+    assert _coarse_spend_laws(monkeypatch, model, search) == 21 * 3
 
 
 # ---------------------------------------------------------- budget split

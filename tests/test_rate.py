@@ -48,7 +48,7 @@ def _scaled_e1_scipy(t):
 
 
 def test_scaled_e1_matches_mpmath():
-    edges = [rate._NEAR_END, *rate._INV_SPLITS, rate._CF_SWITCH]
+    edges = [rate._NEAR_END, rate._MID_END, rate._CF_SWITCH]
     sides = [np.nextafter(edge, side) for edge in edges
              for side in (0.0, np.inf)]
     t = np.concatenate([np.geomspace(1e-8, 745.0, 6000), edges, sides])
@@ -57,6 +57,62 @@ def test_scaled_e1_matches_mpmath():
         want = np.array([float(mpmath.exp(v) * mpmath.e1(v))
                          for v in map(mpmath.mpf, t)])
     assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+
+def _scaled_e1_gathered(t):
+    """``_scaled_e1`` with [2, 600) in one Horner pass on the committed
+    table's coefficients gathered by piece, as it was first written."""
+    t = np.asarray(t, dtype=float).reshape(-1)
+    out = np.empty_like(t)
+    near = t < rate._NEAR_END
+    tail = t >= rate._CF_SWITCH
+    inverse = ~(near | tail)
+    tn = t[near]
+    acc = tn * rate._E1_NEAR[0]
+    acc += rate._E1_NEAR[1]
+    for c in rate._E1_NEAR[2:]:
+        acc *= tn
+        acc += c
+    factor = np.log(tn)
+    acc -= factor
+    acc *= np.exp(tn, out=factor)
+    out[near] = acc
+    ti = t[inverse]
+    v = np.reciprocal(ti)
+    coeffs = rate._E1_INV[:, np.searchsorted([rate._MID_END], ti,
+                                             side="right")]
+    acc = v * coeffs[0]
+    acc += coeffs[1]
+    for c in coeffs[2:]:
+        acc *= v
+        acc += c
+    acc *= v
+    out[inverse] = acc
+    tb = t[tail]
+    acc = np.zeros_like(tb)
+    for k in range(40, 0, -1):
+        acc = (k * k) / (tb + 2.0 * k + 1.0 - acc)
+    out[tail] = 1.0 / (tb + 1.0 - acc)
+    return out
+
+
+def test_scaled_e1_pieces_equal_the_gathered_table_bit_for_bit():
+    edges = [rate._NEAR_END, rate._MID_END, rate._CF_SWITCH]
+    sides = [np.nextafter(edge, side) for edge in edges
+             for side in (0.0, np.inf)]
+    t = np.concatenate([np.geomspace(1e-8, 745.0, 6000), edges, sides,
+                        np.random.default_rng(8).permutation(
+                            np.geomspace(0.5, 900.0, 999))])
+    got = rate._scaled_e1(t)
+    assert got.tobytes() == _scaled_e1_gathered(t).tobytes()
+    # each piece alone, and a stacked shape, give the same bits
+    for lo, hi in zip([0.0] + edges, edges + [np.inf]):
+        piece = t[(t >= lo) & (t < hi)]
+        assert piece.size
+        assert rate._scaled_e1(piece).tobytes() == got[(t >= lo) & (t < hi)
+                                                        ].tobytes()
+    assert (rate._scaled_e1(t[:6000].reshape(3, 2000)).tobytes()
+            == got[:6000].tobytes())
 
 
 def test_fit_generator_reproduces_the_committed_coefficients():

@@ -10,8 +10,8 @@ t = 600 and keeps a continued fraction from there on:
 * 2 <= t < 8 and 8 <= t < 600: P(1/t) / t, where P fits t*exp(t)*E1(t)
   in 1/t over [1/8, 1/2] and [1/600, 1/8] (x = 2/t over [1/4, 1] and
   [1/300, 1/4]).  The two P share one degree and are the columns of
-  ``_E1_INV``, so ``_scaled_e1`` evaluates them in one Horner pass with
-  each argument's coefficients gathered by piece.
+  ``_E1_INV``; ``_scaled_e1`` evaluates each piece in its own Horner
+  pass on that column's coefficients (``_E1_MID`` and ``_E1_FAR``).
 
 Every P interpolates at Chebyshev nodes in mpmath at 40 digits
 (``mpmath.chebyfit``) and is rounded to double monomial coefficients,
@@ -48,7 +48,7 @@ INV_DEGREE = 16
 
 def _inverse_ranges() -> list:
     """The t range of every column of ``_E1_INV``."""
-    edges = (rate._NEAR_END, *rate._INV_SPLITS, rate._CF_SWITCH)
+    edges = (rate._NEAR_END, rate._MID_END, rate._CF_SWITCH)
     return [(float(lo), float(hi)) for lo, hi in zip(edges, edges[1:])]
 
 
@@ -97,9 +97,10 @@ def _literal(pieces: dict) -> str:
 def max_errors(pieces: dict, points: int = 2000) -> dict:
     """Largest relative error of ``_scaled_e1`` with ``pieces``, per range."""
     ranges = [(1e-8, rate._NEAR_END)] + _inverse_ranges()
-    saved = rate._E1_NEAR, rate._E1_INV
+    saved = rate._E1_NEAR, rate._E1_MID, rate._E1_FAR
     rate._E1_NEAR = rate._as_arrays(pieces["_E1_NEAR"])
-    rate._E1_INV = pieces["_E1_INV"]
+    rate._E1_MID, rate._E1_FAR = (rate._as_arrays(column)
+                                  for column in pieces["_E1_INV"].T)
     try:
         errors = {}
         for lo, hi in ranges:
@@ -112,7 +113,7 @@ def max_errors(pieces: dict, points: int = 2000) -> dict:
                 np.max(np.abs(got / want - 1.0)))
         return errors
     finally:
-        rate._E1_NEAR, rate._E1_INV = saved
+        rate._E1_NEAR, rate._E1_MID, rate._E1_FAR = saved
 
 
 def main(argv=None) -> int:
