@@ -27,7 +27,8 @@ from . import __version__
 from .analysis import NetworkAnalysis, analyze
 from .model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                     ValidationError, validate)
-from .optimizer import SearchConfig, SuEvaluator, check_search, solve_p1
+from .optimizer import (SearchConfig, SuEvaluator, SuPoint, check_search,
+                        solve_p1)
 from .policy import check_params
 from .sim import compare, simulate
 
@@ -36,52 +37,24 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_MISMATCH = 4
 
-_SYSTEM_KEYS = {
-    "slot_duration": float,       # s
-    "sensing_duration": float,    # s
-    "probing_duration": float,    # s
-    "sampling_frequency": float,  # Hz
-    "bandwidth": float,           # Hz
-    "energy_unit": float,         # J
-    "battery_cells": int,
-    "probe_cells": int,
-    "prior_idle": float,
-    "target_detection": float,
-    "pu_power": float,            # W
-    "pu_ap_channel_var": float,
-    "interference_cap": float,    # W
-}
 
-_PROFILE_KEYS = {
-    "su_ap_var": float,
-    "pu_su_var": float,
-    "su_pu_var": float,
-    "sensing_noise": float,   # W
-    "ap_noise": float,        # W
-    "harvest_rate": float,    # cells/slot
-}
+def _keys(*records: type) -> Dict[str, type]:
+    """Each field of ``records`` as a config key, with the type it parses
+    to: ``int`` where the field is annotated ``int``, ``float`` otherwise."""
+    return {f.name: int if f.type in (int, "int") else float
+            for record in records for f in dataclasses.fields(record)}
 
-_POLICY_KEYS = ("omega", "theta")
 
-_SEARCH_KEYS = {
-    "omega_points": int,
-    "theta_points": int,
-    "theta_floor": float,
-    "theta_cap": float,
-    "refine_levels": int,
-    "refine_points": int,
-    "top_candidates": int,
-}
+_SYSTEM_KEYS = _keys(SystemConfig)
+_POLICY_KEYS = _keys(PolicyParams)
+_SU_KEYS = _keys(SuProfile, PolicyParams)
+_SEARCH_KEYS = _keys(SearchConfig)
 
 SWEEP_AXES = ("tau_s", "alpha_t", "omega", "theta", "K", "rho", "I_av")
 
 
-class ConfigError(Exception):
-    """Config file could not be turned into a valid model."""
-
-    def __init__(self, problems: Sequence[str]):
-        super().__init__("; ".join(problems))
-        self.problems = list(problems)
+class ConfigError(ValidationError):
+    """Config file or flags could not be turned into a valid model."""
 
 
 @dataclasses.dataclass
@@ -115,28 +88,32 @@ def _at(text: str, section: str, key: str) -> str:
     return ""
 
 
+def _parse(raw: str, kind: type) -> object:
+    """``raw`` as a float, or for an ``int`` field as an int when the
+    value is integral; ValueError otherwise (NaN and inf included)."""
+    value = float(raw)
+    if kind is float:
+        return value
+    if not value.is_integer():
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(value)
+
+
 def _read_section(parser: configparser.ConfigParser, section: str,
-                  keys: Dict[str, type], extra_ok: Sequence[str],
-                  text: str, problems: List[str]) -> Dict[str, object]:
+                  keys: Dict[str, type], text: str,
+                  problems: List[str]) -> Dict[str, object]:
     values: Dict[str, object] = {}
     for key, raw in parser.items(section):
         at = _at(text, section, key)
-        if key in keys:
-            caster = keys[key]
-            try:
-                values[key] = caster(raw) if caster is not int \
-                    else int(float(raw))
-            except ValueError:
-                problems.append(
-                    f"[{section}] {key}: cannot parse {raw!r}{at}")
-        elif key in extra_ok:
-            try:
-                values[key] = float(raw)
-            except ValueError:
-                problems.append(
-                    f"[{section}] {key}: cannot parse {raw!r}{at}")
-        else:
+        if key not in keys:
             problems.append(f"[{section}] unknown key {key!r}{at}")
+            continue
+        try:
+            values[key] = _parse(raw, keys[key])
+        except ValueError:
+            kind = " as an integer" if keys[key] is int else ""
+            problems.append(
+                f"[{section}] {key}: cannot parse {raw!r}{kind}{at}")
     return values
 
 
@@ -164,8 +141,8 @@ def load_config(path: str) -> LoadedConfig:
     problems: List[str] = []
     system_vals = {}
     if parser.has_section("system"):
-        system_vals = _read_section(parser, "system", _SYSTEM_KEYS, (),
-                                    text, problems)
+        system_vals = _read_section(parser, "system", _SYSTEM_KEYS, text,
+                                    problems)
 
     su_sections = sorted(
         (s for s in parser.sections() if s.startswith("su.")),
@@ -188,34 +165,26 @@ def load_config(path: str) -> LoadedConfig:
     su_snapshot: Dict[str, Dict[str, object]] = {}
     for idx in sorted(set(indices)):
         section = f"su.{idx}"
-        vals = _read_section(parser, section, _PROFILE_KEYS, _POLICY_KEYS,
-                             text, problems)
+        vals = _read_section(parser, section, _SU_KEYS, text, problems)
         policy_vals = {k: vals.pop(k) for k in _POLICY_KEYS if k in vals}
-        try:
-            profiles.append(SuProfile(**vals))
-        except TypeError as exc:
-            problems.append(f"[{section}] {exc}")
-            profiles.append(SuProfile())
-        if len(policy_vals) == 2:
-            policy = PolicyParams(**policy_vals)
+        profiles.append(SuProfile(**vals))
+        policies.append(PolicyParams(**policy_vals)
+                        if len(policy_vals) == 2 else None)
+        if len(policy_vals) == 1:
+            problems.append(f"[{section}] omega and theta go together; "
+                            f"got only {list(policy_vals)[0]!r}")
+        elif policy_vals:
             try:
-                check_params(policy)
+                check_params(policies[-1])
             except ValueError as exc:
                 key = str(exc).split()[0]
                 problems.append(f"[{section}] {exc}{_at(text, section, key)}")
-            policies.append(policy)
-        elif len(policy_vals) == 1:
-            problems.append(f"[{section}] omega and theta go together; "
-                            f"got only {list(policy_vals)[0]!r}")
-            policies.append(None)
-        else:
-            policies.append(None)
         su_snapshot[section] = {**vals, **policy_vals}
 
     search_vals: Dict[str, object] = {}
     if parser.has_section("search"):
-        search_vals = _read_section(parser, "search", _SEARCH_KEYS, (),
-                                    text, problems)
+        search_vals = _read_section(parser, "search", _SEARCH_KEYS, text,
+                                    problems)
     search = SearchConfig(**search_vals)  # type: ignore[arg-type]
     try:
         check_search(search)
@@ -231,21 +200,22 @@ def load_config(path: str) -> LoadedConfig:
     if problems:
         raise ConfigError(problems)
 
-    try:
-        config = SystemConfig(**system_vals)
-    except TypeError as exc:
-        raise ConfigError([f"[system] {exc}"]) from exc
+    config = SystemConfig(**system_vals)
     try:
         model = validate(config, profiles)
     except ValidationError as exc:
-        raise ConfigError(list(exc.errors)) from exc
+        # each problem starts with its field, after "profile N: " for [su.N]
+        located = []
+        for problem in exc.errors:
+            section, message = "system", problem
+            if problem.startswith("profile "):
+                tag, message = problem.split(": ", 1)
+                section = "su." + tag[len("profile "):]
+            located.append(problem + _at(text, section, message.split()[0]))
+        raise ConfigError(located) from exc
 
-    snapshot = {
-        "system": {k: getattr(config, k) for k in _SYSTEM_KEYS},
-        **su_snapshot,
-        "search": {f.name: getattr(search, f.name)
-                   for f in dataclasses.fields(search)},
-    }
+    snapshot = {"system": dataclasses.asdict(config), **su_snapshot,
+                "search": dataclasses.asdict(search)}
     return LoadedConfig(model=model, policies=policies, search=search,
                         snapshot=snapshot)
 
@@ -305,25 +275,35 @@ _METRIC_COLUMNS = ("omega", "theta", "rate_lb", "interference",
                    "avg_energy", "battery_outage", "transmission_outage")
 
 
-def _analysis_rows(analysis: NetworkAnalysis) -> List[List[object]]:
-    rows: List[List[object]] = []
-    for su in analysis.sus:
-        rows.append(["su%d" % (su.index + 1), su.params.omega,
-                     su.params.theta, su.rate.total, su.interference,
-                     su.chain.avg_energy, su.chain.outage,
-                     su.transmission_outage])
-    rows.append(["total", None, None, analysis.breakdown.sum_rate,
-                 analysis.breakdown.aic_lhs, None, None, None])
-    return rows
+def _points(analysis: NetworkAnalysis) -> List[SuPoint]:
+    """Each user's metrics in an analysis, as the policy search reports them."""
+    return [SuPoint(params=su.params, rate=su.rate.total,
+                    interference=su.interference,
+                    avg_energy=su.chain.avg_energy,
+                    battery_outage=su.chain.outage,
+                    transmission_outage=su.transmission_outage)
+            for su in analysis.sus]
+
+
+def _write_metrics(path: str, points: Sequence[SuPoint], sum_rate: float,
+                   aic_lhs: float) -> None:
+    """One row of ``_METRIC_COLUMNS`` per user, then the network total."""
+    rows: List[List[object]] = [
+        ["su%d" % i, p.params.omega, p.params.theta, p.rate, p.interference,
+         p.avg_energy, p.battery_outage, p.transmission_outage]
+        for i, p in enumerate(points, start=1)]
+    rows.append(["total", None, None, sum_rate, aic_lhs, None, None, None])
+    _write_csv(path, ("su",) + _METRIC_COLUMNS, zip(*rows))
 
 
 def cmd_analyze(args: argparse.Namespace, loaded: LoadedConfig) -> int:
     policies = loaded.require_policies()
     analysis = analyze(loaded.model, policies,
                        ideal_sensing=args.ideal_sensing)
+    points = _points(analysis)
     outputs = ["metrics.csv", "zeta.csv"]
-    _write_csv(os.path.join(args.out, "metrics.csv"),
-               ("su",) + _METRIC_COLUMNS, zip(*_analysis_rows(analysis)))
+    _write_metrics(os.path.join(args.out, "metrics.csv"), points,
+                   analysis.breakdown.sum_rate, analysis.breakdown.aic_lhs)
     zeta_rows = [["su%d" % (su.index + 1), level, prob]
                  for su in analysis.sus
                  for level, prob in enumerate(su.chain.steady_state)]
@@ -340,10 +320,10 @@ def cmd_analyze(args: argparse.Namespace, loaded: LoadedConfig) -> int:
                        + list(su.chain.matrix.T))
     _write_manifest(args.out, "analyze", loaded, outputs,
                     ideal_sensing=args.ideal_sensing)
-    for su in analysis.sus:
-        print(f"su{su.index + 1}: rate_lb={su.rate.total:.6g} bit/s "
-              f"interference={su.interference:.6g} W "
-              f"avg_energy={su.chain.avg_energy:.6g} cells")
+    for i, point in enumerate(points, start=1):
+        print(f"su{i}: rate_lb={point.rate:.6g} bit/s "
+              f"interference={point.interference:.6g} W "
+              f"avg_energy={point.avg_energy:.6g} cells")
     print(f"total: rate_lb={analysis.breakdown.sum_rate:.6g} bit/s "
           f"aic_lhs={analysis.breakdown.aic_lhs:.6g} W "
           f"satisfied={analysis.breakdown.aic_satisfied}")
@@ -352,31 +332,24 @@ def cmd_analyze(args: argparse.Namespace, loaded: LoadedConfig) -> int:
 
 def _search_with_flags(args: argparse.Namespace,
                        loaded: LoadedConfig) -> SearchConfig:
-    search = loaded.search
-    updates = {}
-    if args.grid_omega is not None:
-        updates["omega_points"] = args.grid_omega
-    if args.grid_theta is not None:
-        updates["theta_points"] = args.grid_theta
-    if args.refine is not None:
-        updates["refine_levels"] = args.refine
-    return dataclasses.replace(search, **updates) if updates else search
+    """The config's search with the grid flags applied, checked again."""
+    flags = {"omega_points": args.grid_omega,
+             "theta_points": args.grid_theta, "refine_levels": args.refine}
+    search = dataclasses.replace(
+        loaded.search, **{k: v for k, v in flags.items() if v is not None})
+    try:
+        check_search(search)
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from exc
+    return search
 
 
 def cmd_optimize(args: argparse.Namespace, loaded: LoadedConfig) -> int:
     search = _search_with_flags(args, loaded)
     result = solve_p1(loaded.model, search,
                       ideal_sensing=args.ideal_sensing)
-    rows: List[List[object]] = []
-    for i, point in enumerate(result.per_su):
-        rows.append(["su%d" % (i + 1), point.params.omega,
-                     point.params.theta, point.rate, point.interference,
-                     point.avg_energy, point.battery_outage,
-                     point.transmission_outage])
-    rows.append(["total", None, None, result.sum_rate, result.aic_lhs,
-                 None, None, None])
-    _write_csv(os.path.join(args.out, "optimum.csv"),
-               ("su",) + _METRIC_COLUMNS, zip(*rows))
+    _write_metrics(os.path.join(args.out, "optimum.csv"), result.per_su,
+                   result.sum_rate, result.aic_lhs)
     _write_manifest(args.out, "optimize", loaded, ["optimum.csv"],
                     ideal_sensing=args.ideal_sensing,
                     feasible=result.feasible,
@@ -492,7 +465,6 @@ def cmd_sweep(args: argparse.Namespace, loaded: LoadedConfig) -> int:
 
     rows: List[List[object]] = []
     for value in values:
-        row: List[object] = [value]
         try:
             model = _sweep_model(loaded, args.axis, value)
             if args.optimize:
@@ -500,24 +472,24 @@ def cmd_sweep(args: argparse.Namespace, loaded: LoadedConfig) -> int:
                                   ideal_sensing=args.ideal_sensing,
                                   evaluators=shared_evaluators)
                 status = "ok" if result.feasible else "infeasible"
-                row += [status, result.sum_rate, result.aic_lhs]
-                for point in result.per_su:
-                    row += [point.rate, point.params.omega,
-                            point.params.theta, point.avg_energy,
-                            point.battery_outage, point.transmission_outage]
+                sum_rate, aic_lhs = result.sum_rate, result.aic_lhs
+                points = result.per_su
             else:
                 policies = _sweep_policies(loaded, args.axis, value)
                 analysis = analyze(model, policies,
                                    ideal_sensing=args.ideal_sensing)
-                row += ["ok", analysis.breakdown.sum_rate,
-                        analysis.breakdown.aic_lhs]
-                for su in analysis.sus:
-                    row += [su.rate.total, su.params.omega, su.params.theta,
-                            su.chain.avg_energy, su.chain.outage,
-                            su.transmission_outage]
-        except (ValidationError, ConfigError) as exc:
+                status, points = "ok", _points(analysis)
+                sum_rate = analysis.breakdown.sum_rate
+                aic_lhs = analysis.breakdown.aic_lhs
+        except ValidationError as exc:  # ConfigError included
             note = str(exc).replace(",", ";")
-            row = [value, f"invalid: {note}"] + [None] * (len(header) - 2)
+            rows.append([value, f"invalid: {note}"]
+                        + [None] * (len(header) - 2))
+            continue
+        row: List[object] = [value, status, sum_rate, aic_lhs]
+        for p in points:
+            row += [p.rate, p.params.omega, p.params.theta, p.avg_energy,
+                    p.battery_outage, p.transmission_outage]
         rows.append(row)
 
     _write_csv(os.path.join(args.out, "sweep.csv"), header, zip(*rows))
@@ -549,6 +521,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force a perfect detector (no false alarms, "
                             "no misses)")
 
+    def search_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--grid-omega", type=int, metavar="N",
+                       help="coarse grid points on the spend fraction")
+        p.add_argument("--grid-theta", type=int, metavar="N",
+                       help="coarse grid points on the gain cutoff")
+        p.add_argument("--refine", type=int, metavar="L",
+                       help="local refinement levels")
+
     p_an = sub.add_parser("analyze", help="price the configured policies")
     common(p_an)
     p_an.add_argument("--dump-matrix", action="store_true",
@@ -557,12 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="search for the best policies")
     common(p_opt)
-    p_opt.add_argument("--grid-omega", type=int, metavar="N",
-                       help="coarse grid points on the spend fraction")
-    p_opt.add_argument("--grid-theta", type=int, metavar="N",
-                       help="coarse grid points on the gain cutoff")
-    p_opt.add_argument("--refine", type=int, metavar="L",
-                       help="local refinement levels")
+    search_flags(p_opt)
     p_opt.set_defaults(func=cmd_optimize)
 
     p_sim = sub.add_parser("simulate",
@@ -588,9 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--points", type=int, default=21, metavar="N")
     p_sw.add_argument("--optimize", action="store_true",
                       help="re-optimize policies at every grid point")
-    p_sw.add_argument("--grid-omega", type=int, metavar="N")
-    p_sw.add_argument("--grid-theta", type=int, metavar="N")
-    p_sw.add_argument("--refine", type=int, metavar="L")
+    search_flags(p_sw)
     p_sw.set_defaults(func=cmd_sweep)
     return parser
 
@@ -602,11 +575,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         loaded = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         return args.func(args, loaded)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValidationError as exc:
+    except ValidationError as exc:  # ConfigError included
         for problem in exc.errors:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -126,7 +126,22 @@ class NetworkModel:
         return len(self.profiles)
 
 
+def _nonfinite(record: object) -> List[str]:
+    """Names of the float fields of ``record`` that hold NaN or +-inf."""
+    return [f.name for f in fields(record)
+            if isinstance(getattr(record, f.name), float)
+            and not math.isfinite(getattr(record, f.name))]
+
+
 def _check_config(cfg: SystemConfig, errors: List[str]) -> None:
+    # interference_cap = inf disables the cap; its own check below
+    # rejects NaN and -inf.  The range checks compare finite numbers, so
+    # a config with a non-finite field reports only those fields.
+    nonfinite = [name for name in _nonfinite(cfg)
+                 if name != "interference_cap"]
+    errors.extend(f"{name} must be finite" for name in nonfinite)
+    if nonfinite:
+        return
     if cfg.slot_duration <= 0:
         errors.append("slot_duration must be > 0")
     if cfg.sensing_duration <= 0:
@@ -158,14 +173,13 @@ def _check_config(cfg: SystemConfig, errors: List[str]) -> None:
         errors.append("interference_cap must be > 0 (math.inf disables it)")
 
 
-_PROFILE_FIELDS = ("su_ap_var", "pu_su_var", "su_pu_var",
-                   "sensing_noise", "ap_noise", "harvest_rate")
-
-
 def _check_profile(profile: SuProfile, tag: str, errors: List[str]) -> None:
-    for name in _PROFILE_FIELDS:
-        if not getattr(profile, name) > 0:
-            errors.append(f"{tag}: {name} must be > 0")
+    nonfinite = _nonfinite(profile)
+    for f in fields(profile):
+        if f.name in nonfinite:
+            errors.append(f"{tag}: {f.name} must be finite")
+        elif not getattr(profile, f.name) > 0:
+            errors.append(f"{tag}: {f.name} must be > 0")
 
 
 def validate(config: SystemConfig, profiles: Iterable[SuProfile]) -> NetworkModel:

@@ -65,12 +65,21 @@ class SearchConfig:
 
 
 def check_search(search: SearchConfig) -> None:
-    """Reject a search whose refinement cannot leave the coarse grid.
+    """Reject a search that has no grid or cannot leave the coarse grid.
 
-    Each refine level spans one step of the level before it, so with 2 or
-    3 points per axis its grid never shrinks below a coarse cell.  The
-    message starts with the name of the offending field.
+    The coarse grid needs a point on each axis and a finite, positive
+    cutoff range (its theta axis is logarithmic).  Each refine level spans
+    one step of the level before it, so with 2 or 3 points per axis its
+    grid never shrinks below a coarse cell.  The message starts with the
+    name of the offending field.
     """
+    for name in ("omega_points", "theta_points"):
+        if getattr(search, name) < 1:
+            raise ValueError(f"{name} must be >= 1")
+    for name in ("theta_floor", "theta_cap"):
+        value = getattr(search, name)
+        if value is not None and not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0")
     if search.refine_points < 4:
         raise ValueError("refine_points must be >= 4: with fewer the refine "
                          "grids never shrink below a coarse cell")

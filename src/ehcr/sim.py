@@ -341,41 +341,39 @@ def compare(trace: SimTrace, analysis: NetworkAnalysis, *,
     if len(trace.sus) != len(analysis.sus):
         raise ValueError("trace and analysis cover different user counts")
     checks: List[CompareCheck] = []
+
+    def grade(name: str, su_index: Optional[int], simulated: float,
+              analytic: float, kind: str) -> None:
+        if kind == "relative":
+            dev, tol = _rel_dev(simulated, analytic), rel_tol
+        else:
+            dev, tol = abs(simulated - analytic), abs_tol
+        checks.append(CompareCheck(
+            name=name, su_index=su_index, simulated=simulated,
+            analytic=analytic, deviation=dev, tolerance=tol, kind=kind,
+            passed=bool(dev <= tol)))
+
     for su, ana in zip(trace.sus, analysis.sus):
         tv = 0.5 * float(np.abs(su.empirical_zeta
                                 - ana.chain.steady_state).sum())
-        pairs = [
-            ("zeta", tv, None, None, tv_tol, "tv"),
-            ("avg_energy", None, su.avg_energy, ana.chain.avg_energy,
-             rel_tol, "relative"),
-            ("rate", None, su.mean_rate, ana.rate.total, rel_tol, "relative"),
-            ("interference", None, su.mean_interference, ana.interference,
-             rel_tol, "relative"),
-            ("battery_outage", None, su.battery_outage, ana.chain.outage,
-             abs_tol, "absolute"),
-            ("transmission_outage", None, su.transmission_outage,
-             ana.transmission_outage, abs_tol, "absolute"),
-        ]
-        for name, tv_val, sim_val, ref_val, tol, kind in pairs:
-            if kind == "tv":
-                dev, sim_val, ref_val = tv_val, math.nan, math.nan
-            elif kind == "relative":
-                dev = _rel_dev(sim_val, ref_val)
-            else:
-                dev = abs(sim_val - ref_val)
-            checks.append(CompareCheck(
-                name=name, su_index=su.index,
-                simulated=math.nan if sim_val is None else sim_val,
-                analytic=math.nan if ref_val is None else ref_val,
-                deviation=dev, tolerance=tol, kind=kind,
-                passed=bool(dev <= tol)))
-    for name, sim_val, ref_val in (
-            ("sum_rate", trace.sum_rate, analysis.breakdown.sum_rate),
-            ("aic_lhs", trace.aic_lhs, analysis.breakdown.aic_lhs)):
-        dev = _rel_dev(sim_val, ref_val)
         checks.append(CompareCheck(
-            name=name, su_index=None, simulated=sim_val, analytic=ref_val,
-            deviation=dev, tolerance=rel_tol, kind="relative",
-            passed=bool(dev <= rel_tol)))
+            name="zeta", su_index=su.index, simulated=math.nan,
+            analytic=math.nan, deviation=tv, tolerance=tv_tol, kind="tv",
+            passed=bool(tv <= tv_tol)))
+        for name, sim_val, ref_val, kind in (
+                ("avg_energy", su.avg_energy, ana.chain.avg_energy,
+                 "relative"),
+                ("rate", su.mean_rate, ana.rate.total, "relative"),
+                ("interference", su.mean_interference, ana.interference,
+                 "relative"),
+                ("battery_outage", su.battery_outage, ana.chain.outage,
+                 "absolute"),
+                ("transmission_outage", su.transmission_outage,
+                 ana.transmission_outage, "absolute")):
+            grade(name, su.index, sim_val, ref_val, kind)
+    grade("sum_rate", None, trace.sum_rate, analysis.breakdown.sum_rate,
+          "relative")
+    grade("aic_lhs", None, trace.aic_lhs, analysis.breakdown.aic_lhs,
+          "relative")
     return CompareReport(checks=tuple(checks), slots=trace.slots,
                          sufficient=trace.slots >= MIN_COMPARE_SLOTS)

@@ -1,5 +1,6 @@
 """Command-line workflows: config parsing, artifacts, exit codes."""
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -13,6 +14,7 @@ from ehcr.analysis import analyze
 from ehcr.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_MISMATCH, EXIT_OK,
                       _write_csv, load_config, main)
 from ehcr.model import NetworkModel, PolicyParams, SuProfile, SystemConfig
+from ehcr.optimizer import SearchConfig
 
 BASE_CONFIG = """\
 [system]
@@ -99,6 +101,45 @@ def test_ideal_sensing_flag_zeroes_the_interference_column(tmp_path):
     assert rows[-1][4] == "0"   # network total
 
 
+def test_every_record_field_is_a_config_key(tmp_path):
+    """Each field of the four records, set off its default, loads back
+    and lands in the manifest's config snapshot."""
+    config = SystemConfig(
+        slot_duration=20e-3, sensing_duration=2e-3, probing_duration=0.2e-3,
+        sampling_frequency=50e3, bandwidth=20e3, energy_unit=0.02,
+        battery_cells=16, probe_cells=2, prior_idle=0.6,
+        target_detection=0.9, pu_power=2.0, pu_ap_channel_var=0.5,
+        interference_cap=0.7)
+    profile = SuProfile(su_ap_var=1.5, pu_su_var=0.8, su_pu_var=1.2,
+                        sensing_noise=0.9, ap_noise=1.1, harvest_rate=5.0)
+    policy = PolicyParams(omega=0.4, theta=0.3)
+    search = SearchConfig(omega_points=5, theta_points=6, theta_floor=2e-3,
+                          theta_cap=3.0, refine_levels=2, refine_points=5,
+                          top_candidates=2)
+    sections = {"system": dataclasses.asdict(config),
+                "su.1": {**dataclasses.asdict(profile),
+                         **dataclasses.asdict(policy)},
+                "search": dataclasses.asdict(search)}
+    for record in (config, profile, policy, search):
+        for f in dataclasses.fields(record):
+            assert getattr(record, f.name) != f.default, f.name
+    text = "".join(f"[{name}]\n"
+                   + "".join(f"{k} = {v!r}\n" for k, v in values.items())
+                   for name, values in sections.items())
+    cfg = _write(tmp_path, text)
+
+    loaded = load_config(cfg)
+    assert loaded.model.config == config
+    assert loaded.model.profiles == (profile,)
+    assert loaded.policies == [policy]
+    assert loaded.search == search
+
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["config"] == sections
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.ini")
     assert main(["analyze", "--config", missing,
@@ -150,6 +191,77 @@ def test_refine_points_below_four_points_to_its_line(tmp_path, capsys):
         assert "(line 12)" in err
 
 
+@pytest.mark.parametrize("raw,cells", [("80", 80), ("80.0", 80),
+                                       ("1e2", 100)])
+def test_integral_battery_cells_parse_as_ints(tmp_path, raw, cells):
+    cfg = _write(tmp_path, BASE_CONFIG.replace("battery_cells = 12",
+                                               f"battery_cells = {raw}"))
+    config = load_config(cfg).model.config
+    assert config.battery_cells == cells
+    assert type(config.battery_cells) is int
+
+
+@pytest.mark.parametrize("raw", ["80.7", "inf", "-inf", "nan"])
+def test_non_integral_battery_cells_point_to_their_line(tmp_path, capsys, raw):
+    cfg = _write(tmp_path, BASE_CONFIG.replace("battery_cells = 12",
+                                               f"battery_cells = {raw}"))
+    assert main(["analyze", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: [system] battery_cells: cannot parse {raw!r} "
+        "as an integer (line 2)\n")
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("interference_cap = 0.5", "bandwidth = nan",
+     "bandwidth must be finite (line 3)"),
+    ("interference_cap = 0.5", "slot_duration = inf",
+     "slot_duration must be finite (line 3)"),
+    ("interference_cap = 0.5", "sampling_frequency = nan",
+     "sampling_frequency must be finite (line 3)"),
+    ("harvest_rate = 6.0", "harvest_rate = inf",
+     "profile 1: harvest_rate must be finite (line 6)"),
+])
+def test_non_finite_model_values_point_to_their_line(tmp_path, capsys,
+                                                     old, new, message):
+    cfg = _write(tmp_path, BASE_CONFIG.replace(old, new))
+    assert main(["analyze", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("theta_floor = 0", "theta_floor must be finite and > 0"),
+    ("theta_floor = nan", "theta_floor must be finite and > 0"),
+    ("theta_cap = nan", "theta_cap must be finite and > 0"),
+    ("theta_cap = inf", "theta_cap must be finite and > 0"),
+    ("theta_points = 0", "theta_points must be >= 1"),
+    ("omega_points = 0", "omega_points must be >= 1"),
+])
+def test_unusable_search_values_point_to_their_line(tmp_path, capsys,
+                                                    line, message):
+    cfg = _write(tmp_path, BASE_CONFIG + f"\n[search]\n{line}\n")
+    assert main(["optimize", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: [search] {message} (line 11)\n")
+
+
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+@pytest.mark.parametrize("flag,message", [
+    ("--grid-omega", "omega_points must be >= 1"),
+    ("--grid-theta", "theta_points must be >= 1"),
+])
+def test_unusable_grid_flags_are_config_errors(tmp_path, capsys, command,
+                                               flag, message):
+    cfg = _write(tmp_path, BASE_CONFIG)
+    sweep = ["--axis", "I_av", "--from", "0.1", "--to", "0.3", "--optimize"]
+    assert main([command, "--config", cfg, "--out", str(tmp_path), flag, "0"]
+                + (sweep if command == "sweep" else [])) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
 def test_out_of_range_policy_points_to_its_line(tmp_path, capsys):
     text = BASE_CONFIG.replace("omega = 0.6", "omega = 1.5")
     text += "\n[su.2]\nharvest_rate = 4.0\nomega = 0.5\ntheta = -1\n"
@@ -174,7 +286,7 @@ def test_load_config_collects_every_problem(tmp_path):
                  "\n[su.1]\nomega = 0.5\n")
     with pytest.raises(Exception) as info:
         load_config(cfg)
-    problems = info.value.problems
+    problems = info.value.errors
     assert len(problems) == 3
     assert any("cannot parse 'zero'" in p for p in problems)
     assert any("unknown key" in p for p in problems)

@@ -1,4 +1,8 @@
 """Configuration records, derived frame constants, validation, harvest law."""
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -43,6 +47,29 @@ def test_validate_collects_every_violation():
     for fragment in ("energy_unit", "prior_idle", "battery_cells",
                      "harvest_rate"):
         assert any(fragment in msg for msg in messages)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("record,field", [
+    *((SystemConfig, f.name) for f in dataclasses.fields(SystemConfig)),
+    *((SuProfile, f.name) for f in dataclasses.fields(SuProfile))])
+def test_validate_rejects_non_finite_fields(record, field, value):
+    """NaN and +-inf fail with the field's name, never past validate."""
+    config, profile = SystemConfig(), SuProfile()
+    if record is SystemConfig:
+        config = dataclasses.replace(config, **{field: value})
+    else:
+        profile = dataclasses.replace(profile, **{field: value})
+    if (field, value) == ("interference_cap", math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            validate(config, [profile])     # an infinite cap disables it
+        return
+    with pytest.raises(ValidationError) as err:
+        validate(config, [profile])
+    prefix = field if record is SystemConfig else f"profile 1: {field}"
+    assert err.value.errors
+    assert all(msg.startswith(prefix) for msg in err.value.errors)
 
 
 def test_validate_requires_a_profile():

@@ -31,6 +31,17 @@ def test_refine_grids_that_cannot_shrink_are_rejected(points):
     check_search(SearchConfig())
 
 
+@pytest.mark.parametrize("field,value", [
+    ("omega_points", 0), ("theta_points", 0), ("theta_points", -3),
+    ("theta_floor", 0.0), ("theta_floor", -1e-3), ("theta_floor", math.nan),
+    ("theta_floor", math.inf), ("theta_cap", 0.0), ("theta_cap", math.nan),
+    ("theta_cap", math.inf)])
+def test_searches_without_a_usable_grid_are_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        check_search(SearchConfig(**{field: value}))
+    check_search(SearchConfig(omega_points=1, theta_points=1, theta_cap=2.0))
+
+
 def _two_user(cap):
     return NetworkModel(
         config=SystemConfig(battery_cells=12, interference_cap=cap),
