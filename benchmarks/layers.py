@@ -28,7 +28,21 @@ largest call of a real rate bound: K = 80 at (0.15, 0.2) and K = 400 at
 model once and records its seconds and the points it priced, and times
 ``simulate`` of that model with both users at policy (0.45, 0.2) over
 ``SIM_SLOTS`` slots in microseconds per slot per user
-(``readme_simulate_us_per_slot_user``).
+(``readme_simulate_us_per_slot_user``).  It times ``simulate`` the same
+way at the two points the ``simulate-grade`` benchmark runs, the default
+(0.35, 0.2) over 75,000 slots and the low-harvest point over 12,500
+(``grade_default_…`` and ``grade_low_harvest_simulate_us_per_slot_user``),
+and at the default over 2M slots (``default_2m_…``).
+
+The battery walk alone (``sim._walk_battery`` on the draws ``simulate``
+passes it) is timed in each regime of ``WALKS``: where guessed paths
+meet the true one within a few dozen slots (the default, the README's
+second user, K = 400) and where they meet slowly (the low-harvest
+point).  Between processes this machine's speed swings by more than the
+differences at stake there, so one child (``--paired``) loads both trees
+and calls their walks alternately, ``WALK_PAIRS`` times per regime; the
+JSON's ``paired_walks`` keeps each side's median and the quartiles of
+the change-over-parent ratios of the pairs.
 """
 from __future__ import annotations
 
@@ -53,6 +67,22 @@ E1_POINTS = {"e1_k80_ns_per_arg": (80, (0.15, 0.2)),
 ROW_THETAS = {80: (0.02, 0.04, 0.07, 0.1, 0.15, 0.2, 0.3, 0.5, 0.8),
               400: (0.05, 0.2, 0.8)}
 SIM_SLOTS = 100_000
+DEFAULT_POINT = ({}, {}, (0.35, 0.2))
+LOW_HARVEST = ({"battery_cells": 20, "probe_cells": 3}, {"harvest_rate": 0.8},
+               (0.5, 0.1))
+# simulate timings, (config, profile, policy) and slots
+SIMULATIONS = {"grade_default": (DEFAULT_POINT, 75_000),
+               "grade_low_harvest": (LOW_HARVEST, 12_500),
+               "default_2m": (DEFAULT_POINT, 2_000_000)}
+# battery-walk timings, (config, profile, policy) and slots
+WALKS = {"default_75k": (DEFAULT_POINT, 75_000),
+         "default_2m": (DEFAULT_POINT, 2_000_000),
+         "readme_user2_100k": (({"interference_cap": 1.0},
+                                {"harvest_rate": 10.0}, POLICY), 100_000),
+         "k400_100k": (({"battery_cells": 400}, {}, POLICY), 100_000),
+         "low_harvest_12k5": (LOW_HARVEST, 12_500),
+         "low_harvest_200k": (LOW_HARVEST, 200_000)}
+WALK_PAIRS = 21
 
 
 def _per_call(fn, repeats: int = 7, min_time: float = 0.05) -> float:
@@ -160,6 +190,60 @@ def measure() -> dict:
     out["readme_simulate_us_per_slot_user"] = _per_call(
         lambda: simulate(readme, policies, SIM_SLOTS, seed=3),
         repeats=3) / (SIM_SLOTS * readme.n_users) * 1e6
+
+    for name, ((config, profile, policy), slots) in SIMULATIONS.items():
+        model = validate(SystemConfig(**config), (SuProfile(**profile),))
+        params = [PolicyParams(*policy)]
+        out[f"{name}_simulate_us_per_slot_user"] = _per_call(
+            lambda: simulate(model, params, slots, seed=3),
+            repeats=3) / slots * 1e6
+    return out
+
+
+def _load(src: str):
+    """``ehcr.model`` and ``ehcr.sim`` of the tree at `src`.  The package
+    leaves ``sys.modules`` again, so another tree loads beside it."""
+    sys.path.insert(0, src)
+    try:
+        from ehcr import model, sim
+    finally:
+        sys.path.remove(src)
+        for name in [n for n in sys.modules if n.split(".")[0] == "ehcr"]:
+            del sys.modules[name]
+    return model, sim
+
+
+def measure_walks(parent_src: str, change_src: str) -> dict:
+    """Both trees' battery walks, called alternately on the same draws."""
+    trees = {"parent": _load(parent_src), "change": _load(change_src)}
+    out = {}
+    for name, ((config, profile, policy), slots) in WALKS.items():
+        walks = {}
+        for side, (model, sim) in trees.items():
+            drawn = []
+            walk = sim._walk_battery
+            sim._walk_battery = lambda *args: drawn.append(args) or walk(*args)
+            try:
+                sim.simulate(model.validate(model.SystemConfig(**config),
+                                            (model.SuProfile(**profile),)),
+                             [model.PolicyParams(*policy)], slots, seed=3)
+            finally:
+                sim._walk_battery = walk
+            walks[side] = (walk, drawn[0])
+        times = {side: [] for side in walks}
+        order = ("parent", "change")
+        for i in range(WALK_PAIRS):
+            for side in order if i % 2 == 0 else reversed(order):
+                walk, args = walks[side]
+                start = time.perf_counter()
+                walk(*args)
+                times[side].append(time.perf_counter() - start)
+        ratios = [c / p for c, p in zip(times["change"], times["parent"])]
+        q1, mid, q3 = statistics.quantiles(ratios, n=4)
+        out[name] = {"parent_ms": statistics.median(times["parent"]) * 1e3,
+                     "change_ms": statistics.median(times["change"]) * 1e3,
+                     "change_over_parent": mid, "ratio_q1": q1,
+                     "ratio_q3": q3, "pairs": WALK_PAIRS}
     return out
 
 
@@ -199,9 +283,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="JSON file to write (default: stdout)")
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
+    parser.add_argument("--paired", nargs=2, metavar=("PARENT", "CHANGE"),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         print(json.dumps(measure()))
+        return 0
+    if args.paired:
+        print(json.dumps(measure_walks(*args.paired)))
         return 0
     if not args.parent:
         parser.error("--parent is required")
@@ -216,6 +305,10 @@ def main(argv=None) -> int:
             order = ("parent", "change")
             for side in order if i % 2 == 0 else reversed(order):
                 runs[side].append(_run_child(trees[side]))
+        paired = json.loads(subprocess.run(
+            [sys.executable, __file__, "--paired", str(trees["parent"]),
+             str(trees["change"])], capture_output=True, text=True,
+            check=True).stdout)
     medians = {side: {key: statistics.median(run[key] for run in rs)
                       for key in rs[0]} for side, rs in runs.items()}
     report = {
@@ -230,6 +323,7 @@ def main(argv=None) -> int:
                                / medians["parent"][key]
                                for key in medians["parent"]},
         "runs": runs,
+        "paired_walks": paired,
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:

@@ -70,12 +70,17 @@ def check_search(search: SearchConfig) -> None:
     The coarse grid needs a point on each axis and a finite, positive
     cutoff range (its theta axis is logarithmic).  Each refine level spans
     one step of the level before it, so with 2 or 3 points per axis its
-    grid never shrinks below a coarse cell.  The message starts with the
-    name of the offending field.
+    grid never shrinks below a coarse cell.  A negative count of refine
+    levels or of refine seeds has no meaning (sliced or raised to, it
+    would silently seed almost every coarse cell or run the coarse grid
+    alone).  The message starts with the name of the offending field.
     """
     for name in ("omega_points", "theta_points"):
         if getattr(search, name) < 1:
             raise ValueError(f"{name} must be >= 1")
+    for name in ("refine_levels", "top_candidates"):
+        if getattr(search, name) < 0:
+            raise ValueError(f"{name} must be >= 0")
     for name in ("theta_floor", "theta_cap"):
         value = getattr(search, name)
         if value is not None and not 0.0 < value < math.inf:

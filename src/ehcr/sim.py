@@ -8,19 +8,25 @@ per-slot closed-form samples.  Users get independent substreams keyed
 by (seed, user index), so adding a user never perturbs the others'
 sample paths.
 
-Only the battery recursion depends on the level a slot starts from, so
-only it runs in a Python loop, over plain integers and floats.  Every
-level-independent quantity (occupancy, detector verdicts, harvests, the
-fed-back gain and its derating factor) is drawn or computed with numpy
-before the walk, and everything the walked levels decide (who probed,
-the spends, SNRs, rate and interference samples) is derived with numpy
-after it.
+Only the battery recursion depends on the level a slot starts from.
+Every level-independent quantity (occupancy, detector verdicts, harvests,
+the fed-back gain and its derating factor) is drawn or computed with
+numpy before the walk, and everything the walked levels decide (who
+probed, the spends, SNRs, rate and interference samples) is derived with
+numpy after it.  The walk itself cuts the run into rows of about
+sqrt(slots) slots and steps every row at once with numpy from a guessed
+start, then re-walks each row whose guess was wrong with a scalar loop
+from its true start until the two paths meet; a slot's next level is a
+function of its level and its draws, so from there on they agree (see
+:func:`_walk_battery`).  The sample path is the one a single scalar loop
+over the whole run gives, bit for bit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import islice, repeat
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,8 +40,24 @@ from .sensing import sensing_stats
 # meaningless at the declared tolerances, so comparisons refuse to pass.
 MIN_COMPARE_SLOTS = 1000
 
-# Slots the battery walk converts to Python lists at a time.
+# Slots the scalar loop converts to Python lists at a time.
 WALK_CHUNK = 4096
+
+# Steps of the lockstep pass whose inputs are transposed at a time.
+LOCKSTEP_BLOCK = 64
+
+# Fewer lockstep rows than this (runs under about 4,600 slots) cost more
+# in per-step numpy calls than the scalar slots they replace, even where
+# paths meet fast.
+MIN_LOCKSTEP_ROWS = 64
+
+# Half-row probes that test how fast a guessed path meets the true one
+# before the lockstep pass is paid for.
+PROBES = 8
+
+# A re-walk first checks for the meeting after this many slots, then
+# after twice as many each time, and at the end of its segment.
+FIRST_CHECK = 16
 
 
 @dataclass(frozen=True)
@@ -136,40 +158,209 @@ class SimTrace:
         return math.fsum(su.mean_interference for su in self.sus)
 
 
-def _walk_battery(level: int, cells: int, reserve: int, omega: float,
-                  sensed_busy: np.ndarray, frac: np.ndarray,
-                  harvested: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Battery level entering every slot, and the level after the last.
+def _walk_slots(level: int, cells: int, reserve: int, omega: float,
+                slots: Iterable[Tuple[bool, float, int]],
+                record: Callable[[int], None]) -> int:
+    """Walk `level` through (sensed busy, derating, harvest) slots.
 
     A sensed-idle slot with the reserve covered pays the probe plus the
     data spend of :func:`transmit_units`, i.e. drains
     ``max(floor(omega * level * frac + FLOOR_NUDGE), reserve)`` cells;
-    then the harvest arrives and the level clamps at `cells`.  The slots
-    go through Python lists one chunk at a time, so the loop touches no
-    numpy scalars and the lists stay small next to the trace.
+    `record` gets the level left after that drain, then the harvest
+    arrives and the level clamps at `cells`.  Returns the level after
+    the last slot.
+    """
+    for busy_t, frac_t, harvest_t in slots:
+        if not busy_t and level >= reserve:
+            # frac <= 1 and the checked omega <= 1 keep the drain within
+            # the level, so it never needs a clamp at 0; the operand order
+            # matches transmit_units, and int() floors the positive product.
+            drain = int(omega * level * frac_t + FLOOR_NUDGE)
+            level -= drain if drain > reserve else reserve
+        record(level)
+        level += harvest_t
+        if level > cells:
+            level = cells
+    return level
+
+
+def _checks(length: int) -> List[int]:
+    """Slot counts after which a re-walk of `length` slots looks for the
+    meeting: FIRST_CHECK, doubling, and `length` last."""
+    checks = []
+    at = FIRST_CHECK
+    while at < length:
+        checks.append(at)
+        at *= 2
+    return checks + [length]
+
+
+def _lockstep(guess: int, cells: int, reserve: int, omega: float,
+              busy: np.ndarray, frac: np.ndarray, harvest: np.ndarray,
+              left: np.ndarray, checks: Sequence[int]) -> np.ndarray:
+    """Walk every row of the (rows, width) inputs at once from `guess`.
+
+    Each step advances one slot of every row with the scalar loop's
+    arithmetic on whole-number floats: ``(omega * level) * frac +
+    FLOOR_NUDGE`` floored is the bits of the scalar ``int(...)``.  Fills
+    `left` (same shape) with the level left after each slot's drain and
+    returns each row's level after each count of `checks` slots, shape
+    (rows, len(checks)).
+    """
+    rows, width = busy.shape
+    seen = np.empty((len(checks), rows), dtype=np.int64)
+    level = np.full(rows, float(guess))
+    pays = np.empty(rows, dtype=bool)
+    drain = np.empty(rows)
+    j = 0
+    for first in range(0, width, LOCKSTEP_BLOCK):
+        cols = slice(first, first + LOCKSTEP_BLOCK)
+        # step-major copies, so each step reads contiguous rows; a
+        # sensed-busy slot needs more than a full battery to pay
+        frac_t = frac[:, cols].T.copy()
+        harvest_t = harvest[:, cols].T.astype(float)
+        needs_t = np.where(busy[:, cols].T, cells + 1.0, float(reserve))
+        left_t = np.empty_like(frac_t)
+        for step, (out, f, h, needs) in enumerate(
+                zip(left_t, frac_t, harvest_t, needs_t), first + 1):
+            np.greater_equal(level, needs, out=pays)
+            np.multiply(level, omega, out=drain)
+            drain *= f
+            drain += FLOOR_NUDGE
+            np.floor(drain, out=drain)
+            np.maximum(drain, reserve, out=drain)
+            drain *= pays
+            np.subtract(level, drain, out=out)
+            np.add(out, h, out=level)
+            np.minimum(level, cells, out=level)
+            if step == checks[j]:
+                seen[j] = level
+                j += 1
+        left[:, cols] = left_t.T
+    return seen.T
+
+
+def _walk_battery(level: int, cells: int, reserve: int, omega: float,
+                  sensed_busy: np.ndarray, frac: np.ndarray,
+                  harvested: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Battery level entering every slot, each slot's drain, and the level
+    after the last slot, as :func:`_walk_slots` over the whole run gives.
+
+    The run is cut into rows of ``width = isqrt(slots)`` slots.  A
+    lockstep pass walks every row at once from the guess ``cells // 2``
+    (see :func:`_lockstep`).  Then, in order, each row whose true start
+    (the true end of the row before) differs from the guess is re-walked
+    by the scalar loop from its true start until its level equals the
+    lockstep path's at a check (:func:`_checks`); from that slot on the
+    two paths agree, because a slot's next level depends only on its
+    level and its draws, so the row's true end is the lockstep end.  Where
+    paths meet slowly (below the probe reserve two levels shift in
+    parallel until one of them pays) the re-walks would cover most
+    slots and the lockstep pass would be wasted, so first PROBES segments
+    of half a row are walked the same way, by the scalar loop from the
+    guess and re-walked from the truth; if any re-walk reaches the end of
+    its segment without meeting, or the run has fewer than
+    MIN_LOCKSTEP_ROWS rows, the rest of the run is walked by the scalar
+    loop alone.
+
+    Every walk records the level left after each slot's drain; the
+    levels entering the slots and the drains follow from it with numpy.
     """
     slots = sensed_busy.size
+    start_level = level
+    left = np.empty(slots, dtype=np.int64)
+    guess = cells // 2
+
+    def inputs(first: int, stop: int):
+        return zip(sensed_busy[first:stop].tolist(), frac[first:stop].tolist(),
+                   harvested[first:stop].tolist())
+
+    def walk(level: int, first: int, stop: int) -> int:
+        """Scalar loop over slots [first, stop)."""
+        for chunk in range(first, stop, WALK_CHUNK):
+            end = min(chunk + WALK_CHUNK, stop)
+            out: List[int] = []
+            level = _walk_slots(level, cells, reserve, omega,
+                                inputs(chunk, end), out.append)
+            left[chunk:end] = out
+        return level
+
+    def segment(level: int, first: int, checks: Sequence[int],
+                path: Iterable[Optional[int]],
+                head: Sequence[list]) -> List[int]:
+        """Scalar loop over the ``checks[-1]`` slots at `first`, stopping
+        after the first count of `checks` where the level equals `path`'s.
+        `head` holds the inputs of the first FIRST_CHECK slots as lists.
+        Returns the level after each count walked."""
+        out: List[int] = []
+        seen: List[int] = []
+        slot_inputs = zip(*head)
+        done = 0
+        for count, there in zip(checks, path):
+            if done == FIRST_CHECK:
+                slot_inputs = inputs(first + done, first + checks[-1])
+            level = _walk_slots(level, cells, reserve, omega,
+                                islice(slot_inputs, count - done),
+                                out.append)
+            seen.append(level)
+            done = count
+            if level == there:
+                break
+        left[first:first + done] = out
+        return seen
+
+    def rewalk(level: int, first: int, checks: Sequence[int],
+               path: Sequence[int], head: Sequence[list]) -> Tuple[int, bool]:
+        """Re-walk a segment from its true start `level` until it meets
+        the guessed path; its true end, and whether it never met."""
+        seen = segment(level, first, checks, path, head)
+        met = seen[-1] == path[len(seen) - 1]
+        return (path[-1] if met else seen[-1]), not met
+
+    def head(first: int) -> List[list]:
+        return [x[first:first + FIRST_CHECK].tolist()
+                for x in (sensed_busy, frac, harvested)]
+
+    width = math.isqrt(slots)
+    half = width // 2
+    rows = (slots - PROBES * half) // width
+    first = 0
+    lockstep = rows >= MIN_LOCKSTEP_ROWS
+    checks = _checks(half)
+    while lockstep and first < PROBES * half:
+        probe = head(first)
+        path = segment(guess, first, checks, repeat(None), probe)
+        if level == guess:
+            level = path[-1]
+        else:
+            level, slow = rewalk(level, first, checks, path, probe)
+            lockstep = not slow
+        first += half
+    stop = first
+    if lockstep:
+        stop = first + rows * width
+        shape = (rows, width)
+        inputs_2d = [x[first:stop].reshape(shape)
+                     for x in (sensed_busy, frac, harvested)]
+        checks = _checks(width)
+        paths = _lockstep(guess, cells, reserve, omega, *inputs_2d,
+                          left[first:stop].reshape(shape), checks).tolist()
+        heads = [x[:, :FIRST_CHECK].tolist() for x in inputs_2d]
+        for row, path in enumerate(paths):
+            if level == guess:
+                level = path[-1]
+            else:
+                level, _ = rewalk(level, first + row * width, checks, path,
+                                  [h[row] for h in heads])
+    if stop < slots:
+        level = walk(level, stop, slots)
+
     state_before = np.empty(slots, dtype=np.int64)
-    for start in range(0, slots, WALK_CHUNK):
-        stop = start + WALK_CHUNK
-        before: List[int] = []
-        record = before.append
-        for busy_t, frac_t, harvest_t in zip(sensed_busy[start:stop].tolist(),
-                                             frac[start:stop].tolist(),
-                                             harvested[start:stop].tolist()):
-            record(level)
-            if not busy_t and level >= reserve:
-                # frac <= 1 and the checked omega <= 1 keep the drain
-                # within the level, so it never needs a clamp at 0; the
-                # operand order matches transmit_units, and int() floors
-                # the positive product.
-                drain = int(omega * level * frac_t + FLOOR_NUDGE)
-                level -= drain if drain > reserve else reserve
-            level += harvest_t
-            if level > cells:
-                level = cells
-        state_before[start:stop] = before
-    return state_before, level
+    state_before[0] = start_level
+    np.add(left[:-1], harvested[:-1], out=state_before[1:])
+    np.minimum(state_before, cells, out=state_before)
+    drain = np.subtract(state_before, left, out=left)
+    return state_before, drain, level
 
 
 def _simulate_su(model: NetworkModel, index: int, params: PolicyParams,
@@ -205,26 +396,20 @@ def _simulate_su(model: NetworkModel, index: int, params: PolicyParams,
     if assume_idle_gains:
         gain *= -means[0]
     else:
-        np.multiply(gain, -means[1], out=gain, where=busy)
-        np.multiply(gain, -means[0], out=gain, where=~busy)
+        gain *= np.where(busy, -means[1], -means[0])
     frac = derating(gain, params.theta)
 
-    state_before, level = _walk_battery(level, cells, probe_cells,
-                                        params.omega, sensed_busy, frac,
-                                        harvested)
+    state_before, spent, level = _walk_battery(
+        level, cells, probe_cells, params.omega, sensed_busy, frac, harvested)
+    del frac
     state_after = np.empty_like(state_before)
     state_after[:-1] = state_before[1:]
     state_after[-1] = level
     probed = ~sensed_busy & (state_before >= probe_cells)
     gain[~probed] = 0.0
-
-    # the walk's drain less the reserve, which transmit_units floors at 0;
-    # the full-length temporaries go before the samples are allocated
-    spent = np.zeros(slots, dtype=np.int64)
-    spend = np.floor(params.omega * state_before[probed] * frac[probed]
-                     + FLOOR_NUDGE).astype(np.int64) - probe_cells
-    spent[probed] = np.maximum(spend, 0)
-    del frac, spend
+    # a probed slot's drain less the reserve is the data spend of
+    # transmit_units; every other slot drains nothing
+    spent -= probe_cells * probed
 
     rate_sample = np.zeros(slots)
     sent = np.flatnonzero(spent)
@@ -257,9 +442,9 @@ def simulate(model: NetworkModel, params_list: Sequence[PolicyParams],
     """Run every user for `slots` frames and collect the sample paths.
 
     Each user's policy is checked before any slot runs.  Per user, numpy
-    draws the whole run and prices the fed-back gains, a Python loop
-    walks the battery levels, and numpy derives the per-slot spends and
-    samples from the walked path (see the module docstring).
+    draws the whole run and prices the fed-back gains, the battery walk
+    gives the levels and drains, and numpy derives the per-slot spends
+    and samples from them (see the module docstring).
 
     `assume_idle_gains` draws the fed-back gain from the idle-band law
     even in missed-detection slots, mirroring the analytic chain's
@@ -292,6 +477,8 @@ class CompareCheck:
     tolerance: float
     kind: str                 # 'tv' | 'relative' | 'absolute'
     passed: bool
+    # batch-means standard error of `simulated`; None for the zeta row
+    se: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -316,10 +503,36 @@ class CompareReport:
             # vector-valued checks carry no scalar sim/ref summary
             values = ("" if math.isnan(c.simulated) and math.isnan(c.analytic)
                       else f"sim={c.simulated:.6g} ref={c.analytic:.6g} ")
+            if c.se is not None:
+                values += f"se={c.se:.3g} "
             rows.append(
                 f"{'PASS' if c.passed else 'FAIL'} {where} {c.name}: "
                 f"{values}dev={c.deviation:.3g} tol={c.tolerance:g} ({c.kind})")
         return rows
+
+
+def _batch_means(samples: np.ndarray) -> np.ndarray:
+    """Means of isqrt(n) consecutive batches of one n-slot sample path,
+    n // isqrt(n) slots each (the last n mod that slots are left out)."""
+    batches = math.isqrt(samples.size)
+    size = samples.size // batches
+    return samples[:batches * size].reshape(batches, size).mean(axis=1)
+
+
+def _standard_error(batch_means: np.ndarray) -> float:
+    """Batch-means standard error of a path's mean.
+
+    Batches of about sqrt(n) slots are long enough that the correlation
+    along the battery walk stays mostly within a batch, so the spread of
+    the batch means over the square root of their count estimates the
+    error of the mean of the single path (Flegal & Jones, Ann. Statist.
+    38(2), 2010).  NaN with fewer than two batches.
+    """
+    count = batch_means.size
+    if count < 2:
+        return math.nan
+    spread = batch_means - batch_means.mean()
+    return math.sqrt(float(spread @ spread) / ((count - 1) * count))
 
 
 def _rel_dev(sim: float, ref: float) -> float:
@@ -336,14 +549,16 @@ def compare(trace: SimTrace, analysis: NetworkAnalysis, *,
     Occupancy is graded in total variation, averaged quantities (rate,
     interference, mean level) relatively, probabilities absolutely.  Runs
     shorter than MIN_COMPARE_SLOTS are flagged insufficient and never
-    pass.
+    pass.  Every scalar row carries the batch-means standard error of its
+    simulated value (:func:`_standard_error`); it is reported only, and
+    the tolerances alone decide pass or fail.
     """
     if len(trace.sus) != len(analysis.sus):
         raise ValueError("trace and analysis cover different user counts")
     checks: List[CompareCheck] = []
 
     def grade(name: str, su_index: Optional[int], simulated: float,
-              analytic: float, kind: str) -> None:
+              analytic: float, kind: str, batch_means: np.ndarray) -> None:
         if kind == "relative":
             dev, tol = _rel_dev(simulated, analytic), rel_tol
         else:
@@ -351,8 +566,10 @@ def compare(trace: SimTrace, analysis: NetworkAnalysis, *,
         checks.append(CompareCheck(
             name=name, su_index=su_index, simulated=simulated,
             analytic=analytic, deviation=dev, tolerance=tol, kind=kind,
-            passed=bool(dev <= tol)))
+            passed=bool(dev <= tol), se=_standard_error(batch_means)))
 
+    # network totals: batch means add up over users, as the totals do
+    net_rate = net_load = 0.0
     for su, ana in zip(trace.sus, analysis.sus):
         tv = 0.5 * float(np.abs(su.empirical_zeta
                                 - ana.chain.steady_state).sum())
@@ -360,20 +577,34 @@ def compare(trace: SimTrace, analysis: NetworkAnalysis, *,
             name="zeta", su_index=su.index, simulated=math.nan,
             analytic=math.nan, deviation=tv, tolerance=tv_tol, kind="tv",
             passed=bool(tv <= tv_tol)))
-        for name, sim_val, ref_val, kind in (
+        rate = _batch_means(su.rate_sample)
+        load = _batch_means(su.interference_sample)
+        net_rate = net_rate + rate
+        net_load = net_load + load
+        # the outage is a ratio of two slot means, silent over sensed-idle
+        # slots; its error is that of the mean of silent - ratio * idle
+        # over the idle share (none without a sensed-idle slot)
+        idle = ~su.sensed_busy
+        idle_means = _batch_means(idle)
+        share = idle_means.mean()
+        silent = su.transmission_outage
+        outage = np.empty(0) if share == 0.0 else (
+            _batch_means(idle & (su.spent == 0)) - silent * idle_means) / share
+        for name, sim_val, ref_val, kind, batches in (
                 ("avg_energy", su.avg_energy, ana.chain.avg_energy,
-                 "relative"),
-                ("rate", su.mean_rate, ana.rate.total, "relative"),
+                 "relative", _batch_means(su.state_before)),
+                ("rate", su.mean_rate, ana.rate.total, "relative", rate),
                 ("interference", su.mean_interference, ana.interference,
-                 "relative"),
+                 "relative", load),
                 ("battery_outage", su.battery_outage, ana.chain.outage,
-                 "absolute"),
-                ("transmission_outage", su.transmission_outage,
-                 ana.transmission_outage, "absolute")):
-            grade(name, su.index, sim_val, ref_val, kind)
+                 "absolute",
+                 _batch_means(su.state_before <= su.probe_cells)),
+                ("transmission_outage", silent, ana.transmission_outage,
+                 "absolute", outage)):
+            grade(name, su.index, sim_val, ref_val, kind, batches)
     grade("sum_rate", None, trace.sum_rate, analysis.breakdown.sum_rate,
-          "relative")
+          "relative", net_rate)
     grade("aic_lhs", None, trace.aic_lhs, analysis.breakdown.aic_lhs,
-          "relative")
+          "relative", net_load)
     return CompareReport(checks=tuple(checks), slots=trace.slots,
                          sufficient=trace.slots >= MIN_COMPARE_SLOTS)

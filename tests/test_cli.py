@@ -3,12 +3,14 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import ehcr
 from ehcr import __version__
 from ehcr.analysis import analyze
 from ehcr.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_MISMATCH, EXIT_OK,
@@ -237,6 +239,8 @@ def test_non_finite_model_values_point_to_their_line(tmp_path, capsys,
     ("theta_cap = inf", "theta_cap must be finite and > 0"),
     ("theta_points = 0", "theta_points must be >= 1"),
     ("omega_points = 0", "omega_points must be >= 1"),
+    ("refine_levels = -1", "refine_levels must be >= 0"),
+    ("top_candidates = -2", "top_candidates must be >= 0"),
 ])
 def test_unusable_search_values_point_to_their_line(tmp_path, capsys,
                                                     line, message):
@@ -251,12 +255,15 @@ def test_unusable_search_values_point_to_their_line(tmp_path, capsys,
 @pytest.mark.parametrize("flag,message", [
     ("--grid-omega", "omega_points must be >= 1"),
     ("--grid-theta", "theta_points must be >= 1"),
+    ("--refine", "refine_levels must be >= 0"),
 ])
 def test_unusable_grid_flags_are_config_errors(tmp_path, capsys, command,
                                                flag, message):
     cfg = _write(tmp_path, BASE_CONFIG)
     sweep = ["--axis", "I_av", "--from", "0.1", "--to", "0.3", "--optimize"]
-    assert main([command, "--config", cfg, "--out", str(tmp_path), flag, "0"]
+    # no points on a grid axis, or fewer than no refine levels
+    value = "-1" if flag == "--refine" else "0"
+    assert main([command, "--config", cfg, "--out", str(tmp_path), flag, value]
                 + (sweep if command == "sweep" else [])) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "run_manifest.json").exists()
@@ -452,7 +459,11 @@ def test_sweep_optimizing_over_the_cap_never_degrades(tmp_path):
 
 
 def test_version_banner_via_module_invocation():
+    # the child imports ehcr from where this process did, installed or not
+    src = os.path.dirname(os.path.dirname(ehcr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "ehcr", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"ehcr {__version__}"

@@ -35,7 +35,7 @@ def test_refine_grids_that_cannot_shrink_are_rejected(points):
     ("omega_points", 0), ("theta_points", 0), ("theta_points", -3),
     ("theta_floor", 0.0), ("theta_floor", -1e-3), ("theta_floor", math.nan),
     ("theta_floor", math.inf), ("theta_cap", 0.0), ("theta_cap", math.nan),
-    ("theta_cap", math.inf)])
+    ("theta_cap", math.inf), ("refine_levels", -1), ("top_candidates", -2)])
 def test_searches_without_a_usable_grid_are_rejected(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         check_search(SearchConfig(**{field: value}))

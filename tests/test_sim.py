@@ -1,12 +1,16 @@
 """Monte Carlo slot dynamics and the empirical-vs-analytic report."""
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ehcr import sim
 from ehcr.analysis import analyze
 from ehcr.model import NetworkModel, PolicyParams, SuProfile, SystemConfig
-from ehcr.policy import transmit_units
+from ehcr.policy import FLOOR_NUDGE, derating, transmit_units
 from ehcr.sim import MIN_COMPARE_SLOTS, compare, simulate
 
 
@@ -222,3 +226,121 @@ def test_simulation_memory_stays_near_the_trace():
     finally:
         tracemalloc.stop()
     assert peak <= 7e6, "peak %.1f MB" % (peak / 1e6)
+
+
+def _scalar_walk(level, cells, reserve, omega, sensed_busy, frac, harvested):
+    """The battery recursion one slot at a time: the level entering each
+    slot, each slot's drain, and the level after the last."""
+    before, drains = [], []
+    for busy_t, frac_t, harvest_t in zip(sensed_busy.tolist(), frac.tolist(),
+                                         harvested.tolist()):
+        before.append(level)
+        drain = 0
+        if not busy_t and level >= reserve:
+            drain = max(int(omega * level * frac_t + FLOOR_NUDGE), reserve)
+        drains.append(drain)
+        level = min(level - drain + harvest_t, cells)
+    return np.array(before), np.array(drains), level
+
+
+def _walk_inputs(cells, reserve, omega, theta, rate, prior_idle, start,
+                 slots, seed):
+    """Arguments of the battery walk: detector verdicts, derating factors
+    of exponential gains of mean 1, and Poisson harvests."""
+    rng = np.random.default_rng(seed)
+    sensed_busy = rng.random(slots) >= prior_idle
+    frac = derating(rng.exponential(1.0, slots), theta)
+    harvested = rng.poisson(rate, slots).astype(np.int64)
+    return start, cells, reserve, omega, sensed_busy, frac, harvested
+
+
+# the low-harvest point of the benchmark, where paths meet slowly
+_SLOW_WALK = (20, 3, 0.5, 0.1, 0.8, 0.7, 10, 200_000, 7)
+# the default point: paths meet within a few dozen slots
+_FAST_WALK = (80, 1, 0.35, 0.2, 15.0, 0.7, 40, 75_000, 7)
+
+
+@st.composite
+def _walks(draw):
+    cells = draw(st.integers(1, 120))
+    width = draw(st.integers(2, 260))
+    return (cells, draw(st.integers(0, 6)),
+            draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                           st.floats(0.0, 1.0))),
+            draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0))),
+            draw(st.floats(0.05, max(cells / 2, 0.05))),
+            draw(st.one_of(st.floats(1e-4, 0.05), st.floats(0.95, 1 - 1e-4),
+                           st.floats(0.05, 0.95))),
+            draw(st.one_of(st.sampled_from([0, cells]),
+                           st.integers(0, cells))),
+            draw(st.sampled_from([1, 2, width ** 2 - 1, width ** 2,
+                                  width ** 2 + 1, 50_177])),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_walks())
+@example(case=_SLOW_WALK)
+@example(case=_FAST_WALK)
+@example(case=(120, 0, 1.0, 0.0, 60.0, 1e-4, 120, 50_177, 1))
+@example(case=(1, 0, 0.0, 0.0, 0.05, 0.999, 0, 4_761, 2))
+def test_walk_matches_the_scalar_recursion(case):
+    """Every level, drain and end of the walk is the one-slot loop's."""
+    args = _walk_inputs(*case)
+    before, drain, end = sim._walk_battery(*args)
+    want_before, want_drain, want_end = _scalar_walk(*args)
+    np.testing.assert_array_equal(before, want_before)
+    np.testing.assert_array_equal(drain, want_drain)
+    assert end == want_end
+
+
+def test_walk_takes_the_scalar_loop_where_paths_meet_slowly():
+    """The lockstep pass runs where guessed paths meet the true one fast,
+    and the scalar loop alone where they meet slowly."""
+    for case, lockstep_calls in ((_SLOW_WALK, 0), (_FAST_WALK, 1)):
+        with mock.patch.object(sim, "_lockstep",
+                               wraps=sim._lockstep) as lockstep:
+            sim._walk_battery(*_walk_inputs(*case))
+        assert lockstep.call_count == lockstep_calls
+
+
+def test_compare_reports_batch_means_standard_errors():
+    """Each scalar row carries an error that shrinks like 1/sqrt(slots);
+    the occupancy row carries none."""
+    model = NetworkModel(config=SystemConfig(), profiles=(SuProfile(),))
+    params = [PolicyParams(0.35, 0.2)]
+    reference = analyze(model, params)
+    errors = []
+    for slots in (20_000, 80_000, 320_000):
+        report = compare(simulate(model, params, slots, seed=4), reference)
+        assert report.checks[0].name == "zeta" and report.checks[0].se is None
+        assert "se=" not in report.lines()[0]
+        assert all("se=" in line for line in report.lines()[1:])
+        errors.append({c.name: c.se for c in report.checks[1:]})
+    for name in ("avg_energy", "rate", "interference",
+                 "transmission_outage", "sum_rate", "aic_lhs"):
+        for small, large in zip(errors, errors[1:]):
+            assert 1.4 < small[name] / large[name] < 2.9, name
+    # a full battery never reaches the probe reserve
+    assert errors[-1]["battery_outage"] == 0.0
+
+
+def test_standard_error_is_zero_on_a_constant_sample():
+    # a never-idle band with a perfect detector sends and loads nothing
+    model = _single(cells=10, rho=2.0, prior_idle=1e-9)
+    params = [PolicyParams(0.5, 0.1)]
+    trace = simulate(model, params, 4000, seed=3, ideal_sensing=True)
+    se = {c.name: c.se for c in compare(trace, analyze(
+        model, params, ideal_sensing=True)).checks}
+    for name in ("rate", "interference", "sum_rate", "aic_lhs"):
+        assert se[name] == 0.0
+    assert math.isnan(se["transmission_outage"])   # no sensed-idle slot
+    assert se["avg_energy"] > 0.0
+
+
+def test_standard_error_matches_independent_samples():
+    rng = np.random.default_rng(0)
+    for n in (10_000, 160_000):
+        x = rng.normal(3.0, 2.0, n)
+        assert sim._standard_error(sim._batch_means(x)) == pytest.approx(
+            2.0 / math.sqrt(n), rel=0.2)
