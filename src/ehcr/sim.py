@@ -587,9 +587,9 @@ def compare(trace: SimTrace, analysis: NetworkAnalysis, *,
         idle = ~su.sensed_busy
         idle_means = _batch_means(idle)
         share = idle_means.mean()
-        silent = su.transmission_outage
+        ratio = su.transmission_outage
         outage = np.empty(0) if share == 0.0 else (
-            _batch_means(idle & (su.spent == 0)) - silent * idle_means) / share
+            _batch_means(idle & (su.spent == 0)) - ratio * idle_means) / share
         for name, sim_val, ref_val, kind, batches in (
                 ("avg_energy", su.avg_energy, ana.chain.avg_energy,
                  "relative", _batch_means(su.state_before)),
@@ -599,7 +599,7 @@ def compare(trace: SimTrace, analysis: NetworkAnalysis, *,
                 ("battery_outage", su.battery_outage, ana.chain.outage,
                  "absolute",
                  _batch_means(su.state_before <= su.probe_cells)),
-                ("transmission_outage", silent, ana.transmission_outage,
+                ("transmission_outage", ratio, ana.transmission_outage,
                  "absolute", outage)):
             grade(name, su.index, sim_val, ref_val, kind, batches)
     grade("sum_rate", None, trace.sum_rate, analysis.breakdown.sum_rate,
