@@ -516,7 +516,8 @@ def _batch_means(samples: np.ndarray) -> np.ndarray:
     n // isqrt(n) slots each (the last n mod that slots are left out)."""
     batches = math.isqrt(samples.size)
     size = samples.size // batches
-    return samples[:batches * size].reshape(batches, size).mean(axis=1)
+    # a sum in the samples' own type: exact counts for flags and levels
+    return samples[:batches * size].reshape(batches, size).sum(axis=1) / size
 
 
 def _standard_error(batch_means: np.ndarray) -> float:
