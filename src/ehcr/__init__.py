@@ -23,8 +23,8 @@ from .optimizer import (OptimizationResult, SearchConfig, SuEvaluator,
 from .policy import PolicyPmf, transmit_row, transmit_units
 from .probing import (EstimationStats, GainDistribution,
                       estimator_variances, gain_cdf)
-from .rate import (PerSuRate, RateBreakdown, aic_contribution,
-                   antiderivative_m, rate_lower_bound, transmission_outage)
+from .rate import (PerSuRate, RateBreakdown, antiderivative_m,
+                   transmission_outage)
 from .sensing import (SensingStats, false_alarm_at_target_pd,
                       joint_sensing_stats, sensing_stats)
 from .sim import (CompareCheck, CompareReport, SimTrace, SuTrace, compare,
@@ -38,11 +38,11 @@ __all__ = [
     "RateBreakdown", "SearchConfig", "SensingStats", "SimTrace",
     "SuAnalysis", "SuEvaluator", "SuPoint", "SuProfile", "SuTrace",
     "SystemConfig", "TransitionBuilder", "ValidationError",
-    "aic_contribution", "analyze", "analyze_su",
+    "analyze", "analyze_su",
     "antiderivative_m", "avg_energy", "battery_outage", "compare",
     "estimator_variances",
     "false_alarm_at_target_pd", "gain_cdf", "harvest_pmf",
-    "joint_sensing_stats", "objective_surface", "rate_lower_bound",
+    "joint_sensing_stats", "objective_surface",
     "sensing_stats", "simulate", "solve_p1", "steady_state",
     "transmission_outage", "transmit_row", "transmit_units", "validate",
 ]

@@ -380,11 +380,11 @@ def cmd_simulate(args: argparse.Namespace, loaded: LoadedConfig) -> int:
     report = compare(trace, analysis)
     rows = [[("net" if c.su_index is None else "su%d" % (c.su_index + 1)),
              c.name, c.simulated, c.analytic, c.deviation, c.tolerance,
-             c.kind, c.passed] for c in report.checks]
+             c.kind, c.passed, c.se] for c in report.checks]
     outputs = ["compare.csv"]
     _write_csv(os.path.join(args.out, "compare.csv"),
                ("scope", "quantity", "simulated", "analytic", "deviation",
-                "tolerance", "kind", "passed"), zip(*rows))
+                "tolerance", "kind", "passed", "se"), zip(*rows))
     if args.dump_trace:
         for su in trace.sus:
             name = "trace_su%d.csv" % (su.index + 1)
@@ -447,6 +447,9 @@ def _sweep_policies(loaded: LoadedConfig, axis: str,
 def cmd_sweep(args: argparse.Namespace, loaded: LoadedConfig) -> int:
     if args.points < 2:
         raise ConfigError([f"--points must be >= 2, got {args.points}"])
+    if args.optimize and args.axis in ("omega", "theta"):
+        raise ConfigError(["--optimize chooses the policy, so it cannot "
+                           f"sweep the policy axis {args.axis}"])
     values = np.linspace(args.sweep_from, args.to, args.points)
     n_users = loaded.model.n_users
     header: List[str] = [args.axis, "status", "rate_lb", "aic_lhs"]

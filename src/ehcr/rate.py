@@ -13,9 +13,10 @@ the gain integral of every spend level under each channel law, which
 reads the row's gain edges and the channel statistics but not the
 battery, so users with identical channel statistics can share it.  It
 prices both gain laws at both edges of every spend level in one
-antiderivative pass per block of levels.  :func:`rate_sum` weights those
-integrals by the steady-state chance of each level's battery state
-(:func:`level_weights`), and :func:`rate_lower_bound` composes the two.
+antiderivative pass per block of levels.  :func:`rate_sum` is the user
+side: it weights those integrals by the steady-state chance of each
+level's battery state (:func:`level_weights`, one gather that
+:func:`interference_load` reads too).
 
 The rate bound's scaled exponential integral exp(t)*E1(t) never calls a
 special function.  Below t = 600 it is three polynomials fitted offline
@@ -200,9 +201,8 @@ def antiderivative_m(x: ArrayLike, snr_scale: ArrayLike,
 class PerSuRate:
     """Rate lower bound of one user, split by the true occupancy state.
 
-    :func:`rate_lower_bound` gives an array over the row's cutoffs in
-    each field; :class:`~ehcr.analysis.SuAnalysis` holds one cutoff's
-    floats.
+    :func:`rate_sum` gives an array over the row's cutoffs in each field;
+    :class:`~ehcr.analysis.SuAnalysis` holds one cutoff's floats.
     """
 
     total: float      # bits/s
@@ -283,9 +283,12 @@ def level_gains(config: SystemConfig, profile: SuProfile,
 def rate_sum(config: SystemConfig, sensing: SensingStats, pmf: PolicyPmf,
              gains: Tuple[Optional[np.ndarray], ...],
              weights: np.ndarray) -> PerSuRate:
-    """Rate bound from the :func:`level_gains` of a row and its
-    :func:`level_weights`: each law's integrals weighted by the steady
-    state and by the law's joint chance of a sensed-idle frame."""
+    """Achievable-rate lower bound of one user [bits/s].
+
+    Each law's :func:`level_gains` integrals of a row, weighted by the
+    row's :func:`level_weights` and by the law's joint chance of a
+    sensed-idle frame.  Every field is an array over the row's cutoffs.
+    """
     scale = config.data_fraction * config.bandwidth
     parts = [np.zeros(pmf.theta.shape) if gain is None
              else scale * joint * dot_last(weights, gain)
@@ -293,45 +296,20 @@ def rate_sum(config: SystemConfig, sensing: SensingStats, pmf: PolicyPmf,
     return PerSuRate(parts[0] + parts[1], parts[0], parts[1])
 
 
-def rate_lower_bound(config: SystemConfig, profile: SuProfile,
-                     sensing: SensingStats, est: EstimationStats,
-                     pmf: PolicyPmf, stationary: np.ndarray) -> PerSuRate:
-    """Achievable-rate lower bound of one user [bits/s].
-
-    Sums the closed-form gain integral of every (battery level, spend
-    level) pair, weighted by the steady-state occupancy, separately under
-    the idle and busy channel laws; a law that is never sensed idle or
-    whose fed-back gain is zero adds nothing.  ``stationary`` holds one
-    law per cutoff of the row, and every field is an array over the
-    cutoffs.  :func:`rate_sum` of :func:`level_gains` and
-    :func:`level_weights`.
-    """
-    return rate_sum(config, sensing, pmf,
-                    level_gains(config, profile, sensing, est, pmf),
-                    level_weights(stationary, pmf))
-
-
 def interference_load(config: SystemConfig, profile: SuProfile,
                       sensing: SensingStats, pmf: PolicyPmf,
                       weights: np.ndarray):
-    """:func:`aic_contribution` from the row's :func:`level_weights`."""
+    """Average interference one user inflicts on the primary [W].
+
+    Only busy-but-sensed-idle frames interfere; the data term averages the
+    spend under the busy-band gain law, weighted by the row's
+    :func:`level_weights`, and the probing term is a fixed duty-cycled
+    pilot power.  One value per cutoff of the row.
+    """
     data_power = dot_last(weights * pmf.level_mass[..., 1, :],
                           pmf.level_units * config.unit_power)
     pilot_power = config.probe_fraction * config.probe_power
     return sensing.beta1 * profile.su_pu_var * (data_power + pilot_power)
-
-
-def aic_contribution(config: SystemConfig, profile: SuProfile,
-                     sensing: SensingStats, pmf: PolicyPmf,
-                     stationary: np.ndarray):
-    """Average interference one user inflicts on the primary [W].
-
-    Only busy-but-sensed-idle frames interfere; the data term averages the
-    spend under the busy-band gain law and the probing term is a fixed
-    duty-cycled pilot power.  One value per cutoff of the row.
-    """
-    return interference_load(config, profile, sensing, pmf,
-                             level_weights(stationary, pmf))
 
 
 def transmission_outage(stationary: np.ndarray, pmf: PolicyPmf,

@@ -123,16 +123,6 @@ class SuTrace:
         """Sensed-idle slots skipped because the reserve was not covered."""
         return int(np.sum(~self.sensed_busy & ~self.probed))
 
-    @property
-    def overflow_slots(self) -> int:
-        """Slots whose harvest was clipped by the full battery."""
-        kept = self.state_after - (self.state_before - self.outflow)
-        return int(np.sum(kept < self.harvested))
-
-    @property
-    def outflow(self) -> np.ndarray:
-        return self.spent + self.probe_cells * self.probed.astype(np.int64)
-
     def transition_counts(self) -> np.ndarray:
         """counts[i, j] = slots that moved battery level j -> i."""
         counts = np.zeros((self.cells + 1, self.cells + 1))

@@ -19,7 +19,8 @@ from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
 from ehcr.optimizer import SearchConfig, SuEvaluator, objective_surface, solve_p1
 from ehcr.policy import transmit_row
 from ehcr.probing import GainDistribution, estimator_variances, gain_cdf
-from ehcr.rate import aic_contribution, antiderivative_m, rate_lower_bound
+from ehcr.rate import (antiderivative_m, interference_load, level_gains,
+                       level_weights, rate_sum)
 from ehcr.sensing import sensing_stats
 from ehcr.sim import compare, simulate
 
@@ -376,9 +377,11 @@ def test_criterion_7_search_matches_exhaustive_grid():
         assert residual < 1e-9, "batched steady state off by %.3e" % residual
         zetas = np.clip(zetas, 0.0, None)
         zetas /= zetas.sum(axis=1, keepdims=True)
-        rates[a] = rate_lower_bound(cfg, prof, sensing, est, row,
-                                    zetas).total
-        loads[a] = aic_contribution(cfg, prof, sensing, row, zetas)
+        weights = level_weights(zetas, row)
+        rates[a] = rate_sum(cfg, sensing, row,
+                            level_gains(cfg, prof, sensing, est, row),
+                            weights).total
+        loads[a] = interference_load(cfg, prof, sensing, row, weights)
 
     # the brute grid and the solver's evaluator must price points alike
     free = NetworkModel(config=cfg, profiles=(prof,))

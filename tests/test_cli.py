@@ -334,7 +334,13 @@ def test_simulate_grades_a_long_run_clean(tmp_path, capsys):
                  "--slots", "500000", "--seed", "3"]) == EXIT_OK
     assert "PASS" in capsys.readouterr().out
     rows = _read_csv(out / "compare.csv")
-    assert all(r[-1] == "true" for r in rows[1:])
+    assert rows[0] == ["scope", "quantity", "simulated", "analytic",
+                       "deviation", "tolerance", "kind", "passed", "se"]
+    assert all(r[7] == "true" for r in rows[1:])
+    # every scalar row carries its batch-means standard error; zeta has none
+    assert "zeta" in [r[1] for r in rows[1:]]
+    for r in rows[1:]:
+        assert r[8] == "" if r[1] == "zeta" else math.isfinite(float(r[8]))
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["passed"] is True
     assert manifest["seed"] == 3
@@ -420,6 +426,20 @@ def test_sweep_walks_a_policy_axis(tmp_path, capsys):
     assert len(rows) == 1 + 4
     assert all(r[1] == "ok" for r in rows[1:])
     assert [float(r[0]) for r in rows[1:]] == [0.2, 0.4, 0.6, 0.8]
+
+
+@pytest.mark.parametrize("axis", ["omega", "theta"])
+def test_sweep_rejects_optimizing_a_policy_axis(tmp_path, capsys, axis):
+    # the search picks omega and theta itself, so every row would repeat
+    cfg = _write(tmp_path, BASE_CONFIG)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", axis,
+                 "--from", "0.1", "--to", "0.9", "--points", "3",
+                 "--optimize"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: --optimize chooses the policy, so it cannot sweep "
+        f"the policy axis {axis}\n")
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_marks_impossible_rows_instead_of_dying(tmp_path):

@@ -17,11 +17,20 @@ from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                         harvest_pmf)
 from ehcr.policy import BLOCK_ENTRIES, transmit_row
 from ehcr.probing import GainDistribution, estimator_variances
-from ehcr.rate import antiderivative_m, rate_lower_bound, transmission_outage
+from ehcr.rate import (antiderivative_m, level_gains, level_weights, rate_sum,
+                       transmission_outage)
 from ehcr.sensing import joint_sensing_stats, sensing_stats
 
 
 FIT_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "fit_scaled_e1.py"
+
+
+def _rate_bound(config, profile, sensing, est, pmf, zeta):
+    """The rate bound as the evaluator composes it: the row's level
+    integrals weighted by its gather of the steady state."""
+    return rate_sum(config, sensing, pmf,
+                    level_gains(config, profile, sensing, est, pmf),
+                    level_weights(zeta, pmf))
 
 
 def _m_quad(a, b, snr, mean):
@@ -151,11 +160,11 @@ def test_rate_terms_match_the_scipy_formula(monkeypatch, config, profile,
                     params, ideal_sensing=ideal)
     zeta = su.chain.steady_state
 
-    # aic_contribution and transmission_outage read only the spend pmf and
+    # interference_load and transmission_outage read only the spend pmf and
     # the steady state, never _scaled_e1, so only the rate bound is compared
     def terms():
-        r = rate_lower_bound(config, profile, su.sensing, su.estimation,
-                             su.pmf, zeta)
+        r = _rate_bound(config, profile, su.sensing, su.estimation, su.pmf,
+                        zeta)
         return r.total[0], r.idle_part[0], r.busy_part[0]
 
     got = terms()
@@ -303,7 +312,7 @@ def test_rate_bound_equals_four_antiderivative_calls():
                            GainDistribution.from_stats(est, sensing))
         zeta = rng.dirichlet(np.ones(config.battery_cells + 1), len(thetas))
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            got = rate_lower_bound(config, profile, sensing, est, pmf, zeta)
+            got = _rate_bound(config, profile, sensing, est, pmf, zeta)
         want = _four_call_rate(config, profile, sensing, est, pmf, zeta)
         for field, ref in zip((got.total, got.idle_part, got.busy_part), want):
             assert field.shape == pmf.theta.shape
@@ -364,7 +373,7 @@ def test_rate_zero_when_band_never_sensed_idle():
     dist = GainDistribution.from_stats(est, sen)
     pmf = transmit_row(0.6, [0.1], cfg.probe_cells, cfg.battery_cells, dist)
     z = np.full(cfg.battery_cells + 1, 1.0 / (cfg.battery_cells + 1))
-    r = rate_lower_bound(cfg, prof, sen, est, pmf, z)
+    r = _rate_bound(cfg, prof, sen, est, pmf, z)
     assert r.total == 0.0 and r.idle_part == 0.0 and r.busy_part == 0.0
 
 
