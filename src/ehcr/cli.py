@@ -417,12 +417,15 @@ def _sweep_model(loaded: LoadedConfig, axis: str,
                  value: float) -> NetworkModel:
     config = loaded.model.config
     profiles = loaded.model.profiles
+    if axis in ("alpha_t", "K") and not float(value).is_integer():
+        # an int field takes integral values only, as in a config file
+        raise ConfigError([f"{axis} must be an integer; got {value:.12g}"])
     if axis == "tau_s":
         config = dataclasses.replace(config, sensing_duration=value)
     elif axis == "alpha_t":
-        config = dataclasses.replace(config, probe_cells=int(round(value)))
+        config = dataclasses.replace(config, probe_cells=int(value))
     elif axis == "K":
-        config = dataclasses.replace(config, battery_cells=int(round(value)))
+        config = dataclasses.replace(config, battery_cells=int(value))
     elif axis == "I_av":
         config = dataclasses.replace(config, interference_cap=value)
     elif axis == "rho":

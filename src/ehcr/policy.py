@@ -3,10 +3,11 @@
 Given the fed-back gain estimate and the current battery level, the user
 spends an integer number of cells on data: a fraction ``omega`` of the
 battery, derated by how far the gain sits above the cutoff ``theta``,
-minus the cells already reserved for probing.  Because the spend is a
-step function of the gain, its distribution under the exponential-mixture
-gain law reduces to CDF differences over per-level gain intervals; those
-intervals are what the analytic rate expressions integrate over as well.
+minus the cells already reserved for probing.  The spend is a step
+function of the gain, so a state's levels tile the gain axis: under the
+exponential-mixture gain law a level's chance is the CDF difference of
+consecutive lower edges, and that of spending nothing the CDF at the
+state's first edge.  The rate expressions integrate over the same edges.
 """
 from __future__ import annotations
 
@@ -23,13 +24,6 @@ from .probing import GainDistribution, conditional_cdfs
 # denominators within DENOM_EPS of zero mean the level is unreachable.
 FLOOR_NUDGE = 1e-9
 DENOM_EPS = 1e-12
-
-# The passes over a row's gain edges (the spend law's CDFs here, the rate
-# bound's antiderivatives) take at most this many flattened (cutoff,
-# level) entries at a time, each under both laws at both edges, so every
-# temporary of a pass holds at most 2^14 doubles (128 KB).  On the K=80
-# search 2^11 measured slower, and 2^13 raised the peak memory.
-BLOCK_ENTRIES = 2 ** 12
 
 
 def check_params(params: PolicyParams) -> None:
@@ -93,19 +87,21 @@ def level_skeleton(omega: float, probe_cells: int, cells: int) -> LevelSkeleton:
     return LevelSkeleton(k_idx, np.arange(total) - np.repeat(starts, caps) + 1)
 
 
-def _edges(thetas: np.ndarray, komega: np.ndarray,
-           d_lo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Gain edges theta*k*omega/d of every level, one row per cutoff.
+def _edges(thetas: np.ndarray, komega: np.ndarray, d: np.ndarray,
+           top: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Lower and upper gain edges of every level, one row per cutoff.
 
-    The edges invert the derating factor at each floor step; a
-    non-positive inverted denominator means the level never loses to the
-    next one, so its upper edge is +inf.
+    The lower edge theta*k*omega/d inverts the derating factor at the
+    level's floor step; a denominator within DENOM_EPS of zero means the
+    level is never reached, so its edge is +inf.  Within a state d falls
+    by exactly 1 per level (subtracting these integers from a float below
+    2^53 is exact), so a level's upper edge theta*k*omega/(d - 1) is the
+    next level's lower edge bit for bit, and +inf at the state's top.
     """
-    d_hi = d_lo - 1.0
-    num = thetas[..., None] * komega
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo = np.where(d_lo > DENOM_EPS, num / np.where(d_lo > 0, d_lo, 1.0), np.inf)
-        hi = np.where(d_hi > DENOM_EPS, num / np.where(d_hi > 0, d_hi, 1.0), np.inf)
+    lo = np.where(d > DENOM_EPS,
+                  thetas[..., None] * komega / np.where(d > 0, d, 1.0), np.inf)
+    hi = np.roll(lo, -1, axis=-1)
+    hi[..., top] = np.inf
     return lo, hi
 
 
@@ -153,11 +149,13 @@ def transmit_row(omega: float, thetas: Sequence[float], probe_cells: int,
                  skeleton: Optional[LevelSkeleton] = None) -> PolicyPmf:
     """Spend laws of one spend fraction at a row of cutoffs.
 
-    Positive levels get the mixture-component probability of their gain
-    interval, both components at both edges in one CDF pass per block
-    of levels; the zero level takes whatever remains, which also covers
-    gains below the cutoff.  ``skeleton`` is ``omega``'s
-    :func:`level_skeleton`, built here when not given.
+    One CDF pass prices both gain laws at every level's lower edge.  A
+    level's mass is the CDF at its upper edge (the next level's lower
+    edge, or 1 at its state's top) minus the CDF at its own; a spending
+    state's zero mass is the CDF at its first lower edge, which also
+    covers gains below the cutoff, and a state that never spends has zero
+    mass 1.  ``skeleton`` is ``omega``'s :func:`level_skeleton`, built
+    here when not given.
     """
     thetas = np.asarray(thetas, dtype=float)
     # the smallest cutoff stands for them all
@@ -165,30 +163,20 @@ def transmit_row(omega: float, thetas: Sequence[float], probe_cells: int,
     if skeleton is None:
         skeleton = level_skeleton(omega, probe_cells, cells)
     k_idx, i_idx = skeleton
-    komega = omega * k_idx
-    lo, hi = _edges(thetas, komega, komega - probe_cells - i_idx)
-    flat_lo, flat_hi = lo.reshape(-1), hi.reshape(-1)
-    mass = np.empty((2, flat_lo.size))
-    for start in range(0, flat_lo.size, BLOCK_ENTRIES):
-        cut = slice(start, start + BLOCK_ENTRIES)
-        cdf = conditional_cdfs(dist, np.stack((flat_hi[cut], flat_lo[cut])))
-        mass[:, cut] = np.where(flat_lo[cut] >= flat_hi[cut], 0.0,
-                                np.maximum(cdf[:, 0] - cdf[:, 1], 0.0))
-    # (law, cutoff, level) to (cutoff, law, level), laid out contiguously
-    # for the scatter below
-    mass = np.ascontiguousarray(
-        mass.reshape(2, thetas.size, k_idx.size).swapaxes(0, 1))
     # every state from the first that spends up to K spends, its levels
-    # contiguous from spend 1; a state's masses are summed over a row
-    # zero-padded to every spend 1..K, so the sum is that of its dense
-    # spend row whatever the stack holds
-    start = int(k_idx[0]) if k_idx.size else cells + 1
-    slots = (k_idx - start) * cells + i_idx - 1
-    rows = np.zeros((thetas.size, 2, (cells + 1 - start) * cells))
-    rows[..., slots] = mass
+    # contiguous from spend 1; a state's top level comes just before the
+    # next state's first, and the last level wraps onto the first
+    first = i_idx == 1
+    top = np.roll(first, -1)
+    komega = omega * k_idx
+    lo, hi = _edges(thetas, komega, komega - probe_cells - i_idx, top)
+    # (cutoff, law, level)
+    cdf = conditional_cdfs(dist, lo).swapaxes(0, 1)
+    mass = np.roll(cdf, -1, axis=-1)
+    mass[..., top] = 1.0
+    mass -= cdf
     zero = np.ones((thetas.size, 2, cells + 1))
-    zero[..., start:] = np.maximum(
-        1.0 - rows.reshape(thetas.size, 2, -1, cells).sum(axis=-1), 0.0)
+    zero[..., k_idx[first]] = cdf[..., first]
     return PolicyPmf(omega=omega, theta=thetas, level_state=k_idx,
                      level_units=i_idx, level_lo=lo, level_hi=hi,
                      level_mass=mass, zero_mass=zero, cells=cells,

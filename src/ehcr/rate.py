@@ -37,7 +37,7 @@ import numpy as np
 
 from .battery import dot_last
 from .model import SuProfile, SystemConfig
-from .policy import BLOCK_ENTRIES, PolicyPmf
+from .policy import PolicyPmf
 from .probing import EstimationStats
 from .sensing import SensingStats
 
@@ -49,6 +49,11 @@ _LN2 = math.log(2.0)
 _CF_SWITCH = 600.0
 # exp(-t) underflows to zero here, making the whole antiderivative zero
 _EXP_UNDERFLOW = 745.0
+
+# Flattened (cutoff, level) entries per antiderivative pass of the rate
+# bound: both laws at both edges keep each temporary at 2^14 doubles
+# (128 KB).  2^11 measured slower on the K=80 search; 2^13 raised its peak.
+BLOCK_ENTRIES = 2 ** 12
 
 # _scaled_e1 uses E1(t) = P(t) - ln t below _NEAR_END and P(1/t)/t from
 # there to _CF_SWITCH, with one P below _MID_END and another from there
@@ -226,7 +231,7 @@ def _interval_integrals(lo: np.ndarray, hi: np.ndarray, snr: np.ndarray,
     cutoffs, levels): M(hi) - M(lo) clipped at 0, and 0 on an empty
     interval.  Both edges under every law go through one
     :func:`antiderivative_m` call per block of at most
-    :data:`~ehcr.policy.BLOCK_ENTRIES` flattened entries.
+    :data:`BLOCK_ENTRIES` flattened entries.
     """
     cutoffs, levels = lo.shape
     lo, hi = lo.reshape(-1), hi.reshape(-1)

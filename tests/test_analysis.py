@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ehcr.analysis import analyze, analyze_su
-from ehcr.battery import TransitionBuilder
+from ehcr.battery import TransitionBuilder, battery_outage
 from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                         harvest_pmf)
 from ehcr.optimizer import SuEvaluator
@@ -15,19 +15,44 @@ from ehcr.rate import antiderivative_m
 from ehcr.sensing import sensing_stats
 
 
-def test_reference_point_scalars(reference_su):
+def _gth_stationary(matrix):
+    """Stationary law of a column-stochastic chain by GTH state reduction.
+
+    Grassmann, Taksar & Heyman (Oper. Res. 33(5), 1985): the chain is
+    censored on ever fewer states with sums and products of nonnegative
+    numbers only, so even masses far below rounding keep their relative
+    accuracy.  Too slow for the hot path, exact enough for an oracle.
+    """
+    q = np.array(matrix, dtype=float).T  # q[i, j] = Pr{i -> j}
+    n = q.shape[0]
+    for m in range(n - 1, 0, -1):
+        q[:m, m] /= q[m, :m].sum()
+        q[:m, :m] += np.outer(q[:m, m], q[m, :m])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for m in range(1, n):
+        pi[m] = pi[:m] @ q[:m, m]
+    return pi / pi.sum()
+
+
+def test_reference_point_scalars(reference_model, reference_su):
     """Frozen outputs of the default single-user setup.
 
     The values were established independently: the rate against per-tier
-    quadrature, the battery mean and both outages against long Monte
-    Carlo runs of the slot dynamics.
+    quadrature, the battery mean and the transmission outage against long
+    Monte Carlo runs of the slot dynamics.  The steady state and the
+    battery outage (about 5e-63 here) are checked against a GTH solve,
+    which the balance solve matches up to its rounding.
     """
     assert reference_su.rate.total == pytest.approx(28946.996377, rel=1e-9)
     assert reference_su.interference == pytest.approx(0.856673041275,
                                                       rel=1e-9)
     assert reference_su.chain.avg_energy == pytest.approx(68.8274179930,
                                                           rel=1e-9)
-    assert reference_su.chain.outage == 0.0
+    gth = _gth_stationary(reference_su.chain.matrix)
+    assert np.abs(reference_su.chain.steady_state - gth).max() <= 1e-14
+    assert abs(reference_su.chain.outage - battery_outage(
+        gth, reference_model.config.probe_cells)) <= 1e-15
     assert reference_su.transmission_outage == pytest.approx(0.103582302708,
                                                              rel=1e-9)
 

@@ -466,6 +466,27 @@ def test_sweep_marks_out_of_range_policies_invalid(tmp_path):
         "ok", "ok", "invalid: omega must lie in [0; 1]"]
 
 
+@pytest.mark.parametrize("axis, stop, points, kept", [
+    ("K", "19", 4, ["10", "13", "16", "19"]),
+    ("K", "20", 4, ["10", "20"]),
+    ("alpha_t", "3", 5, ["0", "3"])])
+def test_sweep_marks_off_integer_points_of_an_integer_axis_invalid(
+        tmp_path, axis, stop, points, kept):
+    # rounding would price a point other than the one its row names
+    cfg = _write(tmp_path, BASE_CONFIG)
+    out = tmp_path / "out"
+    start = "10" if axis == "K" else "0"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", axis,
+                 "--from", start, "--to", stop,
+                 "--points", str(points)]) == EXIT_OK
+    rows = _read_csv(out / "sweep.csv")[1:]
+    assert [r[0] for r in rows if r[1] == "ok"] == kept
+    for r in rows:
+        if r[0] not in kept:
+            assert r[1] == f"invalid: {axis} must be an integer; got {r[0]}"
+            assert r[2:] == [""] * (len(r) - 2)
+
+
 def test_sweep_optimizing_over_the_cap_never_degrades(tmp_path):
     cfg = _write(tmp_path, BASE_CONFIG)
     out = tmp_path / "out"

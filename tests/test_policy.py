@@ -161,14 +161,30 @@ def test_transmit_pmf_matches_sampled_frequencies():
         assert tv < 0.005
 
 
+def _edge_formula(omega, thetas, reserve, k, i):
+    """Gain edges theta*k*omega/d and theta*k*omega/(d - 1) of spend i at
+    battery level k, d = k*omega - reserve - i, each edge computed on its
+    own; +inf where a denominator is within 1e-12 of zero."""
+    komega = omega * k
+    num = np.asarray(thetas)[:, None] * komega
+    d = komega - reserve - i
+    return tuple(np.where(den > 1e-12, num / np.where(den > 0, den, 1.0),
+                          np.inf) for den in (d, d - 1.0))
+
+
 def test_level_mass_equals_four_gain_cdf_calls():
-    """One CDF pass over (law, edge) prices what four calls did, bit for bit."""
+    """One CDF pass over the lower edges prices what four calls did, bit
+    for bit, and each state's zero mass is the CDF at its first edge."""
     rng = np.random.default_rng(8)
     cases = [(80, 1, 1.0, (0.0, 0.02, 0.2, 0.8, 5.0, 1e3), MIX),
              (400, 1, 0.7, (0.2,), MIX),
              (30, 0, 0.5, (0.0, 0.1), GainDistribution((1.0, 0.0), (0.0, 0.0))),
-             (50, 2, 0.0, (0.3,), MIX)]
-    for _ in range(8):
+             (50, 2, 0.0, (0.3,), MIX),
+             # 0.58 * 50 is a hair below 29, and reserve 3 keeps the
+             # lowest states of a 12-cell battery from ever spending
+             (50, 0, 0.58, (0.0, 0.2, 0.9, 4.0), MIX),
+             (12, 3, 1.0, (0.05, 2.0), MIX)]
+    for _ in range(12):
         cells = int(rng.integers(12, 401))
         means = (float(10.0 ** rng.uniform(-2, 1)),
                  float(10.0 ** rng.uniform(-2, 1)) if rng.integers(4) else 0.0)
@@ -185,7 +201,17 @@ def test_level_mass_equals_four_gain_cdf_calls():
     for cells, reserve, omega, thetas, dist in cases:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             pmf = transmit_row(omega, thetas, reserve, cells, dist)
+        lo, hi = _edge_formula(omega, thetas, reserve, pmf.level_state,
+                               pmf.level_units)
+        assert (pmf.level_lo == lo).all() and (pmf.level_hi == hi).all()
+        assert (pmf.level_mass >= 0.0).all()
+        states = np.arange(cells + 1)
+        spends = np.floor(omega * states + 1e-9) - reserve >= 1
+        first_lo = _edge_formula(omega, thetas, reserve, states[spends], 1)[0]
+        np.testing.assert_array_equal(pmf.zero_mass[..., ~spends], 1.0)
         for eps in (0, 1):
+            assert (pmf.zero_mass[:, eps, spends]
+                    == gain_cdf(dist, first_lo, eps)).all()
             for edge in (pmf.level_lo, pmf.level_hi):
                 assert (gain_cdf(dist, edge, eps)
                         == cdf(edge, dist.means[eps])).all()

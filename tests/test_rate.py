@@ -15,10 +15,10 @@ from ehcr.analysis import analyze_su
 from ehcr.battery import dot_last
 from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                         harvest_pmf)
-from ehcr.policy import BLOCK_ENTRIES, transmit_row
+from ehcr.policy import transmit_row
 from ehcr.probing import GainDistribution, estimator_variances
-from ehcr.rate import (antiderivative_m, level_gains, level_weights, rate_sum,
-                       transmission_outage)
+from ehcr.rate import (BLOCK_ENTRIES, antiderivative_m, level_gains,
+                       level_weights, rate_sum, transmission_outage)
 from ehcr.sensing import joint_sensing_stats, sensing_stats
 
 
