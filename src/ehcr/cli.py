@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import sys
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -76,15 +77,20 @@ class LoadedConfig:
 
 
 def _at(text: str, section: str, key: str) -> str:
-    """`` (line N)`` for the line that sets ``key`` in ``[section]``, else ``""``."""
+    """`` (line N)`` for the line that sets ``key`` in ``[section]``, else ``""``.
+
+    The option name is the text before a line's first ``=`` or ``:``,
+    compared in lower case as configparser reads it.
+    """
     current = None
     for n, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("["):
             current = stripped[1:].split("]", 1)[0].strip()
-        elif (current == section and stripped.startswith(key)
-              and "=" in stripped):
-            return f" (line {n})"
+        elif current == section:
+            name = re.match(r"([^=:]*)[=:]", stripped)
+            if name and name.group(1).strip().lower() == key:
+                return f" (line {n})"
     return ""
 
 
@@ -434,9 +440,8 @@ def _sweep_model(loaded: LoadedConfig, axis: str,
     return validate(config, profiles)
 
 
-def _sweep_policies(loaded: LoadedConfig, axis: str,
+def _sweep_policies(policies: List[PolicyParams], axis: str,
                     value: float) -> List[PolicyParams]:
-    policies = loaded.require_policies()
     if axis in ("omega", "theta"):
         policies = [dataclasses.replace(p, **{axis: value}) for p in policies]
     try:
@@ -461,6 +466,8 @@ def cmd_sweep(args: argparse.Namespace, loaded: LoadedConfig) -> int:
                    f"avg_energy_su{i}", f"battery_outage_su{i}",
                    f"transmission_outage_su{i}"]
 
+    # a missing policy fails the whole sweep, not each of its points
+    policies = None if args.optimize else loaded.require_policies()
     search = _search_with_flags(args, loaded)
     # Physics is unchanged along these axes, so evaluators can be shared.
     shared_evaluators = None
@@ -481,8 +488,8 @@ def cmd_sweep(args: argparse.Namespace, loaded: LoadedConfig) -> int:
                 sum_rate, aic_lhs = result.sum_rate, result.aic_lhs
                 points = result.per_su
             else:
-                policies = _sweep_policies(loaded, args.axis, value)
-                analysis = analyze(model, policies,
+                analysis = analyze(model,
+                                   _sweep_policies(policies, args.axis, value),
                                    ideal_sensing=args.ideal_sensing)
                 status, points = "ok", _points(analysis)
                 sum_rate = analysis.breakdown.sum_rate

@@ -19,13 +19,13 @@ level's battery state (:func:`level_weights`, one gather that
 :func:`interference_load` reads too).
 
 The rate bound's scaled exponential integral exp(t)*E1(t) never calls a
-special function.  Below t = 600 it is three polynomials fitted offline
-by ``tools/fit_scaled_e1.py`` (mpmath at 40 digits): E1(t) = P(t) - ln t
+special function.  It is three polynomials fitted offline by
+``tools/fit_scaled_e1.py`` (mpmath at 40 digits): E1(t) = P(t) - ln t
 with P = -gamma + Ein for t < 2, and t*exp(t)*E1(t) as a polynomial in
-1/t on [2, 8) and on [8, 600).  From t = 600 on a continued fraction
-takes over.  The relative error is below 3e-14 on every piece (1e-13 is
-tested).  The terms below take a policy row
-(:func:`~ehcr.policy.transmit_row`) and give one value per cutoff.
+1/t on [2, 8) and on [8, inf).  The relative error is at most 2.2e-14
+below 2, 2.8e-14 on [2, 8) and 1.2e-15 from 8 on (1e-13 is tested).
+The terms below take a policy row (:func:`~ehcr.policy.transmit_row`)
+and give one value per cutoff.
 """
 from __future__ import annotations
 
@@ -44,9 +44,6 @@ from .sensing import SensingStats
 ArrayLike = Union[float, np.ndarray]
 
 _LN2 = math.log(2.0)
-# above this argument exp(t)*E1(t) is evaluated by continued fraction to
-# dodge the overflow/underflow product in the direct form
-_CF_SWITCH = 600.0
 # exp(-t) underflows to zero here, making the whole antiderivative zero
 _EXP_UNDERFLOW = 745.0
 
@@ -56,7 +53,7 @@ _EXP_UNDERFLOW = 745.0
 BLOCK_ENTRIES = 2 ** 12
 
 # _scaled_e1 uses E1(t) = P(t) - ln t below _NEAR_END and P(1/t)/t from
-# there to _CF_SWITCH, with one P below _MID_END and another from there
+# there on, with one P below _MID_END and another from there
 _NEAR_END = 2.0
 _MID_END = 8.0
 
@@ -75,7 +72,7 @@ def _as_arrays(coeffs) -> tuple:
 # Coefficients of _scaled_e1's polynomials, highest power first, written
 # by tools/fit_scaled_e1.py; `python3 tools/fit_scaled_e1.py --check`
 # refits them.  t < 2: P(t) = E1(t) + ln t = -gamma + Ein(t).  Then one
-# column each for 2 <= t < 8 and 8 <= t < 600: P(1/t) = t*exp(t)*E1(t).
+# column each for 2 <= t < 8 and t >= 8: P(1/t) = t*exp(t)*E1(t).
 _E1_NEAR = _as_arrays((
     -7.03577695135723e-11, 1.7737566544720701e-09, -2.600893404864189e-08,
     3.0301385381037893e-07, -3.095715783915787e-06, 2.834028810258314e-05,
@@ -84,23 +81,23 @@ _E1_NEAR = _as_arrays((
     -0.5772156649015315,
 ))
 _E1_INV = np.array([
-    (1069.314542107882, 1452582500.3244512),
-    (-5865.303790836217, -1705572183.4129345),
-    (15058.014036764453, 936310358.841443),
-    (-24060.967060914292, -321341011.8509107),
-    (26850.576983956267, 78114362.71876669),
-    (-22269.97139557881, -14551868.449457958),
-    (14276.930604977502, 2220218.5308128553),
-    (-7274.954272121505, -297487.8322553543),
-    (3015.34702888036, 37876.32508834088),
-    (-1040.7355607182449, -4968.804360562312),
-    (308.2214676083982, 718.4328908010851),
-    (-81.9691212417221, -119.97485602153323),
-    (21.05176829211902, 23.999718963639545),
-    (-5.820612861725447, -5.99999794351019),
-    (1.9921004838166707, 1.9999999910089412),
-    (-0.9997784159302694, -0.9999999999797865),
-    (0.9999970473069972, 0.999999999999983),
+    (1069.314542107882, 1640028825.1707764),
+    (-5865.303790836217, -1901316737.0916362),
+    (15058.014036764453, 1029341048.3733859),
+    (-24060.967060914292, -347974334.6269594),
+    (26850.576983956267, 83237648.72009674),
+    (-22269.97139557881, -15251269.134332856),
+    (14276.930604977502, 2289981.370445055),
+    (-7274.954272121505, -302645.3220977584),
+    (3015.34702888036, 38159.992669103834),
+    (-1040.7355607182449, -4980.353726894698),
+    (308.2214676083982, 718.7762187785576),
+    (-81.9691212417221, -119.98213210857354),
+    (21.05176829211902, 23.99982487960917),
+    (-5.820612861725447, -5.999998943764702),
+    (1.9921004838166707, 1.99999999660645),
+    (-0.9997784159302694, -0.9999999999956376),
+    (0.9999970473069972, 0.9999999999999991),
 ])
 # the two columns as 0-d arrays, so each piece runs its own Horner pass
 # on scalar coefficients
@@ -121,12 +118,12 @@ def _scaled_e1(t: np.ndarray) -> np.ndarray:
     """exp(t) * E1(t) for t > 0, stable for arbitrarily large t.
 
     Below t = 2, exp(t) * (P(t) - ln t) with P(t) = -gamma + Ein(t)
-    (degree 12).  From 2 to 600, P(1/t) / t with P fitted to
-    t*exp(t)*E1(t) on [2, 8) and on [8, 600) (degree 16 each).  From
-    t = 600 on, a 40-term continued fraction.  Each range gathers its
-    arguments into one contiguous array and is skipped when it has
-    none.  Relative error against ``mpmath.e1``: at most 3e-14 below 600
-    and under 1e-15 above.
+    (degree 12).  From t = 2 on, P(1/t) / t with P fitted to
+    t*exp(t)*E1(t) on [2, 8) and on [8, inf) (degree 16 each); +inf
+    gives 0.  Each range gathers its arguments into one contiguous array
+    and is skipped when it has none.  Relative error against
+    ``mpmath.e1``: at most 2.2e-14 below 2, 2.8e-14 on [2, 8) and
+    1.2e-15 from 8 on.
     """
     shape = np.shape(t)
     # the masks below gather and scatter fastest on a flat array
@@ -134,7 +131,6 @@ def _scaled_e1(t: np.ndarray) -> np.ndarray:
     out = np.empty_like(t)
     near = t < _NEAR_END
     below_far = t < _MID_END
-    tail = t >= _CF_SWITCH
     tn = t[near]
     if tn.size:
         acc = _horner(_E1_NEAR, tn)
@@ -144,20 +140,13 @@ def _scaled_e1(t: np.ndarray) -> np.ndarray:
         out[near] = acc
     # a NaN falls to the far piece, as it compares false everywhere
     for piece, coeffs in ((below_far & ~near, _E1_MID),
-                          (~(below_far | tail), _E1_FAR)):
+                          (~below_far, _E1_FAR)):
         ti = t[piece]
         if ti.size:
             v = np.reciprocal(ti)
             acc = _horner(coeffs, v)
             acc *= v
             out[piece] = acc
-    tb = t[tail]
-    if tb.size:
-        # descending continued fraction 1/(t+1- 1^2/(t+3- 2^2/(t+5- ...)))
-        acc = np.zeros_like(tb)
-        for k in range(40, 0, -1):
-            acc = (k * k) / (tb + 2.0 * k + 1.0 - acc)
-        out[tail] = 1.0 / (tb + 1.0 - acc)
     return out.reshape(shape)
 
 
@@ -228,10 +217,11 @@ def _interval_integrals(lo: np.ndarray, hi: np.ndarray, snr: np.ndarray,
 
     ``lo`` and ``hi`` are (cutoffs, levels) edges, ``snr`` has one slope
     per law and level and ``means`` one gain mean per law.  Returns (laws,
-    cutoffs, levels): M(hi) - M(lo) clipped at 0, and 0 on an empty
-    interval.  Both edges under every law go through one
-    :func:`antiderivative_m` call per block of at most
-    :data:`BLOCK_ENTRIES` flattened entries.
+    cutoffs, levels): M(hi) - M(lo) clipped at 0.  Both edges under every
+    law go through one :func:`antiderivative_m` call per block of at most
+    :data:`BLOCK_ENTRIES` flattened entries, so equal edges (every level
+    below the top at theta = 0, both +inf on an unreachable level) price
+    M(x) - M(x) = 0 exactly.
     """
     cutoffs, levels = lo.shape
     lo, hi = lo.reshape(-1), hi.reshape(-1)
@@ -245,7 +235,6 @@ def _interval_integrals(lo: np.ndarray, hi: np.ndarray, snr: np.ndarray,
                              means)
         gain = np.subtract(m[:, 0], m[:, 1], out=out[:, cut])
         np.maximum(gain, 0.0, out=gain)
-        np.copyto(gain, 0.0, where=lo[cut] >= hi[cut])
     return out.reshape(means.size, cutoffs, levels)
 
 

@@ -151,9 +151,13 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
 
 def test_analyze_requires_a_policy(tmp_path, capsys):
     cfg = _write(tmp_path, "[su.1]\nharvest_rate = 6.0\n")
-    assert main(["analyze", "--config", cfg,
-                 "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "needs omega and theta" in capsys.readouterr().err
+    # a sweep that analyzes fixed policies needs them before its first point
+    for command in (["analyze"], ["sweep", "--axis", "rho", "--from", "1",
+                                  "--to", "3", "--points", "3"]):
+        assert main(command + ["--config", cfg,
+                               "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "needs omega and theta" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_impossible_durations_are_reported(tmp_path, capsys):
@@ -270,14 +274,16 @@ def test_unusable_grid_flags_are_config_errors(tmp_path, capsys, command,
 
 
 def test_out_of_range_policy_points_to_its_line(tmp_path, capsys):
-    text = BASE_CONFIG.replace("omega = 0.6", "omega = 1.5")
-    text += "\n[su.2]\nharvest_rate = 4.0\nomega = 0.5\ntheta = -1\n"
-    cfg = _write(tmp_path, text)
-    assert main(["analyze", "--config", cfg,
-                 "--out", str(tmp_path)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "[su.1] omega must lie in [0, 1] (line 7)" in err
-    assert "[su.2] theta must be >= 0 (line 13)" in err
+    # configparser also reads `key: value` and option names in any case
+    for spelling in ("omega = 1.5", "omega: 1.5", "Omega = 1.5"):
+        text = BASE_CONFIG.replace("omega = 0.6", spelling)
+        text += "\n[su.2]\nharvest_rate = 4.0\nomega = 0.5\ntheta = -1\n"
+        cfg = _write(tmp_path, text)
+        assert main(["analyze", "--config", cfg,
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[su.1] omega must lie in [0, 1] (line 7)" in err, spelling
+        assert "[su.2] theta must be >= 0 (line 13)" in err
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["simulate", "--slots", "10"]])

@@ -57,25 +57,30 @@ def _scaled_e1_scipy(t):
 
 
 def test_scaled_e1_matches_mpmath():
-    edges = [rate._NEAR_END, rate._MID_END, rate._CF_SWITCH]
+    edges = [rate._NEAR_END, rate._MID_END]
     sides = [np.nextafter(edge, side) for edge in edges
              for side in (0.0, np.inf)]
-    t = np.concatenate([np.geomspace(1e-8, 745.0, 6000), edges, sides])
+    t = np.concatenate([np.geomspace(1e-8, 745.0, 6000), edges, sides,
+                        np.geomspace(745.0, 1e15, 300)])
     got = rate._scaled_e1(t)
     with mpmath.workdps(30):
         want = np.array([float(mpmath.exp(v) * mpmath.e1(v))
                          for v in map(mpmath.mpf, t)])
     assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+    # the far piece runs to +inf, and a NaN falls to it
+    got = rate._scaled_e1(np.array([np.inf, 1e300, np.nan]))
+    assert got[0] == 0.0
+    assert got[1] == pytest.approx(1e-300, rel=2e-15, abs=0.0)
+    assert np.isnan(got[2])
 
 
 def _scaled_e1_gathered(t):
-    """``_scaled_e1`` with [2, 600) in one Horner pass on the committed
+    """``_scaled_e1`` with t >= 2 in one Horner pass on the committed
     table's coefficients gathered by piece, as it was first written."""
     t = np.asarray(t, dtype=float).reshape(-1)
     out = np.empty_like(t)
     near = t < rate._NEAR_END
-    tail = t >= rate._CF_SWITCH
-    inverse = ~(near | tail)
+    inverse = ~near
     tn = t[near]
     acc = tn * rate._E1_NEAR[0]
     acc += rate._E1_NEAR[1]
@@ -97,16 +102,11 @@ def _scaled_e1_gathered(t):
         acc += c
     acc *= v
     out[inverse] = acc
-    tb = t[tail]
-    acc = np.zeros_like(tb)
-    for k in range(40, 0, -1):
-        acc = (k * k) / (tb + 2.0 * k + 1.0 - acc)
-    out[tail] = 1.0 / (tb + 1.0 - acc)
     return out
 
 
 def test_scaled_e1_pieces_equal_the_gathered_table_bit_for_bit():
-    edges = [rate._NEAR_END, rate._MID_END, rate._CF_SWITCH]
+    edges = [rate._NEAR_END, rate._MID_END]
     sides = [np.nextafter(edge, side) for edge in edges
              for side in (0.0, np.inf)]
     t = np.concatenate([np.geomspace(1e-8, 745.0, 6000), edges, sides,
@@ -201,8 +201,8 @@ def test_m_random_segments_against_quadrature():
 
 
 def test_m_large_exponent_branch():
-    # 1/(snr*mean) = 1000 forces the continued-fraction evaluation of
-    # exp(t)*E1(t); the direct product would overflow long before that
+    # 1/(snr*mean) = 1000 puts exp(t)*E1(t) deep in the far piece; the
+    # direct product exp(t) * E1(t) would overflow long before that
     snr, mean = 1e-3, 1.0
     want = _m_quad(2.0, 40.0, snr, mean)
     got = antiderivative_m(40.0, snr, mean) - antiderivative_m(2.0, snr, mean)
@@ -210,8 +210,9 @@ def test_m_large_exponent_branch():
 
 
 def test_m_segment_straddling_the_branch_switch():
-    # exponent crosses 600 inside the segment: both branches must agree
-    snr, mean = 0.01, 1.0   # offset 100, switch at x = 500
+    # exponent crosses 600 inside the segment; the far piece prices both
+    # edges
+    snr, mean = 0.01, 1.0   # offset 100, t = 600 at x = 500
     got = (antiderivative_m(502.0, snr, mean)
            - antiderivative_m(498.0, snr, mean))
     assert got == pytest.approx(_m_quad(498.0, 502.0, snr, mean), rel=1e-9)

@@ -1,24 +1,28 @@
 #!/usr/bin/env python3
 """Fit the polynomial pieces behind ``ehcr.rate._scaled_e1``.
 
-``_scaled_e1`` evaluates exp(t)*E1(t) with fitted polynomials below
-t = 600 and keeps a continued fraction from there on:
+``_scaled_e1`` evaluates exp(t)*E1(t) with three fitted polynomials that
+together cover every t > 0:
 
 * t < 2: exp(t) * (P(t) - ln t), where P(t) = E1(t) + ln t = -gamma +
   Ein(t) is entire, so E1 needs no special function; -gamma is P's
   constant coefficient.  ``_E1_NEAR`` holds P.
-* 2 <= t < 8 and 8 <= t < 600: P(1/t) / t, where P fits t*exp(t)*E1(t)
-  in 1/t over [1/8, 1/2] and [1/600, 1/8] (x = 2/t over [1/4, 1] and
-  [1/300, 1/4]).  The two P share one degree and are the columns of
-  ``_E1_INV``; ``_scaled_e1`` evaluates each piece in its own Horner
-  pass on that column's coefficients (``_E1_MID`` and ``_E1_FAR``).
+* 2 <= t < 8 and t >= 8: P(1/t) / t, where P fits t*exp(t)*E1(t) in 1/t
+  over [1/8, 1/2] and [0, 1/8] (x = 2/t over [1/4, 1] and [0, 1/4]).
+  t*exp(t)*E1(t) tends to 1 as 1/t -> 0, and ``mpmath.chebyfit`` samples
+  only interior nodes, so 1/t = 0 is never evaluated.  The two P share
+  one degree and are the columns of ``_E1_INV``; ``_scaled_e1`` evaluates
+  each piece in its own Horner pass on that column's coefficients
+  (``_E1_MID`` and ``_E1_FAR``).
 
 Every P interpolates at Chebyshev nodes in mpmath at 40 digits
 (``mpmath.chebyfit``) and is rounded to double monomial coefficients,
 highest power first, for Horner evaluation.  The degrees are the lowest
 at which every piece keeps its relative error against ``mpmath.e1``
 below a third of 1e-13: 12 for t < 2 (11 gives 5.8e-13), and 16 for
-both pieces above (15 gives 1.3e-13 on [2, 8)).
+both pieces above (15 gives 1.3e-13 on [2, 8)).  The error report stops
+the far piece at t = 1e15, past which P(1/t) is its constant term to
+within rounding.
 
 Usage::
 
@@ -44,11 +48,13 @@ DIGITS = 40
 CHECK_RTOL = 1e-15
 NEAR_DEGREE = 12
 INV_DEGREE = 16
+# the error report samples the far piece up to here
+REPORT_END = 1e15
 
 
 def _inverse_ranges() -> list:
     """The t range of every column of ``_E1_INV``."""
-    edges = (rate._NEAR_END, rate._MID_END, rate._CF_SWITCH)
+    edges = (rate._NEAR_END, rate._MID_END, mp.inf)
     return [(float(lo), float(hi)) for lo, hi in zip(edges, edges[1:])]
 
 
@@ -104,6 +110,7 @@ def max_errors(pieces: dict, points: int = 2000) -> dict:
     try:
         errors = {}
         for lo, hi in ranges:
+            hi = min(hi, REPORT_END)
             t = np.geomspace(lo, hi, points, endpoint=False)
             got = rate._scaled_e1(t)
             with mp.workdps(30):
