@@ -3,32 +3,32 @@
 
 Usage::
 
-    python3 benchmarks/layers.py --parent REV --out BENCH_16.json
+    python3 benchmarks/layers.py --parent REV --out BENCH_20.json
 
 ``REV``'s ``src/`` is extracted with ``git archive`` into a temporary
 directory, and both trees are loaded into this one process (``_load``).
 Every row is timed one way (``pair``): its callable is built once per
 tree, the loop count is calibrated once on the parent's, and then the
-two sides are called alternately, ``PAIRS`` times (``SLOW_PAIRS`` for
-rows whose call takes over ``SLOW_S``).  The JSON keeps, per row, each
-side's median and the median and quartiles of the per-pair
+two sides are called alternately, ``PAIRS`` times.  The JSON keeps, per
+row, each side's median and the median and quartiles of the per-pair
 change/parent ratio.
 
 For one user at the default configuration with K = 80 and K = 400 cells
-and policy (0.45, 0.2), the rows time the layers that
-``SuEvaluator.price_user`` and its policy side run on a one-cutoff row:
-the spend law (``transmit_row``), the transition matrix
+and policy (0.45, 0.2), the rows time the layers an uncached one-cutoff
+row runs: the spend law (``transmit_row``), then those of
+``SuEvaluator.price_row``: the transition matrix
 (``TransitionBuilder.matrix`` on the row's spend moves), the steady
-state, the level integrals (``rate.level_gains``) and the user-side
-terms (``level_weights``, ``rate_sum``, ``interference_load`` and
-``transmission_outage``), plus the uncached ``evaluate`` itself, in
-microseconds per call.  At K = 80 the same layers are timed on the
-9-cutoff row at omega = 0.45 (``k80_row9_<layer>_us``), the shape of
-most rows of the policy search.  An uncached row of cutoffs at
-omega = 0.45 is timed in microseconds per point: 9 cutoffs at K = 80
-and 3 at K = 400 (``SuEvaluator.evaluate_row``).  ``rate._scaled_e1``
-is timed in nanoseconds per element on the arguments of its largest
-call in pricing K = 80 at (0.15, 0.2) and K = 400 at (0.7, 0.2).
+state, the level integrals (``rate.level_gains``) and the terms the
+steady state weights (``level_weights``, ``rate_sum``,
+``interference_load`` and ``transmission_outage``), plus the uncached
+``evaluate`` itself, in microseconds per call.  At K = 80 the same
+layers are timed on the 9-cutoff row at omega = 0.45
+(``k80_row9_<layer>_us``), the shape of most rows of the policy search.
+An uncached row of cutoffs at omega = 0.45 is timed in microseconds per
+point: 9 cutoffs at K = 80 and 3 at K = 400
+(``SuEvaluator.evaluate_row``).  ``rate._scaled_e1`` is timed in
+nanoseconds per element on the arguments of its largest call in pricing
+K = 80 at (0.15, 0.2) and K = 400 at (0.7, 0.2).
 
 End to end: ``solve_p1`` on the README's two-user model in seconds (its
 priced points go to ``counts``), and ``simulate`` in microseconds per
@@ -58,16 +58,13 @@ import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Optional
 
 REPO = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 MODULES = ("model", "policy", "battery", "rate", "optimizer", "sim")
-# calibrated loops run at least SAMPLE_S; calls over SLOW_S take fewer pairs
+# calibrated loops run at least SAMPLE_S
 SAMPLE_S = 0.05
-SLOW_S = 0.25
 PAIRS = 21
-SLOW_PAIRS = 7
 POLICY = (0.45, 0.2)
 E1_POINTS = {"e1_k80": (80, (0.15, 0.2)), "e1_k400": (400, (0.7, 0.2))}
 ROW_THETAS = {80: (0.02, 0.04, 0.07, 0.1, 0.15, 0.2, 0.3, 0.5, 0.8),
@@ -91,7 +88,7 @@ WALKS = {"default_75k": (DEFAULT_POINT, 75_000),
 
 
 def _layers(m, ev, thetas):
-    """The layers ``price_user`` and its policy side run on one row."""
+    """The layers an uncached row of ``thetas`` runs."""
     cfg, prof, sensing = ev.config, ev.profile, ev.sensing
     omega, rate = POLICY[0], m.rate
     pmf = m.policy.transmit_row(omega, thetas, cfg.probe_cells,
@@ -197,22 +194,18 @@ def _loop(fn, number: int) -> float:
     return time.perf_counter() - start
 
 
-def pair(fns: dict, scale: float = 1.0, pairs: Optional[int] = None) -> dict:
+def pair(fns: dict, scale: float = 1.0, pairs: int = PAIRS) -> dict:
     """Time ``fns["parent"]`` and ``fns["change"]`` alternately.
 
     The loop count is doubled until the parent's loop takes ``SAMPLE_S``;
     each side then runs that loop once per pair, the first side
-    alternating.  ``pairs`` defaults to ``PAIRS``, or ``SLOW_PAIRS`` when
-    one call takes over ``SLOW_S``.  Per-call medians are in seconds
-    times ``scale``.
+    alternating.  Per-call medians are in seconds times ``scale``.
     """
     number, took = 1, _loop(fns["parent"], 1)
     while took < SAMPLE_S:
         number *= 2
         took = _loop(fns["parent"], number)
     fns["change"]()
-    if pairs is None:
-        pairs = PAIRS if took / number < SLOW_S else SLOW_PAIRS
     times = {side: [] for side in SIDES}
     for i in range(pairs):
         for side in SIDES if i % 2 == 0 else reversed(SIDES):

@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 from .battery import BatteryChain
 from .model import NetworkModel, PolicyParams
 from .optimizer import SuEvaluator
-from .policy import PolicyPmf
+from .policy import PolicyPmf, transmit_row
 from .probing import EstimationStats, GainDistribution
 from .rate import PerSuRate, RateBreakdown
 from .sensing import SensingStats
@@ -53,7 +53,10 @@ def analyze_su(model: NetworkModel, index: int, params: PolicyParams,
     code the policy search uses, so both give bit-identical numbers.
     """
     evaluator = SuEvaluator(model, index, ideal_sensing=ideal_sensing)
-    row = evaluator.price_row(params.omega, [params.theta])
+    config = evaluator.config
+    row = evaluator.price_row(transmit_row(
+        params.omega, [params.theta], config.probe_cells,
+        config.battery_cells, evaluator.gain))
     chain = BatteryChain(matrix=row.matrix[0], steady_state=row.steady_state[0],
                          avg_energy=float(row.avg_energy[0]),
                          outage=float(row.battery_outage[0]))

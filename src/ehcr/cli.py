@@ -156,7 +156,8 @@ def load_config(path: str) -> LoadedConfig:
     indices = []
     for section in su_sections:
         tail = section[3:]
-        if not tail.isdigit():
+        # the index must read back as the section's name: su.01 is not su.1
+        if not (tail.isdecimal() and tail == str(int(tail))):
             problems.append(f"[{section}] user sections are [su.1]..[su.N]")
         else:
             indices.append(int(tail))
@@ -377,6 +378,8 @@ def cmd_optimize(args: argparse.Namespace, loaded: LoadedConfig) -> int:
 def cmd_simulate(args: argparse.Namespace, loaded: LoadedConfig) -> int:
     if args.slots < 1:
         raise ConfigError([f"--slots must be >= 1, got {args.slots}"])
+    if args.seed < 0:
+        raise ConfigError([f"--seed must be >= 0, got {args.seed}"])
     policies = loaded.require_policies()
     analysis = analyze(loaded.model, policies,
                        ideal_sensing=args.ideal_sensing)

@@ -9,30 +9,28 @@ together, polishes each user's share with nested local grids, and splits
 the budget again over everything priced.
 
 The evaluator prices one spend fraction at many cutoffs in one stacked
-pass, so every grid is walked one omega row at a time.  A stack's
-pricing has a policy side (the spend laws and the gain integral of every
-spend level, which read the user's channel statistics only) and a user
-side (the battery chain and what it weights).  The coarse grid is walked
-for all users together, and users with identical channel statistics
-(say, users that differ only in harvest rate or in their gain towards
-the primary) price each stack's policy side once.  The coarse and
-refine grids all sit on one integer lattice, so a policy point reached
-twice has one cache key.  Everything is deterministic for a given model
-and search configuration, and no point's value depends on which users
-shared its policy side.
+pass, so every grid is walked one omega row at a time.  A stack's spend
+laws and the gain integral of every spend level read the user's channel
+statistics only; the battery chain and what it weights read the rest.
+The coarse grid is walked for all users together, and users with
+identical channel statistics (say, users that differ only in harvest
+rate or in their gain towards the primary) share each stack's spend laws
+and level integrals.  The coarse and refine grids all sit on one integer
+lattice, so a policy point reached twice has one cache key.  Everything
+is deterministic for a given model and search configuration, and no
+point's value depends on which users shared its stacks.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .battery import TransitionBuilder, avg_energy, battery_outage, steady_state
 from .model import NetworkModel, PolicyParams, harvest_pmf
-from .policy import LevelSkeleton, PolicyPmf, level_skeleton, transmit_row
+from .policy import PolicyPmf, level_skeleton, transmit_row
 from .probing import GainDistribution, estimator_variances
 from .rate import (PerSuRate, interference_load, level_gains, level_weights,
                    rate_sum, transmission_outage)
@@ -68,12 +66,13 @@ def check_search(search: SearchConfig) -> None:
     """Reject a search that has no grid or cannot leave the coarse grid.
 
     The coarse grid needs a point on each axis and a finite, positive
-    cutoff range (its theta axis is logarithmic).  Each refine level spans
-    one step of the level before it, so with 2 or 3 points per axis its
-    grid never shrinks below a coarse cell.  A negative count of refine
-    levels or of refine seeds has no meaning (sliced or raised to, it
-    would silently seed almost every coarse cell or run the coarse grid
-    alone).  The message starts with the name of the offending field.
+    cutoff range with a set cap above the floor (its theta axis is
+    logarithmic).  Each refine level spans one step of the level before
+    it, so with 2 or 3 points per axis its grid never shrinks below a
+    coarse cell.  A negative count of refine levels or of refine seeds has
+    no meaning (sliced or raised to, it would silently seed almost every
+    coarse cell or run the coarse grid alone).  The message starts with
+    the name of the offending field.
     """
     for name in ("omega_points", "theta_points"):
         if getattr(search, name) < 1:
@@ -85,6 +84,9 @@ def check_search(search: SearchConfig) -> None:
         value = getattr(search, name)
         if value is not None and not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0")
+    cap = search.theta_cap
+    if cap is not None and cap <= search.theta_floor:
+        raise ValueError("theta_cap must exceed theta_floor")
     if search.refine_points < 4:
         raise ValueError("refine_points must be >= 4: with fewer the refine "
                          "grids never shrink below a coarse cell")
@@ -103,6 +105,7 @@ class PricedRow(NamedTuple):
     """
 
     pmf: PolicyPmf
+    gains: Tuple[Optional[np.ndarray], ...]  # rate.level_gains of pmf
     matrix: np.ndarray               # (cutoffs, K+1, K+1)
     steady_state: np.ndarray         # (cutoffs, K+1)
     rate: PerSuRate
@@ -110,28 +113,6 @@ class PricedRow(NamedTuple):
     avg_energy: np.ndarray
     battery_outage: np.ndarray
     transmission_outage: np.ndarray
-
-
-class PolicySide:
-    """The battery-independent half of one stack's pricing.
-
-    The spend laws of one omega at a stack of cutoffs, and the gain
-    integral of every spend level under each channel law, computed on
-    first use so that a large row does not hold them through the first
-    user's chain.  Both read only :attr:`SuEvaluator.channel`, so every
-    user with that channel can price its user side from one instance.
-    """
-
-    def __init__(self, evaluator: "SuEvaluator", pmf: PolicyPmf):
-        self._evaluator = evaluator
-        self.pmf = pmf
-
-    @cached_property
-    def gains(self):
-        """:func:`~ehcr.rate.level_gains` of the stack."""
-        ev = self._evaluator
-        return level_gains(ev.config, ev.profile, ev.sensing, ev.estimation,
-                           self.pmf)
 
 
 class SuEvaluator:
@@ -143,17 +124,17 @@ class SuEvaluator:
     on omega only, so a row builds them once; a cutoff only rescales
     their gain edges.  :meth:`evaluate_row` therefore prices the uncached
     cutoffs of one omega together, up to ``STACK_ENTRIES // (K+1)**2`` at
-    a time.  Each stack is priced in two halves: the policy side
-    (:meth:`policy_side`: one spend-law pass and the per-law level
-    integrals of the rate bound) and the user side (:meth:`price_user`:
-    one stacked matrix product for the transition matrices, one stacked
-    steady-state solve with singular system and residual still checked
-    per cutoff, one gather of each level's steady-state weight, and one
-    pass of the rate sum, load and outage terms).  Evaluators with equal
-    :attr:`channel` keys may share a policy side (:func:`_price_rows`).
-    A point's values do not depend on which cutoffs share its stack or
-    which users share its policy side.  Results are cached per
-    (omega, theta); :meth:`evaluate` is a one-cutoff row.
+    a time: one spend-law pass (:func:`~ehcr.policy.transmit_row`), then
+    :meth:`price_row`: one stacked matrix product for the transition
+    matrices, one stacked steady-state solve with singular system and
+    residual still checked per cutoff, one gather of each level's
+    steady-state weight, the level integrals of the rate bound, and one
+    pass of the rate sum, load and outage terms.  Evaluators with equal
+    :attr:`channel` keys may share a stack's spend laws and level
+    integrals (:func:`_price_rows`).  A point's values do not depend on
+    which cutoffs share its stack or which users share its spend laws.
+    Results are cached per (omega, theta); :meth:`evaluate` is a
+    one-cutoff row.
     """
 
     def __init__(self, model: NetworkModel, index: int,
@@ -185,12 +166,13 @@ class SuEvaluator:
 
     @property
     def channel(self) -> tuple:
-        """Everything a stack's policy side reads, compared exactly.
+        """Everything a stack's spend laws and level integrals read,
+        compared exactly.
 
         The system constants, the access point's noise and the sensing,
         estimation and fed-back gain statistics.  The harvest rate and
         the gain towards the primary are not in it: they reach only the
-        user side.
+        battery chain and the load.
         """
         return (self.config, self.profile.ap_noise, self.sensing,
                 self.estimation, self.gain)
@@ -209,37 +191,32 @@ class SuEvaluator:
         """Upper search bound: cutoffs this high reject almost every gain."""
         return 10.0 * max(self.gain.means)
 
-    def policy_side(self, omega: float, thetas: Sequence[float],
-                    skeleton: Optional[LevelSkeleton] = None) -> PolicySide:
-        """Spend laws (and, lazily, level integrals) of one stack.
+    def price_row(self, pmf: PolicyPmf,
+                  gains: Optional[Tuple[Optional[np.ndarray], ...]] = None
+                  ) -> PricedRow:
+        """Uncached analytic chain of one stack's spend laws.
 
-        ``skeleton`` is omega's :func:`~ehcr.policy.level_skeleton`.
+        ``gains`` is the stack's :func:`~ehcr.rate.level_gains` under this
+        user's :attr:`channel`; when not given it is computed after the
+        chain, so that a large row does not hold it through the solve.
         """
         config = self.config
-        return PolicySide(self, transmit_row(
-            omega, thetas, config.probe_cells, config.battery_cells,
-            self.gain, skeleton))
-
-    def price_user(self, side: PolicySide) -> PricedRow:
-        """Uncached user side of one stack, from its policy side."""
-        config, pmf = self.config, side.pmf
         phi = self._builder.matrix(pmf.idle_law, self.sensing.pi_hat_idle,
                                    self.sensing.pi_hat_busy, pmf.moves)
         zeta = steady_state(phi)
         weights = level_weights(zeta, pmf)
+        if gains is None:
+            gains = level_gains(config, self.profile, self.sensing,
+                                self.estimation, pmf)
         return PricedRow(
-            pmf=pmf, matrix=phi, steady_state=zeta,
-            rate=rate_sum(config, self.sensing, pmf, side.gains, weights),
+            pmf=pmf, gains=gains, matrix=phi, steady_state=zeta,
+            rate=rate_sum(config, self.sensing, pmf, gains, weights),
             interference=interference_load(config, self.profile,
                                            self.sensing, pmf, weights),
             avg_energy=avg_energy(zeta),
             battery_outage=battery_outage(zeta, config.probe_cells),
             transmission_outage=transmission_outage(zeta, pmf, self.sensing,
                                                     config.probe_cells))
-
-    def price_row(self, omega: float, thetas: Sequence[float]) -> PricedRow:
-        """Uncached analytic chain of one omega at a stack of cutoffs."""
-        return self.price_user(self.policy_side(omega, thetas))
 
     def evaluate_row(self, omega: float, thetas: Sequence[float]
                      ) -> List[SuPoint]:
@@ -259,10 +236,8 @@ class SuEvaluator:
             if (omega, theta) not in self._cache))
 
     def _store(self, omega: float, thetas: List[float],
-               side: PolicySide) -> None:
-        """Price one stack's user side and cache its points; the stack's
-        arrays are released before the next one is priced."""
-        row = self.price_user(side)
+               row: PricedRow) -> None:
+        """Cache the points of one priced stack."""
         values = zip(thetas, row.rate.total.tolist(),
                      row.interference.tolist(), row.avg_energy.tolist(),
                      row.battery_outage.tolist(),
@@ -284,9 +259,10 @@ def _price_rows(evaluators: Sequence[SuEvaluator], omega: float,
 
     ``rows[i]`` holds the cutoffs of ``evaluators[i]``.  Users whose
     channel keys and uncached cutoffs are equal form a group: the group
-    builds omega's level skeleton once and each stack's policy side once,
-    and every member prices its own user side from it.  Each user's
-    stacks and cache order are those it would have alone.
+    builds omega's level skeleton once and each stack's spend laws once,
+    the first member computes the stack's level integrals after its
+    chain, and every later member reuses them.  Each user's stacks and
+    cache order are those it would have alone.
     """
     groups: Dict[tuple, List[SuEvaluator]] = {}
     for evaluator, thetas in zip(evaluators, rows):
@@ -295,14 +271,19 @@ def _price_rows(evaluators: Sequence[SuEvaluator], omega: float,
             groups.setdefault((evaluator.channel, todo), []).append(evaluator)
     for (_, todo), group in groups.items():
         lead = group[0]
-        skeleton = level_skeleton(omega, lead.config.probe_cells,
-                                  lead.config.battery_cells)
+        reserve, cells = lead.config.probe_cells, lead.config.battery_cells
+        skeleton = level_skeleton(omega, reserve, cells)
         for start in range(0, len(todo), lead._stack):
             stack = list(todo[start:start + lead._stack])
-            side = lead.policy_side(omega, stack, skeleton)
+            pmf = transmit_row(omega, stack, reserve, cells, lead.gain,
+                               skeleton)
+            gains = None
             for evaluator in group:
-                evaluator._store(omega, stack, side)
-            del side  # released before the next stack is priced
+                row = evaluator.price_row(pmf, gains)
+                evaluator._store(omega, stack, row)
+                gains = row.gains
+                del row  # freed before the next member's chain
+            del pmf, gains  # freed before the next stack's spend laws
 
 
 @dataclass(frozen=True)
@@ -359,7 +340,7 @@ def _coarse_points(search: SearchConfig, evaluators: Sequence[SuEvaluator],
     """Every user's coarse grid, one omega row for all users at a time.
 
     The omega grid depends on the search only, so the users share it;
-    users with one channel share each row's policy side.
+    users with one channel share each stack's spend laws.
     """
     rows = [lattice.thetas(lattice.fine * np.arange(search.theta_points))
             for lattice in lattices]

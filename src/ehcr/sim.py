@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,9 +55,9 @@ MIN_LOCKSTEP_ROWS = 64
 # before the lockstep pass is paid for.
 PROBES = 8
 
-# A re-walk first checks for the meeting after this many slots, then
-# after twice as many each time, and at the end of its segment.
-FIRST_CHECK = 16
+# A re-walk takes the inputs of this many slots of its row from one bulk
+# conversion over all rows, and the rest of the row when it gets there.
+HEAD = 16
 
 
 @dataclass(frozen=True)
@@ -174,35 +174,43 @@ def _walk_slots(level: int, cells: int, reserve: int, omega: float,
     return level
 
 
-def _checks(length: int) -> List[int]:
-    """Slot counts after which a re-walk of `length` slots looks for the
-    meeting: FIRST_CHECK, doubling, and `length` last."""
-    checks = []
-    at = FIRST_CHECK
-    while at < length:
-        checks.append(at)
-        at *= 2
-    return checks + [length]
+def _meet_slots(level: int, cells: int, reserve: int, omega: float,
+                slots: Iterable[Tuple[bool, float, int, int]],
+                record: Callable[[int], None]) -> Optional[int]:
+    """:func:`_walk_slots` over (sensed busy, derating, harvest, guessed
+    left) slots, stopping at the first slot that leaves the guessed level.
+
+    From that slot on the walk is the guessed one, so it is not recorded.
+    Returns None where the walk met the guess, else the level after the
+    last slot.
+    """
+    for busy_t, frac_t, harvest_t, guess_t in slots:
+        if not busy_t and level >= reserve:
+            drain = int(omega * level * frac_t + FLOOR_NUDGE)
+            level -= drain if drain > reserve else reserve
+        if level == guess_t:
+            return None
+        record(level)
+        level += harvest_t
+        if level > cells:
+            level = cells
+    return level
 
 
 def _lockstep(guess: int, cells: int, reserve: int, omega: float,
               busy: np.ndarray, frac: np.ndarray, harvest: np.ndarray,
-              left: np.ndarray, checks: Sequence[int]) -> np.ndarray:
+              left: np.ndarray) -> None:
     """Walk every row of the (rows, width) inputs at once from `guess`.
 
     Each step advances one slot of every row with the scalar loop's
     arithmetic on whole-number floats: ``(omega * level) * frac +
     FLOOR_NUDGE`` floored is the bits of the scalar ``int(...)``.  Fills
-    `left` (same shape) with the level left after each slot's drain and
-    returns each row's level after each count of `checks` slots, shape
-    (rows, len(checks)).
+    `left` (same shape) with the level left after each slot's drain.
     """
     rows, width = busy.shape
-    seen = np.empty((len(checks), rows), dtype=np.int64)
     level = np.full(rows, float(guess))
     pays = np.empty(rows, dtype=bool)
     drain = np.empty(rows)
-    j = 0
     for first in range(0, width, LOCKSTEP_BLOCK):
         cols = slice(first, first + LOCKSTEP_BLOCK)
         # step-major copies, so each step reads contiguous rows; a
@@ -211,8 +219,7 @@ def _lockstep(guess: int, cells: int, reserve: int, omega: float,
         harvest_t = harvest[:, cols].T.astype(float)
         needs_t = np.where(busy[:, cols].T, cells + 1.0, float(reserve))
         left_t = np.empty_like(frac_t)
-        for step, (out, f, h, needs) in enumerate(
-                zip(left_t, frac_t, harvest_t, needs_t), first + 1):
+        for out, f, h, needs in zip(left_t, frac_t, harvest_t, needs_t):
             np.greater_equal(level, needs, out=pays)
             np.multiply(level, omega, out=drain)
             drain *= f
@@ -223,11 +230,7 @@ def _lockstep(guess: int, cells: int, reserve: int, omega: float,
             np.subtract(level, drain, out=out)
             np.add(out, h, out=level)
             np.minimum(level, cells, out=level)
-            if step == checks[j]:
-                seen[j] = level
-                j += 1
         left[:, cols] = left_t.T
-    return seen.T
 
 
 def _walk_battery(level: int, cells: int, reserve: int, omega: float,
@@ -240,18 +243,18 @@ def _walk_battery(level: int, cells: int, reserve: int, omega: float,
     lockstep pass walks every row at once from the guess ``cells // 2``
     (see :func:`_lockstep`).  Then, in order, each row whose true start
     (the true end of the row before) differs from the guess is re-walked
-    by the scalar loop from its true start until its level equals the
-    lockstep path's at a check (:func:`_checks`); from that slot on the
-    two paths agree, because a slot's next level depends only on its
-    level and its draws, so the row's true end is the lockstep end.  Where
-    paths meet slowly (below the probe reserve two levels shift in
-    parallel until one of them pays) the re-walks would cover most
-    slots and the lockstep pass would be wasted, so first PROBES segments
-    of half a row are walked the same way, by the scalar loop from the
-    guess and re-walked from the truth; if any re-walk reaches the end of
-    its segment without meeting, or the run has fewer than
-    MIN_LOCKSTEP_ROWS rows, the rest of the run is walked by the scalar
-    loop alone.
+    by the scalar loop from its true start, up to the first slot that
+    leaves the level the lockstep path left there (:func:`_meet_slots`);
+    from that slot on the two paths agree, because a slot's next level
+    depends only on its level and its draws, so the row's true end is
+    the lockstep end.  Where paths meet slowly (below the probe reserve
+    two levels shift in parallel until one of them pays) the re-walks
+    would cover most slots and the lockstep pass would be wasted, so
+    first PROBES segments of half a row are walked the same way, by the
+    scalar loop from the guess and re-walked from the truth; if any
+    re-walk reaches the end of its segment without meeting, or the run
+    has fewer than MIN_LOCKSTEP_ROWS rows, the rest of the run is walked
+    by the scalar loop alone.
 
     Every walk records the level left after each slot's drain; the
     levels entering the slots and the drains follow from it with numpy.
@@ -260,6 +263,7 @@ def _walk_battery(level: int, cells: int, reserve: int, omega: float,
     start_level = level
     left = np.empty(slots, dtype=np.int64)
     guess = cells // 2
+    fields = (sensed_busy, frac, harvested, left)
 
     def inputs(first: int, stop: int):
         return zip(sensed_busy[first:stop].tolist(), frac[first:stop].tolist(),
@@ -275,73 +279,50 @@ def _walk_battery(level: int, cells: int, reserve: int, omega: float,
             left[chunk:end] = out
         return level
 
-    def segment(level: int, first: int, checks: Sequence[int],
-                path: Iterable[Optional[int]],
-                head: Sequence[list]) -> List[int]:
-        """Scalar loop over the ``checks[-1]`` slots at `first`, stopping
-        after the first count of `checks` where the level equals `path`'s.
-        `head` holds the inputs of the first FIRST_CHECK slots as lists.
-        Returns the level after each count walked."""
+    def rest(first: int, stop: int):
+        """The four fields of slots [first, stop), converted on first use."""
+        yield from zip(*(x[first:stop].tolist() for x in fields))
+
+    def rewalk(level: int, first: int, stop: int, head: Sequence[list],
+               end: int) -> Tuple[int, bool]:
+        """Re-walk slots [first, stop) from the true start `level` until it
+        meets the guessed walk in `left`, whose end is `end`.  `head`
+        holds the four fields of the first slots as lists.  Returns the
+        true end and whether the walks met."""
         out: List[int] = []
-        seen: List[int] = []
-        slot_inputs = zip(*head)
-        done = 0
-        for count, there in zip(checks, path):
-            if done == FIRST_CHECK:
-                slot_inputs = inputs(first + done, first + checks[-1])
-            level = _walk_slots(level, cells, reserve, omega,
-                                islice(slot_inputs, count - done),
-                                out.append)
-            seen.append(level)
-            done = count
-            if level == there:
-                break
-        left[first:first + done] = out
-        return seen
-
-    def rewalk(level: int, first: int, checks: Sequence[int],
-               path: Sequence[int], head: Sequence[list]) -> Tuple[int, bool]:
-        """Re-walk a segment from its true start `level` until it meets
-        the guessed path; its true end, and whether it never met."""
-        seen = segment(level, first, checks, path, head)
-        met = seen[-1] == path[len(seen) - 1]
-        return (path[-1] if met else seen[-1]), not met
-
-    def head(first: int) -> List[list]:
-        return [x[first:first + FIRST_CHECK].tolist()
-                for x in (sensed_busy, frac, harvested)]
+        walked = _meet_slots(level, cells, reserve, omega,
+                             chain(zip(*head), rest(first + len(head[0]),
+                                                    stop)), out.append)
+        left[first:first + len(out)] = out
+        return (end, True) if walked is None else (walked, False)
 
     width = math.isqrt(slots)
     half = width // 2
     rows = (slots - PROBES * half) // width
     first = 0
     lockstep = rows >= MIN_LOCKSTEP_ROWS
-    checks = _checks(half)
     while lockstep and first < PROBES * half:
-        probe = head(first)
-        path = segment(guess, first, checks, repeat(None), probe)
+        end = walk(guess, first, first + half)
         if level == guess:
-            level = path[-1]
+            level = end
         else:
-            level, slow = rewalk(level, first, checks, path, probe)
-            lockstep = not slow
+            head = [x[first:first + HEAD].tolist() for x in fields]
+            level, lockstep = rewalk(level, first, first + half, head, end)
         first += half
     stop = first
     if lockstep:
         stop = first + rows * width
-        shape = (rows, width)
-        inputs_2d = [x[first:stop].reshape(shape)
-                     for x in (sensed_busy, frac, harvested)]
-        checks = _checks(width)
-        paths = _lockstep(guess, cells, reserve, omega, *inputs_2d,
-                          left[first:stop].reshape(shape), checks).tolist()
-        heads = [x[:, :FIRST_CHECK].tolist() for x in inputs_2d]
-        for row, path in enumerate(paths):
+        grid = [x[first:stop].reshape(rows, width) for x in fields]
+        _lockstep(guess, cells, reserve, omega, *grid)
+        ends = np.minimum(grid[3][:, -1] + grid[2][:, -1], cells).tolist()
+        heads = [x[:, :HEAD].tolist() for x in grid]
+        for row, end in enumerate(ends):
             if level == guess:
-                level = path[-1]
+                level = end
             else:
-                level, _ = rewalk(level, first + row * width, checks, path,
-                                  [h[row] for h in heads])
+                level, _ = rewalk(level, first + row * width,
+                                  first + (row + 1) * width,
+                                  [h[row] for h in heads], end)
     if stop < slots:
         level = walk(level, stop, slots)
 
@@ -443,6 +424,8 @@ def simulate(model: NetworkModel, params_list: Sequence[PolicyParams],
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if len(params_list) != model.n_users:
         raise ValueError("one PolicyParams per user profile is required")
     for params in params_list:

@@ -160,6 +160,25 @@ def test_analyze_requires_a_policy(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("tail", ["01", "\u0661", "\u00b2"])
+def test_user_sections_are_named_by_their_index(tmp_path, capsys, tail):
+    # a leading zero, an Arabic-Indic one and a superscript two
+    cfg = _write(tmp_path, BASE_CONFIG.replace("[su.1]", f"[su.{tail}]"))
+    assert main(["analyze", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert (f"[su.{tail}] user sections are [su.1]..[su.N]"
+            in capsys.readouterr().err)
+
+
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
+    cfg = _write(tmp_path, BASE_CONFIG)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path),
+                 "--slots", "10", "--seed", "-1"]) == EXIT_CONFIG
+    assert (capsys.readouterr().err
+            == "config error: --seed must be >= 0, got -1\n")
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
 def test_impossible_durations_are_reported(tmp_path, capsys):
     text = BASE_CONFIG.replace("[system]",
                                "[system]\nsensing_duration = 20e-3")
@@ -241,6 +260,9 @@ def test_non_finite_model_values_point_to_their_line(tmp_path, capsys,
     ("theta_floor = nan", "theta_floor must be finite and > 0"),
     ("theta_cap = nan", "theta_cap must be finite and > 0"),
     ("theta_cap = inf", "theta_cap must be finite and > 0"),
+    ("theta_cap = 0.001", "theta_cap must exceed theta_floor"),
+    ("theta_cap = 0.01\ntheta_floor = 0.5",
+     "theta_cap must exceed theta_floor"),
     ("theta_points = 0", "theta_points must be >= 1"),
     ("omega_points = 0", "omega_points must be >= 1"),
     ("refine_levels = -1", "refine_levels must be >= 0"),

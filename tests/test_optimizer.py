@@ -42,6 +42,14 @@ def test_searches_without_a_usable_grid_are_rejected(field, value):
     check_search(SearchConfig(omega_points=1, theta_points=1, theta_cap=2.0))
 
 
+@pytest.mark.parametrize("floor,cap", [(1e-3, 1e-3), (0.5, 0.01)])
+def test_a_cap_at_or_below_the_floor_is_rejected(floor, cap):
+    with pytest.raises(ValueError, match="^theta_cap must exceed theta_floor"):
+        check_search(SearchConfig(theta_floor=floor, theta_cap=cap))
+    # the default cap, unset, may fall below the floor on weak channels
+    check_search(SearchConfig(theta_floor=floor))
+
+
 def _two_user(cap):
     return NetworkModel(
         config=SystemConfig(battery_cells=12, interference_cap=cap),
@@ -328,8 +336,15 @@ def test_readme_coarse_grid_prices_each_stack_once(monkeypatch):
     model = NetworkModel(config=SystemConfig(interference_cap=1.0),
                          profiles=(SuProfile(), SuProfile(harvest_rate=10.0)))
     search = SearchConfig()
-    # 21 omega rows of 25 cutoffs, in stacks of at most 9 at K = 80
+    integrals = []
+    level_gains = optimizer.level_gains
+    monkeypatch.setattr(optimizer, "level_gains",
+                        lambda *args: integrals.append(args) or
+                        level_gains(*args))
+    # 21 omega rows of 25 cutoffs, in stacks of at most 9 at K = 80; the
+    # users share a channel, so each stack's level integrals are one call
     assert _coarse_spend_laws(monkeypatch, model, search) == 21 * 3
+    assert len(integrals) == 21 * 3
 
 
 # ---------------------------------------------------------- budget split

@@ -152,6 +152,8 @@ def test_simulate_argument_guards():
         simulate(model, [PolicyParams(0.5, 0.1)], 0)
     with pytest.raises(ValueError):
         simulate(model, [], 100)
+    with pytest.raises(ValueError, match="seed"):
+        simulate(model, [PolicyParams(0.5, 0.1)], 100, seed=-1)
     for bad in (-1, model.config.battery_cells + 1):
         with pytest.raises(ValueError):
             simulate(model, [PolicyParams(0.5, 0.1)], 100, start_level=bad)
