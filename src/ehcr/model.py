@@ -12,6 +12,7 @@ here.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 from typing import Iterable, List, Sequence, Tuple
@@ -133,6 +134,11 @@ def _nonfinite(record: object) -> List[str]:
             and not math.isfinite(getattr(record, f.name))]
 
 
+def _is_integer(value: object) -> bool:
+    """Python and numpy integers; a bool is a flag, not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_config(cfg: SystemConfig, errors: List[str]) -> None:
     # interference_cap = inf disables the cap; its own check below
     # rejects NaN and -inf.  The range checks compare finite numbers, so
@@ -157,9 +163,9 @@ def _check_config(cfg: SystemConfig, errors: List[str]) -> None:
         errors.append("bandwidth must be > 0")
     if cfg.energy_unit <= 0:
         errors.append("energy_unit must be > 0")
-    if not isinstance(cfg.battery_cells, int) or cfg.battery_cells < 1:
+    if not _is_integer(cfg.battery_cells) or cfg.battery_cells < 1:
         errors.append("battery_cells must be an integer >= 1")
-    if not isinstance(cfg.probe_cells, int) or not 0 <= cfg.probe_cells < max(cfg.battery_cells, 1):
+    if not _is_integer(cfg.probe_cells) or not 0 <= cfg.probe_cells < max(cfg.battery_cells, 1):
         errors.append("probe_cells must be an integer in [0, battery_cells)")
     if not 0.0 < cfg.prior_idle < 1.0:
         errors.append("prior_idle must lie in (0, 1)")

@@ -13,13 +13,10 @@ Every level-independent quantity (occupancy, detector verdicts, harvests,
 the fed-back gain and its derating factor) is drawn or computed with
 numpy before the walk, and everything the walked levels decide (who
 probed, the spends, SNRs, rate and interference samples) is derived with
-numpy after it.  The walk itself cuts the run into rows of about
-sqrt(slots) slots and steps every row at once with numpy from a guessed
-start, then re-walks each row whose guess was wrong with a scalar loop
-from its true start until the two paths meet; a slot's next level is a
-function of its level and its draws, so from there on they agree (see
-:func:`_walk_battery`).  The sample path is the one a single scalar loop
-over the whole run gives, bit for bit.
+numpy after it.  The walk steps rows of about sqrt(slots) slots at once
+with numpy from a guessed start and re-walks a wrongly guessed row with a
+scalar loop only until it meets the true path (see :func:`_walk_battery`),
+so the sample path is the one a single scalar loop gives, bit for bit.
 """
 from __future__ import annotations
 
@@ -40,20 +37,8 @@ from .sensing import sensing_stats
 # meaningless at the declared tolerances, so comparisons refuse to pass.
 MIN_COMPARE_SLOTS = 1000
 
-# Slots the scalar loop converts to Python lists at a time.
-WALK_CHUNK = 4096
-
 # Steps of the lockstep pass whose inputs are transposed at a time.
 LOCKSTEP_BLOCK = 64
-
-# Fewer lockstep rows than this (runs under about 4,600 slots) cost more
-# in per-step numpy calls than the scalar slots they replace, even where
-# paths meet fast.
-MIN_LOCKSTEP_ROWS = 64
-
-# Half-row probes that test how fast a guessed path meets the true one
-# before the lockstep pass is paid for.
-PROBES = 8
 
 # A re-walk takes the inputs of this many slots of its row from one bulk
 # conversion over all rows, and the rest of the row when it gets there.
@@ -148,44 +133,24 @@ class SimTrace:
         return math.fsum(su.mean_interference for su in self.sus)
 
 
-def _walk_slots(level: int, cells: int, reserve: int, omega: float,
-                slots: Iterable[Tuple[bool, float, int]],
-                record: Callable[[int], None]) -> int:
-    """Walk `level` through (sensed busy, derating, harvest) slots.
+def _meet_slots(level: int, cells: int, reserve: int, omega: float,
+                slots: Iterable[Tuple[bool, float, int, int]],
+                record: Callable[[int], None]) -> Optional[int]:
+    """Walk `level` through (sensed busy, derating, harvest, guessed left)
+    slots until it meets the guessed walk.
 
-    A sensed-idle slot with the reserve covered pays the probe plus the
-    data spend of :func:`transmit_units`, i.e. drains
-    ``max(floor(omega * level * frac + FLOOR_NUDGE), reserve)`` cells;
-    `record` gets the level left after that drain, then the harvest
-    arrives and the level clamps at `cells`.  Returns the level after
-    the last slot.
+    A sensed-idle slot with the reserve covered drains the probe plus the
+    data spend of :func:`transmit_units`; then the harvest arrives and the
+    level clamps at `cells`.  `record` gets each level left after the
+    drain up to the first that equals the guessed one, from where the walk
+    is the guessed one.  Returns None where the walk met the guess, else
+    the level after the last slot.
     """
-    for busy_t, frac_t, harvest_t in slots:
+    for busy_t, frac_t, harvest_t, guess_t in slots:
         if not busy_t and level >= reserve:
             # frac <= 1 and the checked omega <= 1 keep the drain within
             # the level, so it never needs a clamp at 0; the operand order
             # matches transmit_units, and int() floors the positive product.
-            drain = int(omega * level * frac_t + FLOOR_NUDGE)
-            level -= drain if drain > reserve else reserve
-        record(level)
-        level += harvest_t
-        if level > cells:
-            level = cells
-    return level
-
-
-def _meet_slots(level: int, cells: int, reserve: int, omega: float,
-                slots: Iterable[Tuple[bool, float, int, int]],
-                record: Callable[[int], None]) -> Optional[int]:
-    """:func:`_walk_slots` over (sensed busy, derating, harvest, guessed
-    left) slots, stopping at the first slot that leaves the guessed level.
-
-    From that slot on the walk is the guessed one, so it is not recorded.
-    Returns None where the walk met the guess, else the level after the
-    last slot.
-    """
-    for busy_t, frac_t, harvest_t, guess_t in slots:
-        if not busy_t and level >= reserve:
             drain = int(omega * level * frac_t + FLOOR_NUDGE)
             level -= drain if drain > reserve else reserve
         if level == guess_t:
@@ -202,7 +167,7 @@ def _lockstep(guess: int, cells: int, reserve: int, omega: float,
               left: np.ndarray) -> None:
     """Walk every row of the (rows, width) inputs at once from `guess`.
 
-    Each step advances one slot of every row with the scalar loop's
+    Each step advances one slot of every row with :func:`_meet_slots`'
     arithmetic on whole-number floats: ``(omega * level) * frac +
     FLOOR_NUDGE`` floored is the bits of the scalar ``int(...)``.  Fills
     `left` (same shape) with the level left after each slot's drain.
@@ -237,97 +202,60 @@ def _walk_battery(level: int, cells: int, reserve: int, omega: float,
                   sensed_busy: np.ndarray, frac: np.ndarray,
                   harvested: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
     """Battery level entering every slot, each slot's drain, and the level
-    after the last slot, as :func:`_walk_slots` over the whole run gives.
+    after the last slot, as the battery recursion one slot at a time gives.
 
-    The run is cut into rows of ``width = isqrt(slots)`` slots.  A
-    lockstep pass walks every row at once from the guess ``cells // 2``
-    (see :func:`_lockstep`).  Then, in order, each row whose true start
-    (the true end of the row before) differs from the guess is re-walked
-    by the scalar loop from its true start, up to the first slot that
-    leaves the level the lockstep path left there (:func:`_meet_slots`);
-    from that slot on the two paths agree, because a slot's next level
-    depends only on its level and its draws, so the row's true end is
-    the lockstep end.  Where paths meet slowly (below the probe reserve
-    two levels shift in parallel until one of them pays) the re-walks
-    would cover most slots and the lockstep pass would be wasted, so
-    first PROBES segments of half a row are walked the same way, by the
-    scalar loop from the guess and re-walked from the truth; if any
-    re-walk reaches the end of its segment without meeting, or the run
-    has fewer than MIN_LOCKSTEP_ROWS rows, the rest of the run is walked
-    by the scalar loop alone.
+    The run's first ``slots // width`` rows of ``width = isqrt(slots)``
+    slots are walked at once from the guess ``cells // 2`` (see
+    :func:`_lockstep`).  Then, in order, each row whose true start (the
+    true end of the row before) differs from the guess is re-walked by
+    :func:`_meet_slots` from its true start until it meets the lockstep
+    path; from there the two agree, because a slot's next level depends
+    only on its level and its draws, so the row's true end is the
+    lockstep end.  The last ``slots mod width`` slots are walked by
+    :func:`_meet_slots` against a guessed level of -1, which no walk
+    meets.
 
     Every walk records the level left after each slot's drain; the
     levels entering the slots and the drains follow from it with numpy.
     """
     slots = sensed_busy.size
-    start_level = level
+    state_before = np.empty(slots, dtype=np.int64)
+    state_before[0] = level
     left = np.empty(slots, dtype=np.int64)
     guess = cells // 2
     fields = (sensed_busy, frac, harvested, left)
-
-    def inputs(first: int, stop: int):
-        return zip(sensed_busy[first:stop].tolist(), frac[first:stop].tolist(),
-                   harvested[first:stop].tolist())
-
-    def walk(level: int, first: int, stop: int) -> int:
-        """Scalar loop over slots [first, stop)."""
-        for chunk in range(first, stop, WALK_CHUNK):
-            end = min(chunk + WALK_CHUNK, stop)
-            out: List[int] = []
-            level = _walk_slots(level, cells, reserve, omega,
-                                inputs(chunk, end), out.append)
-            left[chunk:end] = out
-        return level
 
     def rest(first: int, stop: int):
         """The four fields of slots [first, stop), converted on first use."""
         yield from zip(*(x[first:stop].tolist() for x in fields))
 
     def rewalk(level: int, first: int, stop: int, head: Sequence[list],
-               end: int) -> Tuple[int, bool]:
-        """Re-walk slots [first, stop) from the true start `level` until it
-        meets the guessed walk in `left`, whose end is `end`.  `head`
-        holds the four fields of the first slots as lists.  Returns the
-        true end and whether the walks met."""
+               end: Optional[int]) -> int:
+        """True end of slots [first, stop) walked from `level` against the
+        guessed walk in `left` (ending at `end`); `head` lists its start."""
         out: List[int] = []
         walked = _meet_slots(level, cells, reserve, omega,
                              chain(zip(*head), rest(first + len(head[0]),
                                                     stop)), out.append)
         left[first:first + len(out)] = out
-        return (end, True) if walked is None else (walked, False)
+        return end if walked is None else walked
 
     width = math.isqrt(slots)
-    half = width // 2
-    rows = (slots - PROBES * half) // width
-    first = 0
-    lockstep = rows >= MIN_LOCKSTEP_ROWS
-    while lockstep and first < PROBES * half:
-        end = walk(guess, first, first + half)
-        if level == guess:
-            level = end
-        else:
-            head = [x[first:first + HEAD].tolist() for x in fields]
-            level, lockstep = rewalk(level, first, first + half, head, end)
-        first += half
-    stop = first
-    if lockstep:
-        stop = first + rows * width
-        grid = [x[first:stop].reshape(rows, width) for x in fields]
-        _lockstep(guess, cells, reserve, omega, *grid)
-        ends = np.minimum(grid[3][:, -1] + grid[2][:, -1], cells).tolist()
-        heads = [x[:, :HEAD].tolist() for x in grid]
-        for row, end in enumerate(ends):
-            if level == guess:
-                level = end
-            else:
-                level, _ = rewalk(level, first + row * width,
-                                  first + (row + 1) * width,
-                                  [h[row] for h in heads], end)
-    if stop < slots:
-        level = walk(level, stop, slots)
+    rows = slots // width
+    stop = rows * width
+    grid = [x[:stop].reshape(rows, width) for x in fields]
+    _lockstep(guess, cells, reserve, omega, *grid)
+    ends = np.minimum(grid[3][:, -1] + grid[2][:, -1], cells).tolist()
+    heads = [x[:, :HEAD].tolist() for x in grid]
+    for row, end in enumerate(ends):
+        if level != guess:
+            end = rewalk(level, row * width, (row + 1) * width,
+                         [h[row] for h in heads], end)
+        level = end
+    left[stop:] = -1
+    level = rewalk(level, stop, slots, [x[stop:].tolist() for x in fields],
+                   None)
 
-    state_before = np.empty(slots, dtype=np.int64)
-    state_before[0] = start_level
     np.add(left[:-1], harvested[:-1], out=state_before[1:])
     np.minimum(state_before, cells, out=state_before)
     drain = np.subtract(state_before, left, out=left)
@@ -336,7 +264,7 @@ def _walk_battery(level: int, cells: int, reserve: int, omega: float,
 
 def _simulate_su(model: NetworkModel, index: int, params: PolicyParams,
                  slots: int, seed: int, assume_idle_gains: bool,
-                 ideal_sensing: bool, start_level: Optional[int]) -> SuTrace:
+                 ideal_sensing: bool, level: int) -> SuTrace:
     config = model.config
     profile = model.profiles[index]
     sensing = sensing_stats(config, profile, ideal=ideal_sensing)
@@ -347,10 +275,6 @@ def _simulate_su(model: NetworkModel, index: int, params: PolicyParams,
     probe_cells = config.probe_cells
     unit_power = config.unit_power
     means = dist.means
-
-    level = cells // 2 if start_level is None else int(start_level)
-    if not 0 <= level <= cells:
-        raise ValueError("start level must lie within the battery range")
 
     rng = np.random.default_rng((seed, index))
     busy = rng.random(slots) < (1.0 - config.prior_idle)
@@ -430,9 +354,15 @@ def simulate(model: NetworkModel, params_list: Sequence[PolicyParams],
         raise ValueError("one PolicyParams per user profile is required")
     for params in params_list:
         check_params(params)
+    cells = model.config.battery_cells
+    level = cells // 2 if start_level is None else start_level
+    if not (math.isfinite(level) and level == int(level)
+            and 0 <= level <= cells):
+        raise ValueError("start level must be a whole number of cells "
+                         "within the battery range")
     sus = tuple(
         _simulate_su(model, i, params, slots, seed, assume_idle_gains,
-                     ideal_sensing, start_level)
+                     ideal_sensing, int(level))
         for i, params in enumerate(params_list))
     return SimTrace(sus=sus, slots=slots, seed=seed,
                     assume_idle_gains=assume_idle_gains)

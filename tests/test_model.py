@@ -30,6 +30,15 @@ def test_validate_accepts_defaults():
     assert model.config.battery_cells == 80
 
 
+def test_validate_takes_numpy_integers_and_rejects_bools():
+    model = validate(SystemConfig(battery_cells=np.int64(80),
+                                  probe_cells=np.int32(2)), [SuProfile()])
+    assert model.config.battery_cells == 80
+    for field in ("battery_cells", "probe_cells"):
+        with pytest.raises(ValidationError, match=field):
+            validate(SystemConfig(**{field: True}), [SuProfile()])
+
+
 def test_validate_rejects_overlong_sensing_phase():
     cfg = SystemConfig(sensing_duration=10e-3)  # fills the whole frame
     with pytest.raises(ValidationError) as err:
