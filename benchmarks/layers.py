@@ -152,7 +152,8 @@ def rows(m, counts: dict):
     scaled_e1 = m.rate._scaled_e1
     for key, (cells, policy) in E1_POINTS.items():
         calls = []
-        m.rate._scaled_e1 = lambda t: calls.append(t.copy()) or scaled_e1(t)
+        m.rate._scaled_e1 = (lambda t, *args: calls.append(t.copy())
+                             or scaled_e1(t, *args))
         try:
             evaluator(_model(m, {"battery_cells": cells}, [{}]), 0).evaluate(
                 *policy)

@@ -57,7 +57,9 @@ def analyze_su(model: NetworkModel, index: int, params: PolicyParams,
     row = evaluator.price_row(transmit_row(
         params.omega, [params.theta], config.probe_cells,
         config.battery_cells, evaluator.gain))
-    chain = BatteryChain(matrix=row.matrix[0], steady_state=row.steady_state[0],
+    # the matrix is a view into the evaluator's workspace
+    chain = BatteryChain(matrix=row.matrix[0].copy(),
+                         steady_state=row.steady_state[0],
                          avg_energy=float(row.avg_energy[0]),
                          outage=float(row.battery_outage[0]))
     rate = PerSuRate(total=float(row.rate.total[0]),

@@ -14,9 +14,12 @@ the current level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .workspace import SCRATCH, Workspace
 
 
 class ChainNotErgodicError(RuntimeError):
@@ -62,17 +65,22 @@ class TransitionBuilder:
         table[:, 0] = at_most[np.clip(1 - shifts, 0, k + 1)]
         table[:, k] = at_least[np.clip(k - shifts, 0, k + 1)]
         # row j + reserve holds level j's busy-frame move; its mass at or
-        # below j must stay under 1 for every j < K
-        stay = np.tril(table[probe_cells:probe_cells + k, :k]).sum(axis=1)
+        # below j must stay under 1 for every j < K.  A harvest never
+        # lowers a level, so that mass is the diagonal entry alone
+        stay = np.diagonal(table[probe_cells:probe_cells + k, :k])
         if not np.all(stay < 1.0):
             raise ChainNotErgodicError(
                 "chain not ergodic: a sensed-busy frame cannot raise level "
                 f"{int(np.argmax(stay >= 1.0))}, harvest[0] = "
                 f"{float(harvest[0])!r}")
         self._table = table
+        # flat index of each level's busy-frame move (shift j, level j)
+        js = np.arange(k + 1)
+        self._busy = (js + probe_cells) * (k + 1) + js
 
     def matrix(self, idle_law: np.ndarray, idle_prob: float,
-               busy_prob: float, moves) -> np.ndarray:
+               busy_prob: float, moves, scatter: Optional[np.ndarray] = None,
+               work: Optional[Workspace] = None) -> np.ndarray:
         """Column-stochastic transition matrix of each stacked spend law.
 
         ``moves = (state, units)`` lists spend moves: ``idle_law[..., m]``
@@ -83,27 +91,54 @@ class TransitionBuilder:
         move's mass is scattered onto its pre-harvest shift in a
         (shift x level) matrix M, and the transition matrix is
         ``table.T @ M``; leading axes of the law give one matrix each.
-        A move that spends more than its level holds has a shift below
-        the table and raises ``ValueError``.  ``busy_prob`` must be
-        positive: busy frames are what give the chain one closed class.
+        ``scatter`` is :func:`scatter_index` of ``moves``, computed here
+        when not given.  A move that spends more than its level holds has
+        a shift below the table and raises ``ValueError``.  ``busy_prob``
+        must be positive: busy frames are what give the chain one closed
+        class.
+
+        M and the result are requested from ``work`` (M as its
+        :data:`~ehcr.workspace.SCRATCH`), so the result is a view that
+        the workspace's next matrix overwrites; without a workspace they
+        are new arrays.
         """
         if not busy_prob > 0.0:
             raise ChainNotErgodicError(
                 "chain not ergodic: no sensed-busy frames (busy_prob <= 0)")
         k, reserve = self.cells, self.probe_cells
         law = np.asarray(idle_law, dtype=float)
-        state, units = moves
-        rows = state - units
-        if np.any(rows < 0):
-            raise ValueError("a spend move exceeds its battery level")
-        mix = np.zeros(law.shape[:-1] + (k + 1 + reserve, k + 1))
-        mix[..., rows, state] = idle_prob * law
-        js = np.arange(k + 1)
-        mix[..., js + reserve, js] += busy_prob
-        return self._table.T @ mix
+        work = work or Workspace()
+        if scatter is None:
+            scatter = scatter_index(moves, k)
+        lead = law.shape[:-1]
+        mix = work.empty(SCRATCH, lead + (k + 1 + reserve, k + 1))
+        mix.fill(0.0)
+        flat = mix.reshape(lead + (-1,))
+        flat[..., scatter] = idle_prob * law
+        flat[..., self._busy] += busy_prob
+        return np.matmul(self._table.T, mix,
+                         out=work.empty("battery.matrix", lead + (k + 1,) * 2))
 
 
-def steady_state(matrix: np.ndarray) -> np.ndarray:
+def scatter_index(moves, cells: int) -> np.ndarray:
+    """Flat index of each spend move in :meth:`TransitionBuilder.matrix`'s
+    (shift x level) scatter of a ``cells``-cell battery.
+
+    A sensed-idle move of level ``state`` that spends ``units`` cells lands
+    on row ``state - units`` (its pre-harvest shift plus the reserve).  A
+    move that spends more than its level holds raises ``ValueError``.
+    """
+    state, units = moves
+    index = state - units
+    if np.any(index < 0):
+        raise ValueError("a spend move exceeds its battery level")
+    index *= cells + 1
+    index += state
+    return index
+
+
+def steady_state(matrix: np.ndarray,
+                 work: Optional[Workspace] = None) -> np.ndarray:
     """Stationary distribution of a column-stochastic chain, or of each in a stack.
 
     Solved in closed form by replacing one redundant balance constraint
@@ -112,13 +147,16 @@ def steady_state(matrix: np.ndarray) -> np.ndarray:
     which every :class:`TransitionBuilder` matrix has by construction, so
     it is not searched for here.  A singular system or a fixed-point
     residual above 1e-9 in any chain of the stack raises
-    :class:`ChainNotErgodicError`.
+    :class:`ChainNotErgodicError`.  The balance system is built in
+    ``work``'s :data:`~ehcr.workspace.SCRATCH`; the returned law is a new
+    array.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[-1]
     stack = matrix.reshape(-1, n, n)
     # matrix - I + 1, built with one temporary instead of three
-    system = stack.copy()
+    system = (work or Workspace()).empty(SCRATCH, stack.shape)
+    np.copyto(system, stack)
     system.reshape(-1, n * n)[:, ::n + 1] -= 1.0
     system += 1.0
     try:
@@ -146,15 +184,17 @@ def avg_energy(dist: np.ndarray) -> np.ndarray:
     return dot_last(dist, np.arange(dist.shape[-1], dtype=float))
 
 
-def dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def dot_last(a: np.ndarray, b: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
     """Dot product over the last axis, one per stacked row.
 
     The products are laid out row by row and each row is summed on its
     own, so a row's result does not depend on the other rows or on where
     the arrays sit in memory (``np.dot`` and stacked BLAS products vary
-    with the operands' alignment).
+    with the operands' alignment).  ``out``, a C-contiguous array of the
+    broadcast shape (``a`` itself, say), holds the products.
     """
-    return np.multiply(a, b, order="C").sum(axis=-1)
+    return np.multiply(a, b, out=out, order="C").sum(axis=-1)
 
 
 @dataclass(frozen=True)

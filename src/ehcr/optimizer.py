@@ -30,11 +30,12 @@ import numpy as np
 
 from .battery import TransitionBuilder, avg_energy, battery_outage, steady_state
 from .model import NetworkModel, PolicyParams, harvest_pmf
-from .policy import PolicyPmf, level_skeleton, transmit_row
+from .policy import LevelSkeleton, PolicyPmf, level_skeleton, transmit_row
 from .probing import GainDistribution, estimator_variances
 from .rate import (PerSuRate, interference_load, level_gains, level_weights,
                    rate_sum, transmission_outage)
 from .sensing import sensing_stats
+from .workspace import Workspace
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,11 @@ STACK_ENTRIES = 2 ** 16
 class PricedRow(NamedTuple):
     """Every analytic output of one spend fraction at a stack of cutoffs.
 
-    Each array has one entry (or row) per cutoff of ``pmf``.
+    Each array has one entry (or row) per cutoff of ``pmf``.  ``matrix``
+    is a view into the pricing evaluator's workspace, and so are ``gains``
+    and ``pmf``'s arrays when they were computed there (by
+    :func:`_price_rows`): each stays valid until that evaluator prices its
+    next stack.  Copy what must outlive it.
     """
 
     pmf: PolicyPmf
@@ -135,6 +140,12 @@ class SuEvaluator:
     which cutoffs share its stack or which users share its spend laws.
     Results are cached per (omega, theta); :meth:`evaluate` is a
     one-cutoff row.
+
+    The large arrays of a stack (spend laws, transition matrices, balance
+    systems, level integrals and their block work arrays) live in the
+    evaluator's :class:`~ehcr.workspace.Workspace`, allocated on first
+    use and reused by every later stack, so a warm stack allocates
+    almost nothing for glibc to hand back and fault in again.
     """
 
     def __init__(self, model: NetworkModel, index: int,
@@ -154,6 +165,8 @@ class SuEvaluator:
         self._stack = max(1, STACK_ENTRIES
                           // (self.config.battery_cells + 1) ** 2)
         self._cache: Dict[Tuple[float, float], SuPoint] = {}
+        self._work = Workspace()
+        self._skeleton: Optional[Tuple[float, LevelSkeleton]] = None
 
     @property
     def evaluations(self) -> int:
@@ -197,22 +210,26 @@ class SuEvaluator:
         """Uncached analytic chain of one stack's spend laws.
 
         ``gains`` is the stack's :func:`~ehcr.rate.level_gains` under this
-        user's :attr:`channel`; when not given it is computed after the
-        chain, so that a large row does not hold it through the solve.
+        user's :attr:`channel`, computed first when not given.  Every
+        large array is priced in this evaluator's workspace (see
+        :class:`PricedRow`); the level integrals go first so that every
+        array a first stack adds to it is in place before the solver's own
+        buffer is.
         """
-        config = self.config
-        phi = self._builder.matrix(pmf.idle_law, self.sensing.pi_hat_idle,
-                                   self.sensing.pi_hat_busy, pmf.moves)
-        zeta = steady_state(phi)
-        weights = level_weights(zeta, pmf)
+        config, work = self.config, self._work
         if gains is None:
             gains = level_gains(config, self.profile, self.sensing,
-                                self.estimation, pmf)
+                                self.estimation, pmf, work)
+        phi = self._builder.matrix(pmf.idle_law, self.sensing.pi_hat_idle,
+                                   self.sensing.pi_hat_busy, pmf.moves,
+                                   scatter=pmf.skeleton.scatter, work=work)
+        zeta = steady_state(phi, work)
+        weights = level_weights(zeta, pmf)
         return PricedRow(
             pmf=pmf, gains=gains, matrix=phi, steady_state=zeta,
-            rate=rate_sum(config, self.sensing, pmf, gains, weights),
+            rate=rate_sum(config, self.sensing, pmf, gains, weights, work),
             interference=interference_load(config, self.profile,
-                                           self.sensing, pmf, weights),
+                                           self.sensing, pmf, weights, work),
             avg_energy=avg_energy(zeta),
             battery_outage=battery_outage(zeta, config.probe_cells),
             transmission_outage=transmission_outage(zeta, pmf, self.sensing,
@@ -228,6 +245,13 @@ class SuEvaluator:
         thetas = [float(theta) for theta in thetas]
         _price_rows([self], omega, [thetas])
         return [self._cache[(omega, theta)] for theta in thetas]
+
+    def _level_skeleton(self, omega: float) -> LevelSkeleton:
+        """``omega``'s level skeleton, kept until another omega is priced."""
+        if self._skeleton is None or self._skeleton[0] != omega:
+            self._skeleton = (omega, level_skeleton(
+                omega, self.config.probe_cells, self.config.battery_cells))
+        return self._skeleton[1]
 
     def _uncached(self, omega: float, thetas: Sequence[float]) -> List[float]:
         """Distinct cutoffs of ``thetas`` not yet priced at ``omega``."""
@@ -260,9 +284,9 @@ def _price_rows(evaluators: Sequence[SuEvaluator], omega: float,
     ``rows[i]`` holds the cutoffs of ``evaluators[i]``.  Users whose
     channel keys and uncached cutoffs are equal form a group: the group
     builds omega's level skeleton once and each stack's spend laws once,
-    the first member computes the stack's level integrals after its
-    chain, and every later member reuses them.  Each user's stacks and
-    cache order are those it would have alone.
+    in the first member's workspace, the first member computes the
+    stack's level integrals, and every later member reuses them.  Each
+    user's stacks and cache order are those it would have alone.
     """
     groups: Dict[tuple, List[SuEvaluator]] = {}
     for evaluator, thetas in zip(evaluators, rows):
@@ -272,18 +296,16 @@ def _price_rows(evaluators: Sequence[SuEvaluator], omega: float,
     for (_, todo), group in groups.items():
         lead = group[0]
         reserve, cells = lead.config.probe_cells, lead.config.battery_cells
-        skeleton = level_skeleton(omega, reserve, cells)
+        skeleton = lead._level_skeleton(omega)
         for start in range(0, len(todo), lead._stack):
             stack = list(todo[start:start + lead._stack])
             pmf = transmit_row(omega, stack, reserve, cells, lead.gain,
-                               skeleton)
+                               skeleton, lead._work)
             gains = None
             for evaluator in group:
                 row = evaluator.price_row(pmf, gains)
                 evaluator._store(omega, stack, row)
                 gains = row.gains
-                del row  # freed before the next member's chain
-            del pmf, gains  # freed before the next stack's spend laws
 
 
 @dataclass(frozen=True)

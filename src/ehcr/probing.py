@@ -114,11 +114,26 @@ def gain_cdf(dist: GainDistribution, x: ArrayLike,
     return out
 
 
-def conditional_cdfs(dist: GainDistribution, x: np.ndarray) -> np.ndarray:
+def conditional_cdfs(dist: GainDistribution, x: np.ndarray,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """CDF of the fed-back gain under the idle and the busy law, in one pass.
 
     Returns ``(2,) + x.shape``, entry ``[eps]`` equal bit for bit to
-    ``gain_cdf(dist, x, eps)``.
+    ``gain_cdf(dist, x, eps)``, in ``out`` when given.
     """
-    arr = np.maximum(np.asarray(x, dtype=float), 0.0)
-    return _exp_cdf(arr, np.reshape(dist.means, (2,) + (1,) * arr.ndim))
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty((2,) + x.shape)
+    # -max(x, 0) / mean, as _exp_cdf divides, then -expm1 of it
+    np.maximum(x, 0.0, out=out[0])
+    np.negative(out[0], out=out[0])
+    for eps in (1, 0):
+        mean = dist.means[eps]
+        np.divide(out[0], mean if mean > 0.0 else 1.0, out=out[eps])
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    for eps, mean in enumerate(dist.means):
+        if not mean > 0.0:
+            # degenerate at zero: all mass below every positive edge
+            np.greater(x, 0.0, out=out[eps])
+    return out

@@ -40,6 +40,7 @@ from .model import SuProfile, SystemConfig
 from .policy import PolicyPmf
 from .probing import EstimationStats
 from .sensing import SensingStats
+from .workspace import SCRATCH, Workspace
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -47,9 +48,15 @@ _LN2 = math.log(2.0)
 # exp(-t) underflows to zero here, making the whole antiderivative zero
 _EXP_UNDERFLOW = 745.0
 
-# Flattened (cutoff, level) entries per antiderivative pass of the rate
-# bound: both laws at both edges keep each temporary at 2^14 doubles
-# (128 KB).  2^11 measured slower on the K=80 search; 2^13 raised its peak.
+# (cutoff, level) entries per antiderivative pass of the rate bound: a
+# block is whole rows of cutoffs, or a run of one row's levels when a row
+# is longer.  Both laws at both edges make each of the pass's work arrays
+# 2^14 doubles (128 KB): its output, kept in the evaluator's workspace,
+# and its gathers, which take the workspace's scratch, so no block
+# allocates them.  With the arrays owned, 2^11 read about 7% slower on
+# README solve_p1 and the K=400 grid, while 2^13 and one pass per row were
+# no faster on the search and each doubling added about 0.7 MB to its
+# peak memory (two evaluators).
 BLOCK_ENTRIES = 2 ** 12
 
 # _scaled_e1 uses E1(t) = P(t) - ln t below _NEAR_END and P(1/t)/t from
@@ -104,9 +111,10 @@ _E1_INV = np.array([
 _E1_MID, _E1_FAR = (_as_arrays(column) for column in _E1_INV.T)
 
 
-def _horner(coeffs, u: np.ndarray) -> np.ndarray:
+def _horner(coeffs, u: np.ndarray, out: Optional[np.ndarray] = None
+            ) -> np.ndarray:
     """Polynomial with scalar coefficients, highest power first, at every u."""
-    acc = u * coeffs[0]
+    acc = np.multiply(u, coeffs[0], out=out)
     acc += coeffs[1]
     for c in coeffs[2:]:
         acc *= u
@@ -114,7 +122,8 @@ def _horner(coeffs, u: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _scaled_e1(t: np.ndarray) -> np.ndarray:
+def _scaled_e1(t: np.ndarray, out: Optional[np.ndarray] = None,
+               work: Optional[Workspace] = None) -> np.ndarray:
     """exp(t) * E1(t) for t > 0, stable for arbitrarily large t.
 
     Below t = 2, exp(t) * (P(t) - ln t) with P(t) = -gamma + Ein(t)
@@ -123,31 +132,76 @@ def _scaled_e1(t: np.ndarray) -> np.ndarray:
     gives 0.  Each range gathers its arguments into one contiguous array
     and is skipped when it has none.  Relative error against
     ``mpmath.e1``: at most 2.2e-14 below 2, 2.8e-14 on [2, 8) and
-    1.2e-15 from 8 on.
+    1.2e-15 from 8 on.  ``out`` (contiguous, ``t`` itself allowed) takes
+    the result; the masks and, in ``work``'s scratch, the gathers are
+    requested from ``work``.
     """
     shape = np.shape(t)
     # the masks below gather and scatter fastest on a flat array
     t = np.asarray(t, dtype=float).reshape(-1)
-    out = np.empty_like(t)
-    near = t < _NEAR_END
-    below_far = t < _MID_END
-    tn = t[near]
-    if tn.size:
-        acc = _horner(_E1_NEAR, tn)
-        factor = np.log(tn)
-        acc -= factor
-        acc *= np.exp(tn, out=factor)
-        out[near] = acc
+    out = np.empty_like(t) if out is None else out.reshape(-1)
+    work = work or Workspace()
+    near, mid, far = work.empty("rate.e1_pieces", (3,) + t.shape, bool)
+    np.less(t, _NEAR_END, out=near)
+    np.less(t, _MID_END, out=mid)
     # a NaN falls to the far piece, as it compares false everywhere
-    for piece, coeffs in ((below_far & ~near, _E1_MID),
-                          (~below_far, _E1_FAR)):
-        ti = t[piece]
-        if ti.size:
-            v = np.reciprocal(ti)
-            acc = _horner(coeffs, v)
+    np.logical_not(mid, out=far)
+    np.logical_xor(mid, near, out=mid)
+    # every piece is gathered before it is written, so out may be t
+    for piece, coeffs in ((near, _E1_NEAR), (mid, _E1_MID), (far, _E1_FAR)):
+        count = np.count_nonzero(piece)
+        if not count:
+            continue
+        gathered, acc, factor = work.empty(SCRATCH, (3, count))
+        ti = np.compress(piece, t, out=gathered)
+        if coeffs is _E1_NEAR:
+            _horner(coeffs, ti, out=acc)
+            np.log(ti, out=factor)
+            acc -= factor
+            acc *= np.exp(ti, out=factor)
+        else:
+            v = np.reciprocal(ti, out=ti)
+            _horner(coeffs, v, out=acc)
             acc *= v
-            out[piece] = acc
+        out[piece] = acc
     return out.reshape(shape)
+
+
+def _antiderivative(x: np.ndarray, snr: np.ndarray, inv: np.ndarray,
+                    mean: np.ndarray, out: np.ndarray,
+                    work: Workspace) -> np.ndarray:
+    """:func:`antiderivative_m` at every edge ``x``, written into ``out``.
+
+    ``inv`` is 1/(snr*mean); every argument broadcasts to ``out``.  An
+    entry with snr <= 0 or x/mean > _EXP_UNDERFLOW (+inf edges included)
+    is priced like any other and zeroed at the end, so no warning it
+    raises on the way is reported.  The log term and exp(-t) are built in
+    ``work``'s scratch once :func:`_scaled_e1` is done with it, so no
+    argument may live there.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = np.divide(x, mean, out=out)
+        live = np.less_equal(t, _EXP_UNDERFLOW,
+                             out=work.empty("rate.live", out.shape, bool))
+        live &= snr > 0.0
+        # -exp(-t) * (exp(T) E1(T) + log1p(snr x)) / ln 2 at T = t + 1/(snr
+        # mean), step by step in place; products commute and the sign
+        # moves onto ln 2, which changes no bit
+        out += inv
+        e1 = _scaled_e1(out, out, work)
+        scratch = work.empty(SCRATCH, (2,) + out.shape)
+        log_term, t = scratch[0, ...], scratch[1, ...]
+        np.multiply(x, snr, out=log_term)
+        np.log1p(log_term, out=log_term)
+        e1 += log_term
+        # t again, bit for bit, now that the scratch is free for it
+        np.divide(x, mean, out=t)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.multiply(t, e1, out=out)
+        out /= -_LN2
+        np.copyto(out, 0.0, where=np.logical_not(live, out=live))
+    return out
 
 
 def antiderivative_m(x: ArrayLike, snr_scale: ArrayLike,
@@ -166,29 +220,10 @@ def antiderivative_m(x: ArrayLike, snr_scale: ArrayLike,
         raise ValueError("mean_gain must be > 0")
     x = np.asarray(x, dtype=float)
     snr = np.asarray(snr_scale, dtype=float)
-    t = x / mean_gain
-    # +inf edges fail the second test; inactive entries are priced at
-    # (x, slope) = (0, 1), which raises no warning, and then zeroed
-    active = (snr > 0.0) & (t <= _EXP_UNDERFLOW)
-    t = np.where(active, t, 0.0)
-    snr = np.where(active, snr, 1.0)
-    # -exp(-t) * (exp(T) E1(T) + log1p(snr x)) / ln 2 at T = t + 1/(snr
-    # mean), step by step in place to keep few arrays alive; products
-    # commute and the sign moves onto ln 2, which changes no bit
-    log_term = np.where(active, x, 0.0)
-    log_term *= snr
-    np.log1p(log_term, out=log_term)
-    snr *= mean_gain
-    np.divide(1.0, snr, out=snr)
-    snr += t
-    out = _scaled_e1(snr)
-    del snr
-    out += log_term
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    t *= out
-    t /= -_LN2
-    return np.where(active, t, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = np.divide(1.0, snr * mean_gain)
+    out = np.empty(np.broadcast_shapes(x.shape, snr.shape, mean_gain.shape))
+    return _antiderivative(x, snr, inv, mean_gain, out, Workspace())
 
 
 @dataclass(frozen=True)
@@ -204,38 +239,59 @@ class PerSuRate:
     busy_part: float  # contribution from busy-but-missed frames
 
 
-def _level_snr(units: np.ndarray, err_var: float, noise: float,
-               unit_power: float) -> np.ndarray:
-    """SNR slope of a spend level: power over self-interference plus noise."""
-    power = units * unit_power
-    return power / (err_var * power + noise)
-
-
-def _interval_integrals(lo: np.ndarray, hi: np.ndarray, snr: np.ndarray,
-                        means: np.ndarray) -> np.ndarray:
+def _interval_integrals(pmf: PolicyPmf, unit_power: float, laws: np.ndarray,
+                        work: Workspace) -> np.ndarray:
     """Gain integral over [lo, hi) of every (cutoff, level) entry, per law.
 
-    ``lo`` and ``hi`` are (cutoffs, levels) edges, ``snr`` has one slope
-    per law and level and ``means`` one gain mean per law.  Returns (laws,
-    cutoffs, levels): M(hi) - M(lo) clipped at 0.  Both edges under every
-    law go through one :func:`antiderivative_m` call per block of at most
-    :data:`BLOCK_ENTRIES` flattened entries, so equal edges (every level
-    below the top at theta = 0, both +inf on an unreachable level) price
+    ``laws`` holds one (error-gain mean, noise, gain mean) row per law.
+    Returns (laws, cutoffs, levels): M(hi) - M(lo) clipped at 0, in
+    ``work``'s ``rate.gains`` array.  A level's upper edge is the next
+    level's lower edge, +inf at its state's top (every row's last level
+    is one), and is built per block from the lower edges.  A level's SNR
+    slope (power over self-interference plus noise) and 1/(slope * mean)
+    are computed once per run of levels.  Both edges under every law go
+    through one :func:`_antiderivative` pass per block of at most
+    :data:`BLOCK_ENTRIES` entries, so equal edges (every level below the
+    top at theta = 0, both +inf on an unreachable level) price
     M(x) - M(x) = 0 exactly.
     """
+    lo, units, top = pmf.level_lo, pmf.level_units, pmf.skeleton.top
     cutoffs, levels = lo.shape
-    lo, hi = lo.reshape(-1), hi.reshape(-1)
-    # one slope per law and flattened entry
-    snr = np.tile(snr, cutoffs)[:, None, :] if cutoffs > 1 else snr[:, None, :]
-    means = means[:, None, None]
-    out = np.empty((means.size, lo.size))
-    for start in range(0, lo.size, BLOCK_ENTRIES):
-        cut = slice(start, start + BLOCK_ENTRIES)
-        m = antiderivative_m(np.stack((hi[cut], lo[cut])), snr[..., cut],
-                             means)
-        gain = np.subtract(m[:, 0], m[:, 1], out=out[:, cut])
-        np.maximum(gain, 0.0, out=gain)
-    return out.reshape(means.size, cutoffs, levels)
+    out = work.empty("rate.gains", (len(laws), cutoffs, levels))
+    if not out.size:
+        return out
+    err, noise, means = (laws[:, i, None] for i in range(3))
+    rows = max(1, BLOCK_ENTRIES // levels)
+    cols = min(levels, BLOCK_ENTRIES)
+    for c0 in range(0, levels, cols):
+        cut = slice(c0, c0 + cols)
+        power = np.multiply(units[cut], unit_power,
+                            out=work.empty("rate.power", units[cut].shape))
+        snr = np.multiply(err, power,
+                          out=work.empty("rate.snr", (len(laws), power.size)))
+        snr += noise
+        np.divide(power, snr, out=snr)
+        inv = np.multiply(snr, means, out=work.empty("rate.inv", snr.shape))
+        with np.errstate(divide="ignore"):
+            np.divide(1.0, inv, out=inv)
+        for r0 in range(0, cutoffs, rows):
+            block = (slice(r0, r0 + rows), cut)
+            edges = work.empty("rate.edges", (2,) + lo[block].shape)
+            edges[1] = lo[block]
+            # hi: the next lower edge (past the block's last level, +inf
+            # unless the row goes on), then +inf at every top
+            edges[0, :, :-1] = edges[1, :, 1:]
+            edges[0, :, -1] = (lo[block[0], cut.stop] if cut.stop < levels
+                               else np.inf)
+            np.copyto(edges[0], np.inf, where=top[cut])
+            m = _antiderivative(
+                edges, snr[:, None, None, :], inv[:, None, None, :],
+                means[..., None, None],
+                work.empty("rate.m", (len(laws),) + edges.shape), work)
+            gain = np.subtract(m[:, 0], m[:, 1],
+                               out=out[:, r0:r0 + rows, cut])
+            np.maximum(gain, 0.0, out=gain)
+    return out
 
 
 def level_weights(stationary: np.ndarray, pmf: PolicyPmf) -> np.ndarray:
@@ -249,13 +305,15 @@ def level_weights(stationary: np.ndarray, pmf: PolicyPmf) -> np.ndarray:
 
 def level_gains(config: SystemConfig, profile: SuProfile,
                 sensing: SensingStats, est: EstimationStats,
-                pmf: PolicyPmf) -> Tuple[Optional[np.ndarray], ...]:
+                pmf: PolicyPmf, work: Optional[Workspace] = None
+                ) -> Tuple[Optional[np.ndarray], ...]:
     """Gain integral of every (cutoff, spend level) under the idle and busy law.
 
     The policy side of the rate bound: it reads the row's gain edges and
     the channel statistics, never the battery.  Each entry is a
     (cutoffs, levels) array, or None for a law that adds nothing because
-    it is never sensed idle or its fed-back gain is zero.
+    it is never sensed idle or its fed-back gain is zero.  The arrays are
+    views of ``work``'s ``rate.gains`` array (new without a workspace).
     """
     # (joint probability, error-gain mean, gain mean, noise) per law
     laws = ((sensing.beta0, est.var_err_h0, est.var_hat_h0, profile.ap_noise),
@@ -264,11 +322,10 @@ def level_gains(config: SystemConfig, profile: SuProfile,
     live = [eps for eps in (0, 1) if laws[eps][0] > 0.0 and laws[eps][2] > 0.0]
     gains = [None, None]
     if live:
-        snr = np.array([_level_snr(pmf.level_units, laws[eps][1], laws[eps][3],
-                                   config.unit_power) for eps in live])
         integrals = _interval_integrals(
-            pmf.level_lo, pmf.level_hi, snr,
-            np.array([laws[eps][2] for eps in live]))
+            pmf, config.unit_power,
+            np.array([(laws[eps][1], laws[eps][3], laws[eps][2])
+                      for eps in live]), work or Workspace())
         for eps, gain in zip(live, integrals):
             gains[eps] = gain
     return tuple(gains)
@@ -276,7 +333,8 @@ def level_gains(config: SystemConfig, profile: SuProfile,
 
 def rate_sum(config: SystemConfig, sensing: SensingStats, pmf: PolicyPmf,
              gains: Tuple[Optional[np.ndarray], ...],
-             weights: np.ndarray) -> PerSuRate:
+             weights: np.ndarray, work: Optional[Workspace] = None
+             ) -> PerSuRate:
     """Achievable-rate lower bound of one user [bits/s].
 
     Each law's :func:`level_gains` integrals of a row, weighted by the
@@ -284,15 +342,17 @@ def rate_sum(config: SystemConfig, sensing: SensingStats, pmf: PolicyPmf,
     sensed-idle frame.  Every field is an array over the row's cutoffs.
     """
     scale = config.data_fraction * config.bandwidth
+    work = work or Workspace()
     parts = [np.zeros(pmf.theta.shape) if gain is None
-             else scale * joint * dot_last(weights, gain)
+             else scale * joint * dot_last(weights, gain, out=work.empty(
+                 SCRATCH, np.broadcast_shapes(weights.shape, gain.shape)))
              for joint, gain in zip((sensing.beta0, sensing.beta1), gains)]
     return PerSuRate(parts[0] + parts[1], parts[0], parts[1])
 
 
 def interference_load(config: SystemConfig, profile: SuProfile,
                       sensing: SensingStats, pmf: PolicyPmf,
-                      weights: np.ndarray):
+                      weights: np.ndarray, work: Optional[Workspace] = None):
     """Average interference one user inflicts on the primary [W].
 
     Only busy-but-sensed-idle frames interfere; the data term averages the
@@ -300,8 +360,14 @@ def interference_load(config: SystemConfig, profile: SuProfile,
     :func:`level_weights`, and the probing term is a fixed duty-cycled
     pilot power.  One value per cutoff of the row.
     """
-    data_power = dot_last(weights * pmf.level_mass[..., 1, :],
-                          pmf.level_units * config.unit_power)
+    busy, units = pmf.level_mass[..., 1, :], pmf.level_units
+    shape = np.broadcast_shapes(weights.shape, busy.shape)
+    scratch = (work or Workspace()).empty(SCRATCH,
+                                          (units.size + math.prod(shape),))
+    power = np.multiply(units, config.unit_power, out=scratch[:units.size])
+    loaded = np.multiply(weights, busy,
+                         out=scratch[units.size:].reshape(shape))
+    data_power = dot_last(loaded, power, out=loaded)
     pilot_power = config.probe_fraction * config.probe_power
     return sensing.beta1 * profile.su_pu_var * (data_power + pilot_power)
 

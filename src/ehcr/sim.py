@@ -28,7 +28,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .analysis import NetworkAnalysis
-from .model import NetworkModel, PolicyParams
+from .model import NetworkModel, PolicyParams, _is_integer
 from .policy import FLOOR_NUDGE, check_params, derating
 from .probing import GainDistribution, estimator_variances
 from .sensing import sensing_stats
@@ -345,19 +345,21 @@ def simulate(model: NetworkModel, params_list: Sequence[PolicyParams],
     even in missed-detection slots, mirroring the analytic chain's
     idle-only spend law; the default draws by the true occupancy, so the
     gap between the two behaviors is measurable in the reports.
+    ``slots``, ``seed`` and ``start_level`` are integers, as
+    :func:`~ehcr.model.validate` takes the cell counts: a ``bool`` or a
+    float is rejected whatever its value.
     """
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    if not (_is_integer(slots) and slots >= 1):
+        raise ValueError("slots must be an integer >= 1")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError("seed must be an integer >= 0")
     if len(params_list) != model.n_users:
         raise ValueError("one PolicyParams per user profile is required")
     for params in params_list:
         check_params(params)
     cells = model.config.battery_cells
     level = cells // 2 if start_level is None else start_level
-    if not (math.isfinite(level) and level == int(level)
-            and 0 <= level <= cells):
+    if not (_is_integer(level) and 0 <= level <= cells):
         raise ValueError("start level must be a whole number of cells "
                          "within the battery range")
     sus = tuple(

@@ -206,3 +206,21 @@ def test_chain_matches_the_dense_psi_reference(config, profile, params, ideal):
     assert su.chain.avg_energy == pytest.approx(energy, rel=1e-12, abs=0.0)
     assert su.chain.outage == pytest.approx(battery, rel=0.0, abs=1e-13)
     assert su.transmission_outage == pytest.approx(silent, rel=0.0, abs=1e-13)
+
+
+def test_kept_chain_matrix_outlives_later_pricing():
+    model = NetworkModel(config=SystemConfig(battery_cells=40),
+                         profiles=(SuProfile(), SuProfile(harvest_rate=6.0)))
+    params = PolicyParams(0.55, 0.3)
+    kept = analyze_su(model, 0, params)
+    before = kept.chain.matrix.copy()
+    # the matrix is the analysis's own, not a view into the evaluator's
+    # work arrays
+    assert kept.chain.matrix.flags.owndata
+    for omega, theta in ((0.2, 0.05), (0.9, 1.5), (0.55, 0.3)):
+        analyze_su(model, 1, PolicyParams(omega, theta))
+    evaluator = SuEvaluator(model, 0)
+    evaluator.evaluate_row(0.8, [0.1, 0.4, 2.0])
+    assert kept.chain.matrix.tobytes() == before.tobytes()
+    assert (kept.chain.matrix.tobytes()
+            == analyze_su(model, 0, params).chain.matrix.tobytes())

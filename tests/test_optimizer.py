@@ -1,5 +1,6 @@
 """Policy search: evaluator caching, budget splitting, cap handling."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ehcr.model import NetworkModel, PolicyParams, SuProfile, SystemConfig
 from ehcr.optimizer import (SearchConfig, SuEvaluator, SuPoint, _allocate,
                             _coarse_points, _frontier, _Lattice, check_search,
                             objective_surface, solve_p1)
+from ehcr.policy import transmit_row
 
 # desk-scale search: small battery, light grids, quick refinement
 SMALL = SearchConfig(omega_points=7, theta_points=9, refine_levels=2,
@@ -418,3 +420,42 @@ def test_last_user_split_matches_the_full_fold():
         # fold and the split could break a tie differently
         assert sum(p.interference for p in got) <= cap
         assert got == want
+
+
+# ------------------------------------------------------- owned work arrays
+
+def test_warm_k400_stack_allocates_less_than_one_transition_matrix():
+    """A stack priced after another of its omega reuses the evaluator's
+    work arrays: spend laws, scatter, matrix, balance system, level
+    integrals and their block arrays all exist already."""
+    model = NetworkModel(config=SystemConfig(battery_cells=400),
+                         profiles=(SuProfile(),))
+    evaluator = SuEvaluator(model, 0)
+    evaluator.evaluate_row(0.3, [0.05])
+    tracemalloc.start()
+    try:
+        evaluator.evaluate_row(0.3, [0.2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 401 * 401 * 8
+
+
+def test_priced_rows_share_the_evaluators_work_arrays():
+    """``PricedRow.matrix`` is valid until the evaluator's next stack; a
+    stack priced without a workspace owns its arrays."""
+    model = _model(cells=20)
+    evaluator = SuEvaluator(model, 0)
+    cfg = evaluator.config
+
+    def pmf(theta):
+        return transmit_row(0.6, [theta], cfg.probe_cells, cfg.battery_cells,
+                            evaluator.gain)
+
+    first = evaluator.price_row(pmf(0.1))
+    kept = first.matrix.copy()
+    second = evaluator.price_row(pmf(2.0))
+    assert np.shares_memory(first.matrix, second.matrix)
+    assert not (second.matrix == kept).all()
+    fresh = SuEvaluator(model, 0).price_row(pmf(0.1))
+    assert fresh.matrix.tobytes() == kept.tobytes()

@@ -42,8 +42,11 @@ def _m_quad(a, b, snr, mean):
 
 # ------------------------------------------------ scaled E1 fit ----
 
-def _scaled_e1_scipy(t):
-    """exp(t)*E1(t) through scipy.special.exp1, as the rate bound once was."""
+def _scaled_e1_scipy(t, out=None, work=None):
+    """exp(t)*E1(t) through scipy.special.exp1, as the rate bound once was.
+
+    Takes ``_scaled_e1``'s arguments but returns a new array, which is
+    what the rate bound reads."""
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
     small = t < 600.0

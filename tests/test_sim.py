@@ -151,11 +151,20 @@ def test_simulate_argument_guards():
         simulate(model, [PolicyParams(0.5, 0.1)], 0)
     with pytest.raises(ValueError):
         simulate(model, [], 100)
-    with pytest.raises(ValueError, match="seed"):
-        simulate(model, [PolicyParams(0.5, 0.1)], 100, seed=-1)
-    for bad in (-1, model.config.battery_cells + 1, 2.5, math.nan, math.inf):
+    for bad in (-1, True, 3.0, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            simulate(model, [PolicyParams(0.5, 0.1)], 100, seed=bad)
+    for bad in (True, 2.5, 100.0, np.float64(100)):
+        with pytest.raises(ValueError, match="slots"):
+            simulate(model, [PolicyParams(0.5, 0.1)], bad)
+    for bad in (-1, model.config.battery_cells + 1, 2.5, 2.0, True, math.nan,
+                math.inf):
         with pytest.raises(ValueError, match="start level"):
             simulate(model, [PolicyParams(0.5, 0.1)], 100, start_level=bad)
+    # numpy integers are integers
+    trace = simulate(model, [PolicyParams(0.5, 0.1)], np.int64(10),
+                     seed=np.int32(3), start_level=np.int64(2))
+    assert trace.seed == 3 and trace.sus[0].state_before[0] == 2
 
 
 def test_start_level_is_respected():
