@@ -15,8 +15,9 @@ change/parent ratio.
 
 For one user at the default configuration with K = 80 and K = 400 cells
 and policy (0.45, 0.2), the rows time the layers an uncached one-cutoff
-row runs: the spend law (``transmit_row``), then those of
-``SuEvaluator.price_row``: the transition matrix
+row runs, each on the evaluator's level skeleton, scatter index and
+workspace as ``SuEvaluator.price_row`` runs it: the spend law
+(``transmit_row``), then those of ``price_row``: the transition matrix
 (``TransitionBuilder.matrix`` on the row's spend moves), the steady
 state, the level integrals (``rate.level_gains``) and the terms the
 steady state weights (``level_weights``, ``rate_sum``,
@@ -88,30 +89,42 @@ WALKS = {"default_75k": (DEFAULT_POINT, 75_000),
 
 
 def _layers(m, ev, thetas):
-    """The layers an uncached row of ``thetas`` runs."""
-    cfg, prof, sensing = ev.config, ev.profile, ev.sensing
+    """The layers an uncached row of ``thetas`` runs, each called as
+    ``SuEvaluator.price_row`` calls it: on the evaluator's level skeleton,
+    scatter index and workspace.  Each layer rewrites the same work
+    arrays with the same values, so the inputs of the others stay valid."""
+    cfg, prof, sensing, work = ev.config, ev.profile, ev.sensing, ev._work
     omega, rate = POLICY[0], m.rate
-    pmf = m.policy.transmit_row(omega, thetas, cfg.probe_cells,
-                                cfg.battery_cells, ev.gain)
-    matrix_args = (pmf.idle_law, sensing.pi_hat_idle, sensing.pi_hat_busy,
-                   pmf.moves)
-    phi = ev._builder.matrix(*matrix_args)
-    zeta = m.battery.steady_state(phi)
-    gains = rate.level_gains(cfg, prof, sensing, ev.estimation, pmf)
+    skeleton = ev._level_skeleton(omega)
+
+    def spend_pmf():
+        return m.policy.transmit_row(omega, thetas, cfg.probe_cells,
+                                     cfg.battery_cells, ev.gain, skeleton,
+                                     work)
+
+    def matrix():
+        return ev._builder.matrix(pmf.idle_law, sensing.pi_hat_idle,
+                                  sensing.pi_hat_busy, pmf.moves,
+                                  scatter=skeleton.scatter, work=work)
+
+    def level_gains():
+        return rate.level_gains(cfg, prof, sensing, ev.estimation, pmf, work)
 
     def user_terms():
         weights = rate.level_weights(zeta, pmf)
-        rate.rate_sum(cfg, sensing, pmf, gains, weights)
-        rate.interference_load(cfg, prof, sensing, pmf, weights)
+        rate.rate_sum(cfg, sensing, pmf, gains, weights, work)
+        rate.interference_load(cfg, prof, sensing, pmf, weights, work)
         rate.transmission_outage(zeta, pmf, sensing, cfg.probe_cells)
 
+    pmf = spend_pmf()
+    gains = level_gains()
+    phi = matrix()
+    zeta = m.battery.steady_state(phi, work)
     return pmf, {
-        "spend_pmf": lambda: m.policy.transmit_row(
-            omega, thetas, cfg.probe_cells, cfg.battery_cells, ev.gain),
-        "matrix": lambda: ev._builder.matrix(*matrix_args),
-        "steady_state": lambda: m.battery.steady_state(phi),
-        "level_gains": lambda: rate.level_gains(cfg, prof, sensing,
-                                                ev.estimation, pmf),
+        "spend_pmf": spend_pmf,
+        "matrix": matrix,
+        "steady_state": lambda: m.battery.steady_state(phi, work),
+        "level_gains": level_gains,
         "rate_load_outage": user_terms,
     }
 

@@ -45,14 +45,14 @@ class NetworkAnalysis:
     breakdown: RateBreakdown
 
 
-def analyze_su(model: NetworkModel, index: int, params: PolicyParams,
-               ideal_sensing: bool = False) -> SuAnalysis:
+def analyze_su(model: NetworkModel, index: int,
+               params: PolicyParams) -> SuAnalysis:
     """Run the full analytic chain for one user.
 
     Prices the policy as a one-cutoff row of :class:`SuEvaluator`, the
     code the policy search uses, so both give bit-identical numbers.
     """
-    evaluator = SuEvaluator(model, index, ideal_sensing=ideal_sensing)
+    evaluator = SuEvaluator(model, index)
     config = evaluator.config
     row = evaluator.price_row(transmit_row(
         params.omega, [params.theta], config.probe_cells,
@@ -72,13 +72,12 @@ def analyze_su(model: NetworkModel, index: int, params: PolicyParams,
                       transmission_outage=float(row.transmission_outage[0]))
 
 
-def analyze(model: NetworkModel, params_list: Sequence[PolicyParams],
-            ideal_sensing: bool = False) -> NetworkAnalysis:
+def analyze(model: NetworkModel,
+            params_list: Sequence[PolicyParams]) -> NetworkAnalysis:
     """Evaluate every user and assemble network totals."""
     if len(params_list) != model.n_users:
         raise ValueError("one PolicyParams per user profile is required")
-    sus = tuple(analyze_su(model, i, p, ideal_sensing)
-                for i, p in enumerate(params_list))
+    sus = tuple(analyze_su(model, i, p) for i, p in enumerate(params_list))
     per_su = tuple(su.rate for su in sus)
     loads = tuple(su.interference for su in sus)
     total_load = math.fsum(loads)

@@ -41,8 +41,10 @@ EXIT_MISMATCH = 4
 
 def _keys(*records: type) -> Dict[str, type]:
     """Each field of ``records`` as a config key, with the type it parses
-    to: ``int`` where the field is annotated ``int``, ``float`` otherwise."""
-    return {f.name: int if f.type in (int, "int") else float
+    to: ``int`` or ``bool`` where the field is annotated so, ``float``
+    otherwise."""
+    kinds = {int: int, "int": int, bool: bool, "bool": bool}
+    return {f.name: kinds.get(f.type, float)
             for record in records for f in dataclasses.fields(record)}
 
 
@@ -95,8 +97,15 @@ def _at(text: str, section: str, key: str) -> str:
 
 
 def _parse(raw: str, kind: type) -> object:
-    """``raw`` as a float, or for an ``int`` field as an int when the
-    value is integral; ValueError otherwise (NaN and inf included)."""
+    """``raw`` as a float, for an ``int`` field as an int when the value
+    is integral, for a ``bool`` field as configparser reads a boolean
+    (1/yes/true/on, 0/no/false/off); ValueError otherwise (NaN and inf
+    included)."""
+    if kind is bool:
+        state = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
+        if state is None:
+            raise ValueError(f"{raw!r} is not a boolean")
+        return state
     value = float(raw)
     if kind is float:
         return value
@@ -117,7 +126,8 @@ def _read_section(parser: configparser.ConfigParser, section: str,
         try:
             values[key] = _parse(raw, keys[key])
         except ValueError:
-            kind = " as an integer" if keys[key] is int else ""
+            kind = {int: " as an integer",
+                    bool: " as a boolean"}.get(keys[key], "")
             problems.append(
                 f"[{section}] {key}: cannot parse {raw!r}{kind}{at}")
     return values
@@ -128,7 +138,9 @@ def load_config(path: str) -> LoadedConfig:
 
     Sections: [system] for shared constants, [su.1]..[su.N] for per-user
     statistics plus an optional (omega, theta) policy, [search] for
-    optimizer knobs.  All values are plain numbers in SI base units.
+    optimizer knobs, the only place the search grid is set.  All values
+    are plain numbers in SI base units, except the boolean
+    ``ideal_sensing``.
     Raises ConfigError listing every problem found, with line numbers
     where they can be attributed.
     """
@@ -305,8 +317,7 @@ def _write_metrics(path: str, points: Sequence[SuPoint], sum_rate: float,
 
 def cmd_analyze(args: argparse.Namespace, loaded: LoadedConfig) -> int:
     policies = loaded.require_policies()
-    analysis = analyze(loaded.model, policies,
-                       ideal_sensing=args.ideal_sensing)
+    analysis = analyze(loaded.model, policies)
     points = _points(analysis)
     outputs = ["metrics.csv", "zeta.csv"]
     _write_metrics(os.path.join(args.out, "metrics.csv"), points,
@@ -325,8 +336,7 @@ def cmd_analyze(args: argparse.Namespace, loaded: LoadedConfig) -> int:
                                        range(su.chain.matrix.shape[1])],
                        [np.arange(su.chain.matrix.shape[0])]
                        + list(su.chain.matrix.T))
-    _write_manifest(args.out, "analyze", loaded, outputs,
-                    ideal_sensing=args.ideal_sensing)
+    _write_manifest(args.out, "analyze", loaded, outputs)
     for i, point in enumerate(points, start=1):
         print(f"su{i}: rate_lb={point.rate:.6g} bit/s "
               f"interference={point.interference:.6g} W "
@@ -337,28 +347,11 @@ def cmd_analyze(args: argparse.Namespace, loaded: LoadedConfig) -> int:
     return EXIT_OK
 
 
-def _search_with_flags(args: argparse.Namespace,
-                       loaded: LoadedConfig) -> SearchConfig:
-    """The config's search with the grid flags applied, checked again."""
-    flags = {"omega_points": args.grid_omega,
-             "theta_points": args.grid_theta, "refine_levels": args.refine}
-    search = dataclasses.replace(
-        loaded.search, **{k: v for k, v in flags.items() if v is not None})
-    try:
-        check_search(search)
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from exc
-    return search
-
-
 def cmd_optimize(args: argparse.Namespace, loaded: LoadedConfig) -> int:
-    search = _search_with_flags(args, loaded)
-    result = solve_p1(loaded.model, search,
-                      ideal_sensing=args.ideal_sensing)
+    result = solve_p1(loaded.model, loaded.search)
     _write_metrics(os.path.join(args.out, "optimum.csv"), result.per_su,
                    result.sum_rate, result.aic_lhs)
     _write_manifest(args.out, "optimize", loaded, ["optimum.csv"],
-                    ideal_sensing=args.ideal_sensing,
                     feasible=result.feasible,
                     evaluations=result.evaluations, sweeps=result.sweeps)
     status = "feasible" if result.feasible else "INFEASIBLE"
@@ -381,11 +374,9 @@ def cmd_simulate(args: argparse.Namespace, loaded: LoadedConfig) -> int:
     if args.seed < 0:
         raise ConfigError([f"--seed must be >= 0, got {args.seed}"])
     policies = loaded.require_policies()
-    analysis = analyze(loaded.model, policies,
-                       ideal_sensing=args.ideal_sensing)
+    analysis = analyze(loaded.model, policies)
     trace = simulate(loaded.model, policies, slots=args.slots,
-                     seed=args.seed, ideal_sensing=args.ideal_sensing,
-                     assume_idle_gains=args.assume_idle_gains)
+                     seed=args.seed, assume_idle_gains=args.assume_idle_gains)
     report = compare(trace, analysis)
     rows = [[("net" if c.su_index is None else "su%d" % (c.su_index + 1)),
              c.name, c.simulated, c.analytic, c.deviation, c.tolerance,
@@ -410,8 +401,7 @@ def cmd_simulate(args: argparse.Namespace, loaded: LoadedConfig) -> int:
                         "state_after", "rate_sample",
                         "interference_sample"), columns)
     _write_manifest(args.out, "simulate", loaded, outputs, seed=args.seed,
-                    slots=args.slots, ideal_sensing=args.ideal_sensing,
-                    assume_idle_gains=args.assume_idle_gains,
+                    slots=args.slots, assume_idle_gains=args.assume_idle_gains,
                     passed=report.passed)
     for line in report.lines():
         print(line)
@@ -471,12 +461,10 @@ def cmd_sweep(args: argparse.Namespace, loaded: LoadedConfig) -> int:
 
     # a missing policy fails the whole sweep, not each of its points
     policies = None if args.optimize else loaded.require_policies()
-    search = _search_with_flags(args, loaded)
     # Physics is unchanged along these axes, so evaluators can be shared.
     shared_evaluators = None
     if args.optimize and args.axis in ("I_av",):
-        shared_evaluators = [SuEvaluator(loaded.model, i,
-                                         ideal_sensing=args.ideal_sensing)
+        shared_evaluators = [SuEvaluator(loaded.model, i)
                              for i in range(n_users)]
 
     rows: List[List[object]] = []
@@ -484,16 +472,14 @@ def cmd_sweep(args: argparse.Namespace, loaded: LoadedConfig) -> int:
         try:
             model = _sweep_model(loaded, args.axis, value)
             if args.optimize:
-                result = solve_p1(model, search,
-                                  ideal_sensing=args.ideal_sensing,
+                result = solve_p1(model, loaded.search,
                                   evaluators=shared_evaluators)
                 status = "ok" if result.feasible else "infeasible"
                 sum_rate, aic_lhs = result.sum_rate, result.aic_lhs
                 points = result.per_su
             else:
-                analysis = analyze(model,
-                                   _sweep_policies(policies, args.axis, value),
-                                   ideal_sensing=args.ideal_sensing)
+                analysis = analyze(
+                    model, _sweep_policies(policies, args.axis, value))
                 status, points = "ok", _points(analysis)
                 sum_rate = analysis.breakdown.sum_rate
                 aic_lhs = analysis.breakdown.aic_lhs
@@ -511,8 +497,7 @@ def cmd_sweep(args: argparse.Namespace, loaded: LoadedConfig) -> int:
     _write_csv(os.path.join(args.out, "sweep.csv"), header, zip(*rows))
     _write_manifest(args.out, "sweep", loaded, ["sweep.csv"],
                     axis=args.axis, sweep_from=args.sweep_from, to=args.to,
-                    points=args.points, optimize=args.optimize,
-                    ideal_sensing=args.ideal_sensing)
+                    points=args.points, optimize=args.optimize)
     ok = sum(1 for r in rows if r[1] == "ok")
     print(f"swept {args.axis} over [{args.sweep_from:g}, {args.to:g}] "
           f"({args.points} points, {ok} valid) -> sweep.csv")
@@ -533,17 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run configuration (INI; see docs)")
         p.add_argument("--out", default=".", metavar="DIR",
                        help="directory for CSV outputs and the manifest")
-        p.add_argument("--ideal-sensing", action="store_true",
-                       help="force a perfect detector (no false alarms, "
-                            "no misses)")
-
-    def search_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--grid-omega", type=int, metavar="N",
-                       help="coarse grid points on the spend fraction")
-        p.add_argument("--grid-theta", type=int, metavar="N",
-                       help="coarse grid points on the gain cutoff")
-        p.add_argument("--refine", type=int, metavar="L",
-                       help="local refinement levels")
 
     p_an = sub.add_parser("analyze", help="price the configured policies")
     common(p_an)
@@ -553,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="search for the best policies")
     common(p_opt)
-    search_flags(p_opt)
     p_opt.set_defaults(func=cmd_optimize)
 
     p_sim = sub.add_parser("simulate",
@@ -579,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--points", type=int, default=21, metavar="N")
     p_sw.add_argument("--optimize", action="store_true",
                       help="re-optimize policies at every grid point")
-    search_flags(p_sw)
     p_sw.set_defaults(func=cmd_sweep)
     return parser
 

@@ -47,6 +47,7 @@ class SystemConfig:
     pu_power: float = 1.0              # primary transmit power [W]
     pu_ap_channel_var: float = 1.0     # variance of the primary->AP channel
     interference_cap: float = math.inf # average interference budget at the primary [W]
+    ideal_sensing: bool = False        # error-free detector: no false alarms, no misses
 
     # ---- derived per-frame constants -------------------------------------
     @property
@@ -58,16 +59,6 @@ class SystemConfig:
     def sensing_samples(self) -> int:
         """Detector sample count over the sensing phase."""
         return int(round(self.sensing_duration * self.sampling_frequency))
-
-    @property
-    def probing_symbols(self) -> int:
-        """Pilot symbol count over the probing phase."""
-        return int(round(self.probing_duration * self.sampling_frequency))
-
-    @property
-    def data_symbols(self) -> int:
-        """Symbol count over the data phase."""
-        return int(round(self.data_duration * self.sampling_frequency))
 
     @property
     def unit_power(self) -> float:
@@ -139,7 +130,16 @@ def _is_integer(value: object) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+# Fields with a plain lower bound, each reported as "<field> must be <bound>".
+_BOUNDS = (("slot_duration", "> 0"), ("sensing_duration", "> 0"),
+           ("probing_duration", "> 0"), ("sampling_frequency", "> 0"),
+           ("bandwidth", "> 0"), ("energy_unit", "> 0"),
+           ("pu_power", ">= 0"), ("pu_ap_channel_var", ">= 0"))
+
+
 def _check_config(cfg: SystemConfig, errors: List[str]) -> None:
+    if not isinstance(cfg.ideal_sensing, bool):
+        errors.append("ideal_sensing must be a bool")
     # interference_cap = inf disables the cap; its own check below
     # rejects NaN and -inf.  The range checks compare finite numbers, so
     # a config with a non-finite field reports only those fields.
@@ -148,21 +148,13 @@ def _check_config(cfg: SystemConfig, errors: List[str]) -> None:
     errors.extend(f"{name} must be finite" for name in nonfinite)
     if nonfinite:
         return
-    if cfg.slot_duration <= 0:
-        errors.append("slot_duration must be > 0")
-    if cfg.sensing_duration <= 0:
-        errors.append("sensing_duration must be > 0")
-    if cfg.probing_duration <= 0:
-        errors.append("probing_duration must be > 0")
+    for name, bound in _BOUNDS:
+        value = getattr(cfg, name)
+        if not (value > 0 if bound == "> 0" else value >= 0):
+            errors.append(f"{name} must be {bound}")
     if cfg.data_duration <= 0:
         errors.append("tau_d <= 0: slot_duration must exceed "
                       "sensing_duration + probing_duration")
-    if cfg.sampling_frequency <= 0:
-        errors.append("sampling_frequency must be > 0")
-    if cfg.bandwidth <= 0:
-        errors.append("bandwidth must be > 0")
-    if cfg.energy_unit <= 0:
-        errors.append("energy_unit must be > 0")
     if not _is_integer(cfg.battery_cells) or cfg.battery_cells < 1:
         errors.append("battery_cells must be an integer >= 1")
     if not _is_integer(cfg.probe_cells) or not 0 <= cfg.probe_cells < max(cfg.battery_cells, 1):
@@ -171,10 +163,6 @@ def _check_config(cfg: SystemConfig, errors: List[str]) -> None:
         errors.append("prior_idle must lie in (0, 1)")
     if not 0.0 < cfg.target_detection < 1.0:
         errors.append("target_detection must lie in (0, 1)")
-    if cfg.pu_power < 0:
-        errors.append("pu_power must be >= 0")
-    if cfg.pu_ap_channel_var < 0:
-        errors.append("pu_ap_channel_var must be >= 0")
     if not cfg.interference_cap > 0:
         errors.append("interference_cap must be > 0 (math.inf disables it)")
 

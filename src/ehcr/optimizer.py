@@ -148,13 +148,11 @@ class SuEvaluator:
     almost nothing for glibc to hand back and fault in again.
     """
 
-    def __init__(self, model: NetworkModel, index: int,
-                 ideal_sensing: bool = False):
+    def __init__(self, model: NetworkModel, index: int):
         self.index = index
         self.config = model.config
         self.profile = model.profiles[index]
-        self.sensing = sensing_stats(self.config, self.profile,
-                                     ideal=ideal_sensing)
+        self.sensing = sensing_stats(self.config, self.profile)
         self.estimation = estimator_variances(self.config, self.profile,
                                               self.sensing)
         self.gain = GainDistribution.from_stats(self.estimation, self.sensing)
@@ -319,8 +317,6 @@ class OptimizationResult:
     feasible: bool      # load within the cap (else least-loading point)
     evaluations: int    # distinct policy points priced
     sweeps: int         # budget-split passes run (0: infeasible at once)
-    grid_shape: Tuple[int, int]
-    refine_levels: int
 
 
 class _Lattice:
@@ -492,7 +488,7 @@ def _allocate(per_su_points: Sequence[Sequence[SuPoint]],
 
 
 def _result(points: Sequence[SuPoint], cap: float, evaluations: int,
-            sweeps: int, search: SearchConfig) -> OptimizationResult:
+            sweeps: int) -> OptimizationResult:
     load = math.fsum(p.interference for p in points)
     return OptimizationResult(
         params=tuple(p.params for p in points),
@@ -502,14 +498,11 @@ def _result(points: Sequence[SuPoint], cap: float, evaluations: int,
         feasible=load <= cap,
         evaluations=evaluations,
         sweeps=sweeps,
-        grid_shape=(search.omega_points, search.theta_points),
-        refine_levels=search.refine_levels,
     )
 
 
 def solve_p1(model: NetworkModel, search: Optional[SearchConfig] = None,
-             *, ideal_sensing: bool = False,
-             evaluators: Optional[Sequence[SuEvaluator]] = None
+             *, evaluators: Optional[Sequence[SuEvaluator]] = None
              ) -> OptimizationResult:
     """Maximize the network sum-rate bound subject to the interference cap.
 
@@ -525,8 +518,7 @@ def solve_p1(model: NetworkModel, search: Optional[SearchConfig] = None,
     """
     search = search if search is not None else SearchConfig()
     if evaluators is None:
-        evaluators = [SuEvaluator(model, i, ideal_sensing=ideal_sensing)
-                      for i in range(model.n_users)]
+        evaluators = [SuEvaluator(model, i) for i in range(model.n_users)]
     cap = model.config.interference_cap
 
     # Probing load is policy-independent, so infeasibility is decidable
@@ -534,7 +526,7 @@ def solve_p1(model: NetworkModel, search: Optional[SearchConfig] = None,
     if math.fsum(ev.interference_floor for ev in evaluators) > cap:
         silent = [ev.evaluate(0.0, search.theta_floor) for ev in evaluators]
         return _result(silent, cap,
-                       sum(ev.evaluations for ev in evaluators), 0, search)
+                       sum(ev.evaluations for ev in evaluators), 0)
 
     lattices = [_Lattice(search, ev) for ev in evaluators]
     _coarse_points(search, evaluators, lattices)
@@ -571,13 +563,12 @@ def solve_p1(model: NetworkModel, search: Optional[SearchConfig] = None,
         current = candidate
 
     return _result(current, cap, sum(ev.evaluations for ev in evaluators),
-                   passes, search)
+                   passes)
 
 
 def objective_surface(model: NetworkModel, omega_grid: Sequence[float],
                       theta_grid: Sequence[float], su_index: int = 0,
-                      *, ideal_sensing: bool = False,
-                      evaluator: Optional[SuEvaluator] = None
+                      *, evaluator: Optional[SuEvaluator] = None
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Dense (rate, interference) maps over a policy grid for one user.
 
@@ -585,7 +576,7 @@ def objective_surface(model: NetworkModel, omega_grid: Sequence[float],
     bit-identical to pointwise analytic evaluation.
     """
     if evaluator is None:
-        evaluator = SuEvaluator(model, su_index, ideal_sensing=ideal_sensing)
+        evaluator = SuEvaluator(model, su_index)
     rates = np.empty((len(omega_grid), len(theta_grid)))
     loads = np.empty_like(rates)
     for a, omega in enumerate(omega_grid):

@@ -81,15 +81,14 @@ def joint_sensing_stats(prior_idle: float, p_fa: float, p_d: float,
                         omega0=omega0, omega1=omega1, snr_nu=snr)
 
 
-def sensing_stats(config: SystemConfig, profile: SuProfile,
-                  ideal: bool = False) -> SensingStats:
+def sensing_stats(config: SystemConfig, profile: SuProfile) -> SensingStats:
     """Sensing statistics for one user under the target-P_d operating point.
 
-    With ``ideal=True`` the detector is error-free (no false alarms, no
-    misses), which zeroes the busy-but-sensed-idle path entirely.
+    With ``config.ideal_sensing`` the detector is error-free (no false
+    alarms, no misses), which zeroes the busy-but-sensed-idle path entirely.
     """
     snr = config.pu_power * profile.pu_su_var / profile.sensing_noise
-    if ideal:
+    if config.ideal_sensing:
         return joint_sensing_stats(config.prior_idle, 0.0, 1.0, snr)
     p_fa = false_alarm_at_target_pd(snr, config.sensing_samples,
                                     config.target_detection)

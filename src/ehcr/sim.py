@@ -37,6 +37,10 @@ from .sensing import sensing_stats
 # meaningless at the declared tolerances, so comparisons refuse to pass.
 MIN_COMPARE_SLOTS = 1000
 
+# compare()'s tolerances: total variation of the occupancy law, relative
+# deviation of averaged quantities, absolute deviation of probabilities.
+TV_TOL, REL_TOL, ABS_TOL = 0.01, 0.01, 0.005
+
 # Steps of the lockstep pass whose inputs are transposed at a time.
 LOCKSTEP_BLOCK = 64
 
@@ -264,10 +268,10 @@ def _walk_battery(level: int, cells: int, reserve: int, omega: float,
 
 def _simulate_su(model: NetworkModel, index: int, params: PolicyParams,
                  slots: int, seed: int, assume_idle_gains: bool,
-                 ideal_sensing: bool, level: int) -> SuTrace:
+                 level: int) -> SuTrace:
     config = model.config
     profile = model.profiles[index]
-    sensing = sensing_stats(config, profile, ideal=ideal_sensing)
+    sensing = sensing_stats(config, profile)
     est = estimator_variances(config, profile, sensing)
     dist = GainDistribution.from_stats(est, sensing)
 
@@ -332,7 +336,6 @@ def _simulate_su(model: NetworkModel, index: int, params: PolicyParams,
 
 def simulate(model: NetworkModel, params_list: Sequence[PolicyParams],
              slots: int, seed: int = 0, *, assume_idle_gains: bool = False,
-             ideal_sensing: bool = False,
              start_level: Optional[int] = None) -> SimTrace:
     """Run every user for `slots` frames and collect the sample paths.
 
@@ -364,7 +367,7 @@ def simulate(model: NetworkModel, params_list: Sequence[PolicyParams],
                          "within the battery range")
     sus = tuple(
         _simulate_su(model, i, params, slots, seed, assume_idle_gains,
-                     ideal_sensing, int(level))
+                     int(level))
         for i, params in enumerate(params_list))
     return SimTrace(sus=sus, slots=slots, seed=seed,
                     assume_idle_gains=assume_idle_gains)
@@ -447,9 +450,7 @@ def _rel_dev(sim: float, ref: float) -> float:
     return abs(sim - ref) / max(abs(ref), 1e-300)
 
 
-def compare(trace: SimTrace, analysis: NetworkAnalysis, *,
-            tv_tol: float = 0.01, rel_tol: float = 0.01,
-            abs_tol: float = 0.005) -> CompareReport:
+def compare(trace: SimTrace, analysis: NetworkAnalysis) -> CompareReport:
     """Grade a simulation run against the analytic chain.
 
     Occupancy is graded in total variation, averaged quantities (rate,
@@ -457,7 +458,8 @@ def compare(trace: SimTrace, analysis: NetworkAnalysis, *,
     shorter than MIN_COMPARE_SLOTS are flagged insufficient and never
     pass.  Every scalar row carries the batch-means standard error of its
     simulated value (:func:`_standard_error`); it is reported only, and
-    the tolerances alone decide pass or fail.
+    the module's tolerances (``TV_TOL``, ``REL_TOL``, ``ABS_TOL``) alone
+    decide pass or fail.
     """
     if len(trace.sus) != len(analysis.sus):
         raise ValueError("trace and analysis cover different user counts")
@@ -466,9 +468,9 @@ def compare(trace: SimTrace, analysis: NetworkAnalysis, *,
     def grade(name: str, su_index: Optional[int], simulated: float,
               analytic: float, kind: str, batch_means: np.ndarray) -> None:
         if kind == "relative":
-            dev, tol = _rel_dev(simulated, analytic), rel_tol
+            dev, tol = _rel_dev(simulated, analytic), REL_TOL
         else:
-            dev, tol = abs(simulated - analytic), abs_tol
+            dev, tol = abs(simulated - analytic), ABS_TOL
         checks.append(CompareCheck(
             name=name, su_index=su_index, simulated=simulated,
             analytic=analytic, deviation=dev, tolerance=tol, kind=kind,
@@ -481,8 +483,8 @@ def compare(trace: SimTrace, analysis: NetworkAnalysis, *,
                                 - ana.chain.steady_state).sum())
         checks.append(CompareCheck(
             name="zeta", su_index=su.index, simulated=math.nan,
-            analytic=math.nan, deviation=tv, tolerance=tv_tol, kind="tv",
-            passed=bool(tv <= tv_tol)))
+            analytic=math.nan, deviation=tv, tolerance=TV_TOL, kind="tv",
+            passed=bool(tv <= TV_TOL)))
         rate = _batch_means(su.rate_sample)
         load = _batch_means(su.interference_sample)
         net_rate = net_rate + rate

@@ -427,18 +427,18 @@ def test_criterion_8_ideal_sensing_degeneracy():
     """Perfect detection removes every busy-band path: the interference
     side vanishes identically and the gain mixture collapses to the
     idle-band exponential, so any cap is met."""
-    cfg = SystemConfig(interference_cap=1e-9)
+    cfg = SystemConfig(interference_cap=1e-9, ideal_sensing=True)
     profiles = (SuProfile(), SuProfile(harvest_rate=8.0))
     model = NetworkModel(config=cfg, profiles=profiles)
     params = [PolicyParams(omega=0.35, theta=0.2),
               PolicyParams(omega=0.5, theta=0.1)]
 
-    net = analyze(model, params, ideal_sensing=True)
+    net = analyze(model, params)
     assert net.breakdown.aic_lhs == 0.0
     assert net.breakdown.aic_satisfied
     assert all(load == 0.0 for load in net.breakdown.per_su_interference)
 
-    sen = sensing_stats(cfg, profiles[0], ideal=True)
+    sen = sensing_stats(cfg, profiles[0])
     assert sen.p_fa == 0.0 and sen.p_d == 1.0
     assert sen.beta1 == 0.0 and sen.omega1 == 0.0
 

@@ -1,4 +1,5 @@
 """End-to-end analytic chain and network assembly."""
+import dataclasses
 import math
 
 import numpy as np
@@ -101,16 +102,16 @@ def test_wrong_parameter_count_raises():
 
 
 def test_ideal_sensing_removes_all_interference():
-    model = NetworkModel(config=SystemConfig(),
+    model = NetworkModel(config=SystemConfig(ideal_sensing=True),
                          profiles=(SuProfile(), SuProfile(harvest_rate=8.0)))
-    net = analyze(model, [PolicyParams(0.5, 0.1)] * 2, ideal_sensing=True)
+    net = analyze(model, [PolicyParams(0.5, 0.1)] * 2)
     assert net.breakdown.aic_lhs == 0.0
     assert net.breakdown.aic_satisfied
 
 
 # ------------------------------------------- dense-psi reference chain ----
 
-def _dense_chain(model, params, ideal):
+def _dense_chain(model, params):
     """The analytic chain built from the dense (2, K+1, K+1) spend law.
 
     Spend levels (with the policy row's gain edges) become a dense psi
@@ -124,7 +125,7 @@ def _dense_chain(model, params, ideal):
     """
     cfg, prof = model.config, model.profiles[0]
     k, r = cfg.battery_cells, cfg.probe_cells
-    sen = sensing_stats(cfg, prof, ideal=ideal)
+    sen = sensing_stats(cfg, prof)
     est = estimator_variances(cfg, prof, sen)
     dist = GainDistribution.from_stats(est, sen)
     row = transmit_row(params.omega, [params.theta], r, k, dist)
@@ -198,9 +199,10 @@ def _dense_settings():
 
 @pytest.mark.parametrize("config, profile, params, ideal", _dense_settings())
 def test_chain_matches_the_dense_psi_reference(config, profile, params, ideal):
+    config = dataclasses.replace(config, ideal_sensing=ideal)
     model = NetworkModel(config=config, profiles=(profile,))
-    su = analyze_su(model, 0, params, ideal_sensing=ideal)
-    rate, load, energy, battery, silent = _dense_chain(model, params, ideal)
+    su = analyze_su(model, 0, params)
+    rate, load, energy, battery, silent = _dense_chain(model, params)
     assert su.rate.total == pytest.approx(rate, rel=1e-12, abs=0.0)
     assert su.interference == pytest.approx(load, rel=1e-12, abs=0.0)
     assert su.chain.avg_energy == pytest.approx(energy, rel=1e-12, abs=0.0)

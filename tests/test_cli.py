@@ -29,6 +29,14 @@ omega = 0.6
 theta = 0.1
 """
 
+# a small grid for the policy searches of the optimize and sweep tests
+SMALL_SEARCH = """
+[search]
+omega_points = 5
+theta_points = 5
+refine_levels = 1
+"""
+
 
 def _write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
@@ -94,13 +102,35 @@ def test_analyze_can_dump_the_transition_matrix(tmp_path):
 
 
 def test_ideal_sensing_flag_zeroes_the_interference_column(tmp_path):
-    cfg = _write(tmp_path, BASE_CONFIG)
+    cfg = _write(tmp_path, BASE_CONFIG.replace(
+        "[system]", "[system]\nideal_sensing = true"))
     out = tmp_path / "out"
-    assert main(["analyze", "--config", cfg, "--out", str(out),
-                 "--ideal-sensing"]) == EXIT_OK
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == EXIT_OK
     rows = _read_csv(out / "metrics.csv")
     assert rows[1][4] == "0"    # su1 interference
     assert rows[-1][4] == "0"   # network total
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["config"]["system"]["ideal_sensing"] is True
+    assert "ideal_sensing" not in manifest
+
+
+@pytest.mark.parametrize("raw,value", [("1", True), ("On", True),
+                                       ("no", False), ("FALSE", False)])
+def test_ideal_sensing_parses_as_configparser_booleans(tmp_path, raw, value):
+    cfg = _write(tmp_path, BASE_CONFIG.replace(
+        "[system]", f"[system]\nideal_sensing = {raw}"))
+    assert load_config(cfg).model.config.ideal_sensing is value
+
+
+@pytest.mark.parametrize("raw", ["2", "0.0", "nan", "maybe"])
+def test_non_boolean_ideal_sensing_points_to_its_line(tmp_path, capsys, raw):
+    cfg = _write(tmp_path, BASE_CONFIG.replace(
+        "[system]", f"[system]\nideal_sensing = {raw}"))
+    assert main(["analyze", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: [system] ideal_sensing: cannot parse {raw!r} "
+        "as a boolean (line 2)\n")
 
 
 def test_every_record_field_is_a_config_key(tmp_path):
@@ -111,7 +141,7 @@ def test_every_record_field_is_a_config_key(tmp_path):
         sampling_frequency=50e3, bandwidth=20e3, energy_unit=0.02,
         battery_cells=16, probe_cells=2, prior_idle=0.6,
         target_detection=0.9, pu_power=2.0, pu_ap_channel_var=0.5,
-        interference_cap=0.7)
+        interference_cap=0.7, ideal_sensing=True)
     profile = SuProfile(su_ap_var=1.5, pu_su_var=0.8, su_pu_var=1.2,
                         sensing_noise=0.9, ap_noise=1.1, harvest_rate=5.0)
     policy = PolicyParams(omega=0.4, theta=0.3)
@@ -277,22 +307,16 @@ def test_unusable_search_values_point_to_their_line(tmp_path, capsys,
         f"config error: [search] {message} (line 11)\n")
 
 
-@pytest.mark.parametrize("command", ["optimize", "sweep"])
-@pytest.mark.parametrize("flag,message", [
-    ("--grid-omega", "omega_points must be >= 1"),
-    ("--grid-theta", "theta_points must be >= 1"),
-    ("--refine", "refine_levels must be >= 0"),
-])
-def test_unusable_grid_flags_are_config_errors(tmp_path, capsys, command,
-                                               flag, message):
-    cfg = _write(tmp_path, BASE_CONFIG)
-    sweep = ["--axis", "I_av", "--from", "0.1", "--to", "0.3", "--optimize"]
-    # no points on a grid axis, or fewer than no refine levels
-    value = "-1" if flag == "--refine" else "0"
-    assert main([command, "--config", cfg, "--out", str(tmp_path), flag, value]
-                + (sweep if command == "sweep" else [])) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not (tmp_path / "run_manifest.json").exists()
+@pytest.mark.parametrize("command", ["analyze", "optimize", "simulate",
+                                     "sweep"])
+def test_settings_have_no_command_line_flags(capsys, command):
+    # ideal sensing is a [system] key and the grid is set in [search] only
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage = capsys.readouterr().out
+    for flag in ("--ideal-sensing", "--grid-omega", "--grid-theta",
+                 "--refine"):
+        assert flag not in usage
 
 
 def test_out_of_range_policy_points_to_its_line(tmp_path, capsys):
@@ -329,11 +353,9 @@ def test_load_config_collects_every_problem(tmp_path):
 
 
 def test_optimize_writes_the_optimum(tmp_path, capsys):
-    cfg = _write(tmp_path, BASE_CONFIG)
+    cfg = _write(tmp_path, BASE_CONFIG + SMALL_SEARCH)
     out = tmp_path / "out"
-    assert main(["optimize", "--config", cfg, "--out", str(out),
-                 "--grid-omega", "5", "--grid-theta", "5",
-                 "--refine", "1"]) == EXIT_OK
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert "optimum (feasible)" in capsys.readouterr().out
     rows = _read_csv(out / "optimum.csv")
     assert rows[-1][0] == "total"
@@ -341,15 +363,19 @@ def test_optimize_writes_the_optimum(tmp_path, capsys):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["feasible"] is True
     assert manifest["evaluations"] > 0
+    # the manifest records the search that ran
+    search = manifest["config"]["search"]
+    assert (search["omega_points"], search["theta_points"],
+            search["refine_levels"]) == (5, 5, 1)
 
 
 def test_optimize_signals_an_unreachable_cap(tmp_path, capsys):
     cfg = _write(tmp_path, BASE_CONFIG.replace("interference_cap = 0.5",
-                                               "interference_cap = 0.02"))
+                                               "interference_cap = 0.02")
+                 + SMALL_SEARCH)
     out = tmp_path / "out"
-    assert main(["optimize", "--config", cfg, "--out", str(out),
-                 "--grid-omega", "5", "--grid-theta", "5",
-                 "--refine", "1"]) == EXIT_INFEASIBLE
+    assert main(["optimize", "--config", cfg,
+                 "--out", str(out)]) == EXIT_INFEASIBLE
     assert "no policy satisfies" in capsys.readouterr().err
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["feasible"] is False
@@ -516,12 +542,11 @@ def test_sweep_marks_off_integer_points_of_an_integer_axis_invalid(
 
 
 def test_sweep_optimizing_over_the_cap_never_degrades(tmp_path):
-    cfg = _write(tmp_path, BASE_CONFIG)
+    cfg = _write(tmp_path, BASE_CONFIG + SMALL_SEARCH)
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out),
                  "--axis", "I_av", "--from", "0.05", "--to", "0.3",
-                 "--points", "3", "--optimize", "--grid-omega", "5",
-                 "--grid-theta", "5", "--refine", "1"]) == EXIT_OK
+                 "--points", "3", "--optimize"]) == EXIT_OK
     rows = _read_csv(out / "sweep.csv")
     rates = [float(r[2]) for r in rows[1:]]
     assert all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))

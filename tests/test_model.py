@@ -15,8 +15,6 @@ def test_default_derived_constants():
     cfg = SystemConfig()
     assert cfg.data_duration == pytest.approx(8.9e-3)
     assert cfg.sensing_samples == 100
-    assert cfg.probing_symbols == 10
-    assert cfg.data_symbols == 890
     assert cfg.unit_power == pytest.approx(0.01 / 8.9e-3)  # ~1.1236 W
     assert cfg.probe_power == pytest.approx(100.0)
     assert cfg.data_fraction == pytest.approx(0.89)
@@ -37,6 +35,43 @@ def test_validate_takes_numpy_integers_and_rejects_bools():
     for field in ("battery_cells", "probe_cells"):
         with pytest.raises(ValidationError, match=field):
             validate(SystemConfig(**{field: True}), [SuProfile()])
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("slot_duration", -10e-3, "slot_duration must be > 0"),
+    ("sensing_duration", 0.0, "sensing_duration must be > 0"),
+    ("probing_duration", -0.1e-3, "probing_duration must be > 0"),
+    ("sampling_frequency", 0.0, "sampling_frequency must be > 0"),
+    ("bandwidth", -10e3, "bandwidth must be > 0"),
+    ("energy_unit", 0.0, "energy_unit must be > 0"),
+    ("pu_power", -1.0, "pu_power must be >= 0"),
+    ("pu_ap_channel_var", -0.5, "pu_ap_channel_var must be >= 0"),
+    ("interference_cap", 0.0,
+     "interference_cap must be > 0 (math.inf disables it)"),
+])
+def test_out_of_range_fields_are_reported_by_name(field, value, message):
+    """Each range check's message, word for word: the CLI finds a
+    field's line from the first word."""
+    config = dataclasses.replace(SystemConfig(), **{field: value})
+    with pytest.raises(ValidationError) as err:
+        validate(config, [SuProfile()])
+    # a bad duration can also leave no data phase
+    assert [msg for msg in err.value.errors
+            if not msg.startswith("tau_d")] == [message]
+
+
+def test_zero_primary_power_and_variance_are_allowed():
+    validate(SystemConfig(pu_power=0.0, pu_ap_channel_var=0.0), [SuProfile()])
+
+
+@pytest.mark.parametrize("value", [1, 0, 1.0, "yes", None, np.bool_(True)])
+def test_validate_takes_only_a_bool_for_ideal_sensing(value):
+    with pytest.raises(ValidationError) as err:
+        validate(SystemConfig(ideal_sensing=value), [SuProfile()])
+    assert err.value.errors == ["ideal_sensing must be a bool"]
+    for flag in (False, True):
+        assert validate(SystemConfig(ideal_sensing=flag),
+                        [SuProfile()]).config.ideal_sensing is flag
 
 
 def test_validate_rejects_overlong_sensing_phase():

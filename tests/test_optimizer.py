@@ -115,6 +115,30 @@ def test_unreachable_budget_reports_the_silent_point():
     assert res.aic_lhs == pytest.approx(floor, rel=1e-12)
 
 
+def test_cap_within_rounding_of_the_floor_reports_the_silent_point(
+        monkeypatch):
+    # the floor equals the cap, so the pre-check passes, but the silent
+    # point's load rounds one ulp above it: no coarse split fits
+    model = NetworkModel(
+        config=SystemConfig(probing_duration=0.7e-3,
+                            interference_cap=0.039375),
+        profiles=(SuProfile(su_pu_var=0.875),))
+    assert SuEvaluator(model, 0).interference_floor == 0.039375
+    splits = []
+
+    def allocate(points, cap):
+        splits.append(_allocate(points, cap))
+        return splits[-1]
+
+    monkeypatch.setattr(optimizer, "_allocate", allocate)
+    res = solve_p1(model, SMALL)
+    assert splits[0] is None
+    assert not res.feasible
+    assert res.params == (PolicyParams(0.0, SMALL.theta_floor),)
+    assert res.aic_lhs == 0.03937500000000001
+    assert res.sweeps == 1
+
+
 def test_binding_cap_is_used_nearly_fully():
     free = solve_p1(_model(), SMALL)
     tight = solve_p1(_model(cap=0.15), SMALL)
@@ -200,8 +224,6 @@ def test_objective_surface_reuses_the_evaluation_path():
 
 def test_result_bookkeeping_fields():
     res = solve_p1(_model(0.2), SMALL)
-    assert res.grid_shape == (SMALL.omega_points, SMALL.theta_points)
-    assert res.refine_levels == SMALL.refine_levels
     assert res.sweeps in (1, 2)
     assert res.evaluations >= SMALL.omega_points * SMALL.theta_points
     assert len(res.params) == len(res.per_su) == 1

@@ -42,10 +42,9 @@ def test_default_config_estimator_pins():
 
 
 def test_ideal_sensing_reduces_to_classical_pilot_estimator():
-    cfg = SystemConfig()
+    cfg = SystemConfig(ideal_sensing=True)
     prof = SuProfile()
-    est = estimator_variances(cfg, prof,
-                              sensing_stats(cfg, prof, ideal=True))
+    est = estimator_variances(cfg, prof, sensing_stats(cfg, prof))
     gamma = prof.su_ap_var
     a = gamma * cfg.probe_energy_gain
     assert est.var_hat_h0 == pytest.approx(gamma * a / (a + prof.ap_noise),

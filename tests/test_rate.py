@@ -1,4 +1,5 @@
 """Scaled exponential integral, rate lower bound, interference load, outage."""
+import dataclasses
 import math
 import subprocess
 import sys
@@ -159,8 +160,9 @@ def _cross_check_settings():
                          _cross_check_settings())
 def test_rate_terms_match_the_scipy_formula(monkeypatch, config, profile,
                                             params, ideal):
+    config = dataclasses.replace(config, ideal_sensing=ideal)
     su = analyze_su(NetworkModel(config=config, profiles=(profile,)), 0,
-                    params, ideal_sensing=ideal)
+                    params)
     zeta = su.chain.steady_state
 
     # interference_load and transmission_outage read only the spend pmf and
@@ -309,7 +311,8 @@ def test_rate_bound_equals_four_antiderivative_calls():
     rng = np.random.default_rng(4)
     seen = set()
     for config, profile, omega, thetas, ideal in _bitwise_settings():
-        sensing = sensing_stats(config, profile, ideal=ideal)
+        config = dataclasses.replace(config, ideal_sensing=ideal)
+        sensing = sensing_stats(config, profile)
         est = estimator_variances(config, profile, sensing)
         pmf = transmit_row(omega, thetas, config.probe_cells,
                            config.battery_cells,
@@ -403,9 +406,10 @@ def test_interference_reduces_to_pilot_duty_cycle_when_silent():
 
 
 def test_interference_zero_under_perfect_detection():
-    model = NetworkModel(config=SystemConfig(battery_cells=20),
+    model = NetworkModel(config=SystemConfig(battery_cells=20,
+                                             ideal_sensing=True),
                          profiles=(SuProfile(harvest_rate=5.0),))
-    su = analyze_su(model, 0, PolicyParams(0.5, 0.1), ideal_sensing=True)
+    su = analyze_su(model, 0, PolicyParams(0.5, 0.1))
     assert su.interference == 0.0
 
 

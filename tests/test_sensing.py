@@ -91,8 +91,8 @@ def test_joint_stats_certain_idle_band():
 
 
 def test_ideal_sensing_kills_the_missed_busy_path():
-    cfg = SystemConfig()
-    s = sensing_stats(cfg, SuProfile(), ideal=True)
+    cfg = SystemConfig(ideal_sensing=True)
+    s = sensing_stats(cfg, SuProfile())
     assert s.p_fa == 0.0 and s.p_d == 1.0
     assert s.beta1 == 0.0 and s.omega1 == 0.0
     assert s.pi_hat_idle == cfg.prior_idle

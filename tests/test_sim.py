@@ -1,4 +1,5 @@
 """Monte Carlo slot dynamics and the empirical-vs-analytic report."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -45,9 +46,8 @@ def test_adding_a_user_leaves_existing_paths_untouched():
 
 
 def test_busy_band_with_perfect_detection_idles_the_radio():
-    model = _single(cells=10, rho=2.0, prior_idle=1e-9)
-    trace = simulate(model, [PolicyParams(0.5, 0.1)], 2000, seed=3,
-                     ideal_sensing=True)
+    model = _single(cells=10, rho=2.0, prior_idle=1e-9, ideal_sensing=True)
+    trace = simulate(model, [PolicyParams(0.5, 0.1)], 2000, seed=3)
     su = trace.sus[0]
     assert int(su.probed.sum()) == 0
     assert int(su.spent.sum()) == 0
@@ -111,10 +111,15 @@ def test_compare_accepts_a_faithful_run():
     model = NetworkModel(config=SystemConfig(), profiles=(SuProfile(),))
     params = [PolicyParams(0.35, 0.2)]
     trace = simulate(model, params, 200_000, seed=5)
-    report = compare(trace, analyze(model, params), rel_tol=0.02)
+    report = compare(trace, analyze(model, params))
     assert report.sufficient
     assert report.passed
     assert all(line.startswith("PASS") for line in report.lines())
+    # every row is graded at the module's tolerance for its kind
+    assert ({c.kind: c.tolerance for c in report.checks}
+            == {"tv": 0.01, "relative": 0.01, "absolute": 0.005}
+            == {"tv": sim.TV_TOL, "relative": sim.REL_TOL,
+                "absolute": sim.ABS_TOL})
 
 
 def test_compare_rejects_a_mismatched_model():
@@ -178,11 +183,11 @@ def test_start_level_is_respected():
 def test_policy_is_checked_before_the_walk():
     # a never-idle band probes no slot, so no spend rule would ever see
     # the out-of-range omega
-    model = _single(cells=10, rho=2.0, prior_idle=1e-9)
+    model = _single(cells=10, rho=2.0, prior_idle=1e-9, ideal_sensing=True)
     with pytest.raises(ValueError):
-        simulate(model, [PolicyParams(1.5, 0.1)], 2000, ideal_sensing=True)
+        simulate(model, [PolicyParams(1.5, 0.1)], 2000)
     with pytest.raises(ValueError):
-        simulate(model, [PolicyParams(0.5, -0.1)], 2000, ideal_sensing=True)
+        simulate(model, [PolicyParams(0.5, -0.1)], 2000)
 
 
 _SPEND_CASES = {
@@ -207,9 +212,11 @@ def test_spends_follow_the_scalar_rule(case):
     for seed in (1, 5, 11):
         for idle_gains in (False, True):
             for ideal in (False, True):
-                trace = simulate(model, params, 1500, seed=seed,
-                                 assume_idle_gains=idle_gains,
-                                 ideal_sensing=ideal)
+                config = dataclasses.replace(model.config,
+                                             ideal_sensing=ideal)
+                trace = simulate(dataclasses.replace(model, config=config),
+                                 params, 1500, seed=seed,
+                                 assume_idle_gains=idle_gains)
                 for su in trace.sus:
                     np.testing.assert_array_equal(
                         su.probed,
@@ -335,11 +342,10 @@ def test_compare_reports_batch_means_standard_errors():
 
 def test_standard_error_is_zero_on_a_constant_sample():
     # a never-idle band with a perfect detector sends and loads nothing
-    model = _single(cells=10, rho=2.0, prior_idle=1e-9)
+    model = _single(cells=10, rho=2.0, prior_idle=1e-9, ideal_sensing=True)
     params = [PolicyParams(0.5, 0.1)]
-    trace = simulate(model, params, 4000, seed=3, ideal_sensing=True)
-    se = {c.name: c.se for c in compare(trace, analyze(
-        model, params, ideal_sensing=True)).checks}
+    trace = simulate(model, params, 4000, seed=3)
+    se = {c.name: c.se for c in compare(trace, analyze(model, params)).checks}
     for name in ("rate", "interference", "sum_rate", "aic_lhs"):
         assert se[name] == 0.0
     assert math.isnan(se["transmission_outage"])   # no sensed-idle slot
