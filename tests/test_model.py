@@ -69,9 +69,6 @@ def test_validate_takes_only_a_bool_for_ideal_sensing(value):
     with pytest.raises(ValidationError) as err:
         validate(SystemConfig(ideal_sensing=value), [SuProfile()])
     assert err.value.errors == ["ideal_sensing must be a bool"]
-    for flag in (False, True):
-        assert validate(SystemConfig(ideal_sensing=flag),
-                        [SuProfile()]).config.ideal_sensing is flag
 
 
 def test_validate_rejects_overlong_sensing_phase():
