@@ -25,6 +25,10 @@ steady state weights (``level_weights``, ``rate_sum``,
 ``evaluate`` itself, in microseconds per call.  At K = 80 the same
 layers are timed on the 9-cutoff row at omega = 0.45
 (``k80_row9_<layer>_us``), the shape of most rows of the policy search.
+At K = 400 the matrix and the level integrals are also timed at the two
+spend fractions of perfbench's ``grid-k400`` rows, 0.3 and 0.7
+(``k400_omega30_<layer>_us``), where the transition scatter's band is
+narrow and wide.
 An uncached row of cutoffs at omega = 0.45 is timed in microseconds per
 point: 9 cutoffs at K = 80 and 3 at K = 400
 (``SuEvaluator.evaluate_row``).  ``rate._scaled_e1`` is timed in
@@ -67,6 +71,8 @@ MODULES = ("model", "policy", "battery", "rate", "optimizer", "sim")
 SAMPLE_S = 0.05
 PAIRS = 21
 POLICY = (0.45, 0.2)
+# the spend fractions of perfbench's grid-k400 rows
+GRID_OMEGAS = (0.3, 0.7)
 E1_POINTS = {"e1_k80": (80, (0.15, 0.2)), "e1_k400": (400, (0.7, 0.2))}
 ROW_THETAS = {80: (0.02, 0.04, 0.07, 0.1, 0.15, 0.2, 0.3, 0.5, 0.8),
               400: (0.05, 0.2, 0.8)}
@@ -88,14 +94,16 @@ WALKS = {"default_75k": (DEFAULT_POINT, 75_000),
          "low_harvest_200k": (LOW_HARVEST, 200_000)}
 
 
-def _layers(m, ev, thetas):
-    """The layers an uncached row of ``thetas`` runs, each called as
-    ``SuEvaluator.price_row`` calls it: on the evaluator's level skeleton,
-    scatter index and workspace.  Each layer rewrites the same work
-    arrays with the same values, so the inputs of the others stay valid."""
+def _layers(m, ev, thetas, omega=POLICY[0]):
+    """The layers an uncached row of ``thetas`` at ``omega`` runs, each
+    called as ``SuEvaluator.price_row`` calls it: on the evaluator's level
+    skeleton, scatter index, spend caps (on trees whose matrix takes them)
+    and workspace.  Each layer rewrites the same work arrays with the same
+    values, so the inputs of the others stay valid."""
     cfg, prof, sensing, work = ev.config, ev.profile, ev.sensing, ev._work
-    omega, rate = POLICY[0], m.rate
+    rate = m.rate
     skeleton = ev._level_skeleton(omega)
+    band = {"caps": skeleton.caps} if hasattr(skeleton, "caps") else {}
 
     def spend_pmf():
         return m.policy.transmit_row(omega, thetas, cfg.probe_cells,
@@ -105,7 +113,8 @@ def _layers(m, ev, thetas):
     def matrix():
         return ev._builder.matrix(pmf.idle_law, sensing.pi_hat_idle,
                                   sensing.pi_hat_busy, pmf.moves,
-                                  scatter=skeleton.scatter, work=work)
+                                  scatter=skeleton.scatter, work=work,
+                                  **band)
 
     def level_gains():
         return rate.level_gains(cfg, prof, sensing, ev.estimation, pmf, work)
@@ -155,6 +164,12 @@ def rows(m, counts: dict):
         if cells == 80:
             for name, fn in _layers(m, ev, thetas)[1].items():
                 yield f"k80_row{len(thetas)}_{name}_us", fn, 1e6
+        else:
+            for omega in GRID_OMEGAS:
+                timed = _layers(m, ev, [POLICY[1]], omega)[1]
+                for name in ("matrix", "level_gains"):
+                    yield (f"k400_omega{round(100 * omega)}_{name}_us",
+                           timed[name], 1e6)
 
         def row(ev=ev, thetas=thetas):
             ev._cache.clear()

@@ -10,6 +10,14 @@ deficit below the reserve eats into the harvest before the level clamps
 at empty (the slot simulator instead skips the probe there).  Each
 column of the transition matrix is the next-level distribution given
 the current level.
+
+The matrix is a product of the harvest law's clamp-shift table with a
+(shift x level) scatter of the policy's moves.  Column j's moves land
+on shifts j - reserve - cap(j) up to j - reserve (its spends, cap(j) the
+largest) and on j (its busy frame), and a harvest never lowers a level,
+so the scatter is a band and the product's rows below a column's lowest
+shift are zero.  :meth:`TransitionBuilder.matrix` multiplies the band
+only, a block of :data:`BAND_COLUMNS` columns at a time.
 """
 from __future__ import annotations
 
@@ -20,6 +28,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .workspace import SCRATCH, Workspace
+
+
+# Columns per product of TransitionBuilder.matrix: K = 80 runs two blocks,
+# K = 400 nine.
+BAND_COLUMNS = 48
 
 
 class ChainNotErgodicError(RuntimeError):
@@ -80,6 +93,7 @@ class TransitionBuilder:
 
     def matrix(self, idle_law: np.ndarray, idle_prob: float,
                busy_prob: float, moves, scatter: Optional[np.ndarray] = None,
+               caps: Optional[np.ndarray] = None,
                work: Optional[Workspace] = None) -> np.ndarray:
         """Column-stochastic transition matrix of each stacked spend law.
 
@@ -91,11 +105,22 @@ class TransitionBuilder:
         move's mass is scattered onto its pre-harvest shift in a
         (shift x level) matrix M, and the transition matrix is
         ``table.T @ M``; leading axes of the law give one matrix each.
-        ``scatter`` is :func:`scatter_index` of ``moves``, computed here
-        when not given.  A move that spends more than its level holds has
-        a shift below the table and raises ``ValueError``.  ``busy_prob``
-        must be positive: busy frames are what give the chain one closed
-        class.
+        ``scatter`` is :func:`scatter_index` of ``moves`` and ``caps``
+        their :func:`spend_caps`, computed here when not given.  A move
+        that spends more than its level holds has a shift below the table
+        and raises ``ValueError``.  ``busy_prob`` must be positive: busy
+        frames are what give the chain one closed class.
+
+        The product runs on M's band, one block of :data:`BAND_COLUMNS`
+        columns [c0, c1) at a time.  Column j's moves sit on rows
+        j - caps[j] up to j + reserve, and j - caps[j] never falls as j
+        grows, so the block multiplies M's rows [c0 - caps[c0],
+        c1 + reserve) only.  A harvest never lowers a level, so the
+        result's rows below the block's lowest shift c0 - caps[c0] -
+        reserve are the dense product's +0.0, written as such.  Each
+        block sums the dense product's nonzero terms: at K = 80, where
+        every product's inner dimension fits one BLAS panel, the two agree
+        bit for bit, and at K = 400 entries differ by a few 1e-17.
 
         M and the result are requested from ``work`` (M as its
         :data:`~ehcr.workspace.SCRATCH`), so the result is a view that
@@ -110,14 +135,25 @@ class TransitionBuilder:
         work = work or Workspace()
         if scatter is None:
             scatter = scatter_index(moves, k)
+        if caps is None:
+            caps = spend_caps(moves, k)
         lead = law.shape[:-1]
         mix = work.empty(SCRATCH, lead + (k + 1 + reserve, k + 1))
         mix.fill(0.0)
         flat = mix.reshape(lead + (-1,))
         flat[..., scatter] = idle_prob * law
         flat[..., self._busy] += busy_prob
-        return np.matmul(self._table.T, mix,
-                         out=work.empty("battery.matrix", lead + (k + 1,) * 2))
+        out = work.empty("battery.matrix", lead + (k + 1,) * 2)
+        for c0 in range(0, k + 1, BAND_COLUMNS):
+            c1, r0 = c0 + BAND_COLUMNS, c0 - int(caps[c0])
+            # next levels below the block's lowest shift
+            m0 = max(r0 - reserve, 0)
+            if m0:
+                out[..., :m0, c0:c1] = 0.0
+            np.matmul(self._table[r0:c1 + reserve, m0:].T,
+                      mix[..., r0:c1 + reserve, c0:c1],
+                      out=out[..., m0:, c0:c1])
+        return out
 
 
 def scatter_index(moves, cells: int) -> np.ndarray:
@@ -135,6 +171,21 @@ def scatter_index(moves, cells: int) -> np.ndarray:
     index *= cells + 1
     index += state
     return index
+
+
+def spend_caps(moves, cells: int) -> np.ndarray:
+    """Per-level spend caps of ``moves`` for :meth:`TransitionBuilder.matrix`.
+
+    Level j's cap is the largest spend of its moves (0 without any),
+    raised where needed so that j - cap never falls as j grows.
+    """
+    state, units = moves
+    caps = np.zeros(cells + 1, dtype=int)
+    np.maximum.at(caps, state, units)
+    levels = np.arange(cells + 1)
+    # the band's lowest row, j - cap, as a minimum over every later level
+    low = np.minimum.accumulate((levels - caps)[::-1])[::-1]
+    return levels - low
 
 
 def steady_state(matrix: np.ndarray,

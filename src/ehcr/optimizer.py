@@ -220,7 +220,8 @@ class SuEvaluator:
                                 self.estimation, pmf, work)
         phi = self._builder.matrix(pmf.idle_law, self.sensing.pi_hat_idle,
                                    self.sensing.pi_hat_busy, pmf.moves,
-                                   scatter=pmf.skeleton.scatter, work=work)
+                                   scatter=pmf.skeleton.scatter,
+                                   caps=pmf.skeleton.caps, work=work)
         zeta = steady_state(phi, work)
         weights = level_weights(zeta, pmf)
         return PricedRow(

@@ -68,14 +68,18 @@ class LevelSkeleton(NamedTuple):
 
     ``moves`` lists every spend level, then every battery level's zero
     spend, as (battery level, spend); ``scatter`` is their
-    :func:`~ehcr.battery.scatter_index`.  Within a battery level the
-    levels run from spend 1 (``first``) up to its top level (``top``).
+    :func:`~ehcr.battery.scatter_index` and ``caps`` each battery level's
+    largest spend, the band of its transition matrices' scatter
+    (:meth:`~ehcr.battery.TransitionBuilder.matrix`).  Within a battery
+    level the levels run from spend 1 (``first``) up to its top level
+    (``top``).
     A :class:`PolicyPmf` built from it shares these arrays, so a row
     priced in several stacks computes them once.
     """
 
     moves: Tuple[np.ndarray, np.ndarray]
     scatter: np.ndarray
+    caps: np.ndarray    # (cells + 1,) largest spend of each battery level
     first: np.ndarray   # (levels,) bool: spend 1 of its battery level
     top: np.ndarray     # (levels,) bool: last level of its battery level
 
@@ -115,7 +119,7 @@ def level_skeleton(omega: float, probe_cells: int, cells: int) -> LevelSkeleton:
     # contiguous from spend 1; a state's top level comes just before the
     # next state's first, and the last level wraps onto the first
     first = units == 1
-    return LevelSkeleton(moves, scatter_index(moves, cells), first,
+    return LevelSkeleton(moves, scatter_index(moves, cells), caps, first,
                          np.roll(first, -1))
 
 

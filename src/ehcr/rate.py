@@ -13,7 +13,10 @@ the gain integral of every spend level under each channel law, which
 reads the row's gain edges and the channel statistics but not the
 battery, so users with identical channel statistics can share it.  It
 prices both gain laws at both edges of every spend level in one
-antiderivative pass per block of levels.  :func:`rate_sum` is the user
+antiderivative pass per block of levels.  A level's upper edge is the
+next level's lower edge, so the terms that depend on the edge alone,
+t = edge/mean and exp(-t), are computed once per edge and law and read
+at both.  :func:`rate_sum` is the user
 side: it weights those integrals by the steady-state chance of each
 level's battery state (:func:`level_weights`, one gather that
 :func:`interference_load` reads too).
@@ -24,7 +27,9 @@ special function.  It is three polynomials fitted offline by
 with P = -gamma + Ein for t < 2, and t*exp(t)*E1(t) as a polynomial in
 1/t on [2, 8) and on [8, inf).  The relative error is at most 2.2e-14
 below 2, 2.8e-14 on [2, 8) and 1.2e-15 from 8 on (1e-13 is tested).
-The terms below take a policy row (:func:`~ehcr.policy.transmit_row`)
+Most of the rate bound's arguments lie below 2, so that piece runs in
+place over every argument and only the others are gathered.  The terms
+below take a policy row (:func:`~ehcr.policy.transmit_row`)
 and give one value per cutoff.
 """
 from __future__ import annotations
@@ -129,12 +134,15 @@ def _scaled_e1(t: np.ndarray, out: Optional[np.ndarray] = None,
     Below t = 2, exp(t) * (P(t) - ln t) with P(t) = -gamma + Ein(t)
     (degree 12).  From t = 2 on, P(1/t) / t with P fitted to
     t*exp(t)*E1(t) on [2, 8) and on [8, inf) (degree 16 each); +inf
-    gives 0.  Each range gathers its arguments into one contiguous array
-    and is skipped when it has none.  Relative error against
-    ``mpmath.e1``: at most 2.2e-14 below 2, 2.8e-14 on [2, 8) and
-    1.2e-15 from 8 on.  ``out`` (contiguous, ``t`` itself allowed) takes
-    the result; the masks and, in ``work``'s scratch, the gathers are
-    requested from ``work``.
+    gives 0.  Most arguments of the rate bound lie below 2, so that
+    formula runs over the whole array in place, and only the arguments
+    from 2 on are gathered, each range into one contiguous array, and
+    scattered back over it; a range with no argument is skipped.
+    Relative error against ``mpmath.e1``: at most 2.2e-14 below 2,
+    2.8e-14 on [2, 8) and 1.2e-15 from 8 on.  ``out`` (contiguous, ``t``
+    itself allowed) takes the result; the masks and, in ``work``'s
+    scratch, the gathers and the formula's work arrays are requested
+    from ``work``.
     """
     shape = np.shape(t)
     # the masks below gather and scatter fastest on a flat array
@@ -147,58 +155,67 @@ def _scaled_e1(t: np.ndarray, out: Optional[np.ndarray] = None,
     # a NaN falls to the far piece, as it compares false everywhere
     np.logical_not(mid, out=far)
     np.logical_xor(mid, near, out=mid)
-    # every piece is gathered before it is written, so out may be t
-    for piece, coeffs in ((near, _E1_NEAR), (mid, _E1_MID), (far, _E1_FAR)):
-        count = np.count_nonzero(piece)
-        if not count:
-            continue
-        gathered, acc, factor = work.empty(SCRATCH, (3, count))
-        ti = np.compress(piece, t, out=gathered)
-        if coeffs is _E1_NEAR:
-            _horner(coeffs, ti, out=acc)
-            np.log(ti, out=factor)
-            acc -= factor
-            acc *= np.exp(ti, out=factor)
-        else:
-            v = np.reciprocal(ti, out=ti)
-            _horner(coeffs, v, out=acc)
-            acc *= v
+    # the polynomial and the exponential of the formula below 2, then the
+    # arguments from 2 on, gathered before that formula overwrites t; the
+    # polynomial's memory takes their results next
+    counts = np.count_nonzero(mid), np.count_nonzero(far)
+    size = t.size
+    scratch = work.empty(SCRATCH, (2 * size + sum(counts),))
+    poly, grow = scratch[:size], scratch[size:2 * size]
+    gathered = scratch[2 * size:]
+    pieces, start = [], 0
+    for piece, coeffs, count in zip((mid, far), (_E1_MID, _E1_FAR), counts):
+        if count:
+            part = slice(start, start + count)
+            np.compress(piece, t, out=gathered[part])
+            pieces.append((piece, coeffs, part))
+            start += count
+    with np.errstate(over="ignore", invalid="ignore"):
+        _horner(_E1_NEAR, t, out=poly)
+        np.exp(t, out=grow)
+        np.log(t, out=out)
+        np.subtract(poly, out, out=poly)
+        np.multiply(poly, grow, out=out)
+    for piece, coeffs, part in pieces:
+        v = np.reciprocal(gathered[part], out=gathered[part])
+        acc = _horner(coeffs, v, out=poly[part])
+        acc *= v
         out[piece] = acc
     return out.reshape(shape)
 
 
-def _antiderivative(x: np.ndarray, snr: np.ndarray, inv: np.ndarray,
-                    mean: np.ndarray, out: np.ndarray,
-                    work: Workspace) -> np.ndarray:
+def _antiderivative(x: np.ndarray, t: np.ndarray, snr: np.ndarray,
+                    inv: np.ndarray, keep: np.ndarray, out: np.ndarray,
+                    work: Workspace, pairs=None) -> np.ndarray:
     """:func:`antiderivative_m` at every edge ``x``, written into ``out``.
 
-    ``inv`` is 1/(snr*mean); every argument broadcasts to ``out``.  An
-    entry with snr <= 0 or x/mean > _EXP_UNDERFLOW (+inf edges included)
-    is priced like any other and zeroed at the end, so no warning it
-    raises on the way is reported.  The log term and exp(-t) are built in
-    ``work``'s scratch once :func:`_scaled_e1` is done with it, so no
-    argument may live there.
+    ``t`` holds x/mean, computed by the caller so that edges that several
+    entries share compute it once; ``pairs`` (identity when not given)
+    maps ``t``'s layout onto the entries, and ``t`` is overwritten with
+    exp(-t) once the entries have read it.  ``inv`` is 1/(snr*mean).
+    Every argument broadcasts to ``out``.  An entry with x/mean >
+    _EXP_UNDERFLOW (+inf edges included) or false in ``keep`` (snr > 0,
+    say) is priced like any other and zeroed at the end, so no warning it
+    raises on the way is reported.  The log term is built in ``work``'s
+    scratch once :func:`_scaled_e1` is done with it, so no argument may
+    live there.
     """
+    pairs = pairs or (lambda a: a)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = np.divide(x, mean, out=out)
-        live = np.less_equal(t, _EXP_UNDERFLOW,
+        live = np.less_equal(pairs(t), _EXP_UNDERFLOW,
                              out=work.empty("rate.live", out.shape, bool))
-        live &= snr > 0.0
+        live &= keep
         # -exp(-t) * (exp(T) E1(T) + log1p(snr x)) / ln 2 at T = t + 1/(snr
         # mean), step by step in place; products commute and the sign
         # moves onto ln 2, which changes no bit
-        out += inv
-        e1 = _scaled_e1(out, out, work)
-        scratch = work.empty(SCRATCH, (2,) + out.shape)
-        log_term, t = scratch[0, ...], scratch[1, ...]
-        np.multiply(x, snr, out=log_term)
-        np.log1p(log_term, out=log_term)
-        e1 += log_term
-        # t again, bit for bit, now that the scratch is free for it
-        np.divide(x, mean, out=t)
+        np.add(pairs(t), inv, out=out)
         np.negative(t, out=t)
         np.exp(t, out=t)
-        np.multiply(t, e1, out=out)
+        e1 = _scaled_e1(out, out, work)
+        log_term = np.multiply(x, snr, out=work.empty(SCRATCH, out.shape))
+        np.log1p(log_term, out=log_term)
+        e1 += log_term
+        np.multiply(e1, pairs(t), out=out)
         out /= -_LN2
         np.copyto(out, 0.0, where=np.logical_not(live, out=live))
     return out
@@ -220,10 +237,12 @@ def antiderivative_m(x: ArrayLike, snr_scale: ArrayLike,
         raise ValueError("mean_gain must be > 0")
     x = np.asarray(x, dtype=float)
     snr = np.asarray(snr_scale, dtype=float)
+    out = np.empty(np.broadcast_shapes(x.shape, snr.shape, mean_gain.shape))
     with np.errstate(divide="ignore", over="ignore"):
         inv = np.divide(1.0, snr * mean_gain)
-    out = np.empty(np.broadcast_shapes(x.shape, snr.shape, mean_gain.shape))
-    return _antiderivative(x, snr, inv, mean_gain, out, Workspace())
+    t = np.divide(x, mean_gain, out=np.empty(np.broadcast_shapes(
+        x.shape, mean_gain.shape)))
+    return _antiderivative(x, t, snr, inv, snr > 0.0, out, Workspace())
 
 
 @dataclass(frozen=True)
@@ -239,6 +258,17 @@ class PerSuRate:
     busy_part: float  # contribution from busy-but-missed frames
 
 
+def _edge_pairs(terms: np.ndarray) -> np.ndarray:
+    """(..., 2, rows, levels) view of contiguous (..., rows, levels + 1)
+    edge terms: each level's lower edge, then its upper edge, the next
+    lower one.  Built straight from the strides, which costs a
+    fraction of ``sliding_window_view``'s microseconds per block."""
+    *lead, rows, width = terms.shape
+    strides = terms.strides
+    return np.ndarray((*lead, 2, rows, width - 1), terms.dtype, terms, 0,
+                      strides[:-2] + strides[-1:] + strides[-2:])
+
+
 def _interval_integrals(pmf: PolicyPmf, unit_power: float, laws: np.ndarray,
                         work: Workspace) -> np.ndarray:
     """Gain integral over [lo, hi) of every (cutoff, level) entry, per law.
@@ -247,13 +277,17 @@ def _interval_integrals(pmf: PolicyPmf, unit_power: float, laws: np.ndarray,
     Returns (laws, cutoffs, levels): M(hi) - M(lo) clipped at 0, in
     ``work``'s ``rate.gains`` array.  A level's upper edge is the next
     level's lower edge, +inf at its state's top (every row's last level
-    is one), and is built per block from the lower edges.  A level's SNR
-    slope (power over self-interference plus noise) and 1/(slope * mean)
-    are computed once per run of levels.  Both edges under every law go
-    through one :func:`_antiderivative` pass per block of at most
-    :data:`BLOCK_ENTRIES` entries, so equal edges (every level below the
-    top at theta = 0, both +inf on an unreachable level) price
-    M(x) - M(x) = 0 exactly.
+    is one), so each block of (cutoff, level) entries computes t =
+    edge/mean and exp(-t) once per lower edge and law, plus the edge
+    after each row's last level, and reads both edges as views of them;
+    M at a top's upper edge is zeroed like any other dead entry.  A
+    level's SNR slope (power over self-interference plus noise) and
+    1/(slope * mean) depend on its spend alone, so they are computed once
+    per spend and law and gathered per run of levels.  Both edges
+    under every law go through one :func:`_antiderivative` pass per
+    block of at most :data:`BLOCK_ENTRIES` entries, so equal edges (every
+    level below the top at theta = 0, both +inf on an unreachable level)
+    price M(x) - M(x) = 0 exactly.
     """
     lo, units, top = pmf.level_lo, pmf.level_units, pmf.skeleton.top
     cutoffs, levels = lo.shape
@@ -261,34 +295,44 @@ def _interval_integrals(pmf: PolicyPmf, unit_power: float, laws: np.ndarray,
     if not out.size:
         return out
     err, noise, means = (laws[:, i, None] for i in range(3))
+    # slopes and their 1/(slope * mean) by spend 0..K
+    power = np.arange(pmf.cells + 1) * unit_power
+    slopes = err * power
+    slopes += noise
+    np.divide(power, slopes, out=slopes)
+    with np.errstate(divide="ignore"):
+        inverses = np.divide(1.0, slopes * means)
     rows = max(1, BLOCK_ENTRIES // levels)
     cols = min(levels, BLOCK_ENTRIES)
     for c0 in range(0, levels, cols):
         cut = slice(c0, c0 + cols)
-        power = np.multiply(units[cut], unit_power,
-                            out=work.empty("rate.power", units[cut].shape))
-        snr = np.multiply(err, power,
-                          out=work.empty("rate.snr", (len(laws), power.size)))
-        snr += noise
-        np.divide(power, snr, out=snr)
-        inv = np.multiply(snr, means, out=work.empty("rate.inv", snr.shape))
-        with np.errstate(divide="ignore"):
-            np.divide(1.0, inv, out=inv)
+        n = units[cut].size
+        snr = np.take(slopes, units[cut], axis=1, mode="clip",
+                      out=work.empty("rate.snr", (len(laws), n)))
+        inv = np.take(inverses, units[cut], axis=1, mode="clip",
+                      out=work.empty("rate.inv", (len(laws), n)))
+        # (law, edge, level): a positive slope counts at both edges, and
+        # at the upper one only below its state's top
+        keep = work.empty("rate.keep", (len(laws), 2, n), bool)
+        np.greater(snr, 0.0, out=keep[:, 0])
+        np.logical_not(top[cut], out=keep[:, 1])
+        keep[:, 1] &= keep[:, 0]
         for r0 in range(0, cutoffs, rows):
-            block = (slice(r0, r0 + rows), cut)
-            edges = work.empty("rate.edges", (2,) + lo[block].shape)
-            edges[1] = lo[block]
-            # hi: the next lower edge (past the block's last level, +inf
-            # unless the row goes on), then +inf at every top
-            edges[0, :, :-1] = edges[1, :, 1:]
-            edges[0, :, -1] = (lo[block[0], cut.stop] if cut.stop < levels
-                               else np.inf)
-            np.copyto(edges[0], np.inf, where=top[cut])
+            block = lo[r0:r0 + rows, cut]
+            edges = work.empty("rate.edges", (len(block), n + 1))
+            edges[:, :-1] = block
+            # past the block's last level: the row's next lower edge, or
+            # +inf (a top, zeroed) where the row ends
+            edges[:, -1] = (lo[r0:r0 + rows, cut.stop] if cut.stop < levels
+                            else np.inf)
+            t = np.divide(edges, means[..., None], out=work.empty(
+                "rate.t", (len(laws),) + edges.shape))
             m = _antiderivative(
-                edges, snr[:, None, None, :], inv[:, None, None, :],
-                means[..., None, None],
-                work.empty("rate.m", (len(laws),) + edges.shape), work)
-            gain = np.subtract(m[:, 0], m[:, 1],
+                _edge_pairs(edges), t, snr[:, None, None, :],
+                inv[:, None, None, :], keep[:, :, None, :],
+                work.empty("rate.m", (len(laws), 2) + block.shape), work,
+                _edge_pairs)
+            gain = np.subtract(m[:, 1], m[:, 0],
                                out=out[:, r0:r0 + rows, cut])
             np.maximum(gain, 0.0, out=gain)
     return out

@@ -463,6 +463,31 @@ def test_warm_k400_stack_allocates_less_than_one_transition_matrix():
     assert peak < 401 * 401 * 8
 
 
+@pytest.mark.parametrize("cells, omega, thetas", [
+    (80, 0.45, (0.02, 0.04, 0.07, 0.1, 0.15, 0.2, 0.3, 0.5, 0.8)),
+    (400, 0.3, (0.05,)),
+])
+def test_a_second_stack_of_an_omega_grows_no_work_array(cells, omega, thetas):
+    """A stack priced after another of its omega and cutoff count finds
+    every work array in place: none is added and none grows.  The E1 share
+    of the scratch depends on how many arguments lie from 2 on, but the
+    stack's (shift x level) scatter outweighs it."""
+    model = NetworkModel(config=SystemConfig(battery_cells=cells),
+                         profiles=(SuProfile(),))
+    evaluator = SuEvaluator(model, 0)
+
+    def sizes():
+        return {key: array.size
+                for key, array in evaluator._work._arrays.items()}
+
+    evaluator.evaluate_row(omega, thetas)
+    first = sizes()
+    # cutoffs 4x larger move the spend levels' gain edges, and with them
+    # how many E1 arguments fall in each piece
+    evaluator.evaluate_row(omega, [4.0 * theta for theta in thetas])
+    assert sizes() == first
+
+
 def test_priced_rows_share_the_evaluators_work_arrays():
     """``PricedRow.matrix`` is valid until the evaluator's next stack; a
     stack priced without a workspace owns its arrays."""

@@ -21,6 +21,7 @@ from ehcr.probing import GainDistribution, estimator_variances
 from ehcr.rate import (BLOCK_ENTRIES, antiderivative_m, level_gains,
                        level_weights, rate_sum, transmission_outage)
 from ehcr.sensing import joint_sensing_stats, sensing_stats
+from ehcr.workspace import Workspace
 
 
 FIT_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "fit_scaled_e1.py"
@@ -126,6 +127,28 @@ def test_scaled_e1_pieces_equal_the_gathered_table_bit_for_bit():
                                                         ].tobytes()
     assert (rate._scaled_e1(t[:6000].reshape(3, 2000)).tobytes()
             == got[:6000].tobytes())
+
+
+@pytest.mark.parametrize("block", ["below 2", "2 to 8", "from 8", "mixed"])
+def test_scaled_e1_in_place_equals_a_fresh_output_bit_for_bit(block):
+    """The formula below 2 runs in place over every argument; the arguments
+    from 2 on, gathered before it, are written back over it."""
+    rng = np.random.default_rng(31)
+    edges = [rate._NEAR_END, rate._MID_END]
+    t = {"below 2": np.geomspace(1e-9, np.nextafter(2.0, 0.0), 3000),
+         "2 to 8": np.linspace(2.0, np.nextafter(8.0, 0.0), 3000),
+         "from 8": np.geomspace(8.0, 1e300, 3000),
+         "mixed": np.concatenate([np.geomspace(1e-9, 1e6, 2995), edges,
+                                  [np.inf, np.nan, 745.0]])}[block]
+    t = rng.permutation(t).reshape(2, 3, 500)
+    fresh = rate._scaled_e1(t)
+    with np.errstate(all="raise"):
+        # no warning escapes, though the formula below 2 overflows above it
+        inplace = t.copy()
+        got = rate._scaled_e1(inplace, out=inplace, work=Workspace())
+    assert np.shares_memory(got, inplace) and got.shape == t.shape
+    assert got.tobytes() == fresh.tobytes()
+    assert got.tobytes() == _scaled_e1_gathered(t).reshape(t.shape).tobytes()
 
 
 def test_fit_generator_reproduces_the_committed_coefficients():
