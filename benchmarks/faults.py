@@ -11,8 +11,21 @@ in parallel, so they do not compete for memory).  Before it imports
 of N allocates ``round(i * MAX_SHIFT / (N - 1))`` small objects and
 keeps them alive: each is a ``bytes`` above CPython's 512-byte small
 object limit, so it sits on the C heap and moves every later
-allocation.  Whether glibc trims its heap between two of the pricing's
-large arrays depends on that history, so one process alone says little.
+allocation.
+
+Each process runs with glibc's mmap and trim thresholds pinned at its
+starting values (``MALLOC_PINS``, 128 KiB each, set in the children's
+environment only).  Left dynamic, glibc raises both thresholds to the
+size of the largest block freed so far, so whether the next large array
+comes from a warm heap hole or from fresh pages depends on the order of
+earlier frees, and the count measured that history rather than the
+program.  Pinned, every allocation of 128 KiB or more is a mapping of
+its own that faults in when touched and is unmapped when freed, and a
+heap top of more than 128 KiB free is trimmed, so the count follows the
+program's allocations: arrays it allocates afresh, transients, and work
+arrays that grow.  The heap shift still decides where the smaller arrays
+land and which heap tops are trimmed, so counts still differ from
+process to process; compare medians.
 
 Each process then counts minor faults (``getrusage``'s ``ru_minflt``)
 over two workloads:
@@ -25,13 +38,15 @@ over two workloads:
   each from a fresh evaluator; the median is reported.
 
 One line per process, then the median, minimum and maximum of each
-column, then one JSON line with every count.  ``--quick`` runs a small
+column, then one JSON line with every count and the thresholds each
+process ran under.  ``--quick`` runs a small
 search and a K = 40 grid instead, to check the harness itself.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -43,6 +58,9 @@ MAX_SHIFT = 12_000
 SHIFT_BYTES = 600
 GRID = {"cells": 400, "omegas": (0.3, 0.7), "thetas": (0.05, 0.2, 0.8)}
 QUICK_CELLS = 40
+# glibc's starting thresholds, fixed so that it never moves them
+MALLOC_PINS = {"MALLOC_MMAP_THRESHOLD_": "131072",
+               "MALLOC_TRIM_THRESHOLD_": "131072"}
 
 
 def minor_faults(fn) -> int:
@@ -77,6 +95,7 @@ def child(reps: int, quick: bool) -> dict:
     surface()
     counts["grid_k400"] = statistics.median(
         minor_faults(surface) for _ in range(reps))
+    counts["malloc"] = {name: os.environ.get(name) for name in MALLOC_PINS}
     return counts
 
 
@@ -88,7 +107,8 @@ def run(src: Path, processes: int, reps: int, quick: bool = False) -> list:
         argv = [sys.executable, __file__, "--src", str(src), "--reps",
                 str(reps), "--child", str(shift)] + (["--quick"] * quick)
         out = subprocess.run(argv, capture_output=True, text=True,
-                             check=True).stdout
+                             check=True, env={**os.environ, **MALLOC_PINS}
+                             ).stdout
         rows.append({"shift": shift, **json.loads(out.splitlines()[-1])})
     return rows
 

@@ -33,7 +33,15 @@ An uncached row of cutoffs at omega = 0.45 is timed in microseconds per
 point: 9 cutoffs at K = 80 and 3 at K = 400
 (``SuEvaluator.evaluate_row``).  ``rate._scaled_e1`` is timed in
 nanoseconds per element on the arguments of its largest call in pricing
-K = 80 at (0.15, 0.2) and K = 400 at (0.7, 0.2).
+K = 80 at (0.15, 0.2) and K = 400 at (0.7, 0.2), as the level integrals
+call it: into an output array of its own, on a warm workspace.  (Called
+without one, it allocates its masks and scratch on every call, and at
+K = 400's 53,600 arguments that allocation cost more than the
+arithmetic.)  ``counts`` also has
+the level integrals' antiderivative passes (``rate._antiderivative``
+calls) of one README ``solve_p1`` and of one repetition of perfbench's
+``grid-k400`` body (the K = 400 surface on omega 0.3, 0.7 and cutoffs
+0.05, 0.2, 0.8, from a fresh evaluator).
 
 End to end: ``solve_p1`` on the README's two-user model in seconds (its
 priced points go to ``counts``), and ``simulate`` in microseconds per
@@ -189,11 +197,27 @@ def rows(m, counts: dict):
             m.rate._scaled_e1 = scaled_e1
         args = max(calls, key=lambda t: t.size)
         counts[f"{key}_args"] = int(args.size)
-        yield f"{key}_ns_per_arg", lambda a=args: scaled_e1(a), 1e9 / args.size
+        yield (f"{key}_ns_per_arg",
+               lambda a=args, out=args.copy(), work=m.rate.Workspace():
+               scaled_e1(a, out, work), 1e9 / args.size)
 
     readme = _model(m, {"interference_cap": 1.0}, [{}, {"harvest_rate": 10.0}])
-    counts["readme_solve_p1_evaluations"] = (
-        m.optimizer.solve_p1(readme).evaluations)
+    grid = _model(m, {"battery_cells": 400}, [{}])
+    antiderivative = m.rate._antiderivative
+    passes = []
+    m.rate._antiderivative = (lambda *args: passes.append(None)
+                              or antiderivative(*args))
+    try:
+        counts["readme_solve_p1_evaluations"] = (
+            m.optimizer.solve_p1(readme).evaluations)
+        counts["readme_solve_p1_passes"] = len(passes)
+        passes.clear()
+        m.optimizer.objective_surface(
+            grid, GRID_OMEGAS, ROW_THETAS[400],
+            evaluator=m.optimizer.SuEvaluator(grid, 0))
+        counts["grid_k400_passes"] = len(passes)
+    finally:
+        m.rate._antiderivative = antiderivative
     yield "readme_solve_p1_s", lambda: m.optimizer.solve_p1(readme), 1.0
     simulations = {"readme": (readme, [POLICY] * 2, SIM_SLOTS)}
     for name, ((config, profile, policy), slots) in SIMULATIONS.items():

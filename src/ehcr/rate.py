@@ -13,13 +13,14 @@ the gain integral of every spend level under each channel law, which
 reads the row's gain edges and the channel statistics but not the
 battery, so users with identical channel statistics can share it.  It
 prices both gain laws at both edges of every spend level in one
-antiderivative pass per block of levels.  A level's upper edge is the
-next level's lower edge, so the terms that depend on the edge alone,
-t = edge/mean and exp(-t), are computed once per edge and law and read
-at both.  :func:`rate_sum` is the user
-side: it weights those integrals by the steady-state chance of each
-level's battery state (:func:`level_weights`, one gather that
-:func:`interference_load` reads too).
+antiderivative pass per block of (cutoff, level) entries, the blocks
+running across the row's cutoffs as one flat run.  A level's upper edge
+is the next level's lower edge, so the terms that depend on the edge
+alone, t = edge/mean and exp(-t), are computed once per edge and law and
+read at both.  :func:`rate_sum` is the user side: it weights those
+integrals by the steady-state chance of each level's battery state
+(:func:`level_weights`, one gather that :func:`interference_load` reads
+too).
 
 The rate bound's scaled exponential integral exp(t)*E1(t) never calls a
 special function.  It is three polynomials fitted offline by
@@ -28,7 +29,8 @@ with P = -gamma + Ein for t < 2, and t*exp(t)*E1(t) as a polynomial in
 1/t on [2, 8) and on [8, inf).  The relative error is at most 2.2e-14
 below 2, 2.8e-14 on [2, 8) and 1.2e-15 from 8 on (1e-13 is tested).
 Most of the rate bound's arguments lie below 2, so that piece runs in
-place over every argument and only the others are gathered.  The terms
+place over every argument; the others are gathered once and both
+pieces from 2 on run one Horner pass over them.  The terms
 below take a policy row (:func:`~ehcr.policy.transmit_row`)
 and give one value per cutoff.
 """
@@ -53,16 +55,21 @@ _LN2 = math.log(2.0)
 # exp(-t) underflows to zero here, making the whole antiderivative zero
 _EXP_UNDERFLOW = 745.0
 
-# (cutoff, level) entries per antiderivative pass of the rate bound: a
-# block is whole rows of cutoffs, or a run of one row's levels when a row
-# is longer.  Both laws at both edges make each of the pass's work arrays
-# 2^14 doubles (128 KB): its output, kept in the evaluator's workspace,
-# and its gathers, which take the workspace's scratch, so no block
-# allocates them.  With the arrays owned, 2^11 read about 7% slower on
-# README solve_p1 and the K=400 grid, while 2^13 and one pass per row were
-# no faster on the search and each doubling added about 0.7 MB to its
-# peak memory (two evaluators).
+# Fewest (cutoff, level) entries per antiderivative pass of the rate
+# bound, and most E1 arguments (2 edges x laws per entry) in one;
+# _block_entries picks a size between them from K.  Each pass costs about
+# 100 us of numpy calls whatever its size, so large blocks pay off at
+# K=400, where a one-cutoff row has 23,483 (omega = 0.3) to 55,561 (0.7)
+# levels.  There the K=400 grid body read 0.935x with blocks of (K+1)^2 /
+# 12 = 13,400 entries against 4,096, and 0.965x of that again with 8,192
+# (2^15 arguments, about 1.4 MB of block arrays, within a core's 2 MB L2
+# cache), better in 231 of 296 alternating rounds.  At K=80 a stack of 9
+# cutoffs holds about 12,000 entries and its (shift x level) scatter is
+# the largest scratch request; blocks of 2^13 there made the E1 scratch
+# outgrow it and added about 5 MB to the search's peak memory, while 2^11
+# read about 7% slower on README solve_p1.
 BLOCK_ENTRIES = 2 ** 12
+BLOCK_ARGS = 2 ** 15
 
 # _scaled_e1 uses E1(t) = P(t) - ln t below _NEAR_END and P(1/t)/t from
 # there on, with one P below _MID_END and another from there
@@ -111,8 +118,8 @@ _E1_INV = np.array([
     (-0.9997784159302694, -0.9999999999956376),
     (0.9999970473069972, 0.9999999999999991),
 ])
-# the two columns as 0-d arrays, so each piece runs its own Horner pass
-# on scalar coefficients
+# the two columns as 0-d arrays: the tail's Horner pass adds each piece's
+# coefficient to its part of the gather as a scalar
 _E1_MID, _E1_FAR = (_as_arrays(column) for column in _E1_INV.T)
 
 
@@ -135,52 +142,60 @@ def _scaled_e1(t: np.ndarray, out: Optional[np.ndarray] = None,
     (degree 12).  From t = 2 on, P(1/t) / t with P fitted to
     t*exp(t)*E1(t) on [2, 8) and on [8, inf) (degree 16 each); +inf
     gives 0.  Most arguments of the rate bound lie below 2, so that
-    formula runs over the whole array in place, and only the arguments
-    from 2 on are gathered, each range into one contiguous array, and
-    scattered back over it; a range with no argument is skipped.
-    Relative error against ``mpmath.e1``: at most 2.2e-14 below 2,
-    2.8e-14 on [2, 8) and 1.2e-15 from 8 on.  ``out`` (contiguous, ``t``
-    itself allowed) takes the result; the masks and, in ``work``'s
-    scratch, the gathers and the formula's work arrays are requested
-    from ``work``.
+    formula runs over the whole array in place.  The arguments from 2 on
+    (the tail) are gathered once, [2, 8) ahead of [8, inf) within the
+    gather, and run one Horner pass: each step multiplies the whole tail
+    and adds each piece's coefficient to its part.  The results return
+    to the tail's order and are scattered over the array once.  Relative
+    error against ``mpmath.e1``: at most 2.2e-14 below 2, 2.8e-14 on
+    [2, 8) and 1.2e-15 from 8 on.  ``out`` (contiguous, ``t`` itself
+    allowed) takes the result; the masks and, in ``work``'s scratch, the
+    gather and the formula's work arrays are requested from ``work``.
     """
     shape = np.shape(t)
     # the masks below gather and scatter fastest on a flat array
     t = np.asarray(t, dtype=float).reshape(-1)
     out = np.empty_like(t) if out is None else out.reshape(-1)
     work = work or Workspace()
-    near, mid, far = work.empty("rate.e1_pieces", (3,) + t.shape, bool)
-    np.less(t, _NEAR_END, out=near)
-    np.less(t, _MID_END, out=mid)
-    # a NaN falls to the far piece, as it compares false everywhere
-    np.logical_not(mid, out=far)
-    np.logical_xor(mid, near, out=mid)
-    # the polynomial and the exponential of the formula below 2, then the
-    # arguments from 2 on, gathered before that formula overwrites t; the
-    # polynomial's memory takes their results next
-    counts = np.count_nonzero(mid), np.count_nonzero(far)
     size = t.size
-    scratch = work.empty(SCRATCH, (2 * size + sum(counts),))
+    tail, piece = work.empty("rate.e1_pieces", (2, size), bool)
+    # a NaN falls to the tail, and there to [8, inf), as it compares false
+    np.less(t, _NEAR_END, out=tail)
+    np.logical_not(tail, out=tail)
+    count = np.count_nonzero(tail)
+    # the polynomial and the exponential of the formula below 2, then the
+    # tail, gathered before that formula overwrites t; the exponential's
+    # memory takes the tail's reciprocals next, the polynomial's their
+    # results
+    scratch = work.empty(SCRATCH, (2 * size + count,))
     poly, grow = scratch[:size], scratch[size:2 * size]
-    gathered = scratch[2 * size:]
-    pieces, start = [], 0
-    for piece, coeffs, count in zip((mid, far), (_E1_MID, _E1_FAR), counts):
-        if count:
-            part = slice(start, start + count)
-            np.compress(piece, t, out=gathered[part])
-            pieces.append((piece, coeffs, part))
-            start += count
+    gathered = np.compress(tail, t, out=scratch[2 * size:])
     with np.errstate(over="ignore", invalid="ignore"):
         _horner(_E1_NEAR, t, out=poly)
         np.exp(t, out=grow)
         np.log(t, out=out)
         np.subtract(poly, out, out=poly)
         np.multiply(poly, grow, out=out)
-    for piece, coeffs, part in pieces:
-        v = np.reciprocal(gathered[part], out=gathered[part])
-        acc = _horner(coeffs, v, out=poly[part])
+    if count:
+        mid = np.less(gathered, _MID_END, out=piece[:count])
+        split = np.count_nonzero(mid)
+        v, acc = grow[:count], poly[:count]
+        np.compress(mid, gathered, out=v[:split])
+        far = np.logical_not(mid, out=mid)
+        np.compress(far, gathered, out=v[split:])
+        np.reciprocal(v, out=v)
+        # each part starts at its leading coefficient c0, so the first
+        # step's c0 * v has the bits of v * c0
+        low, high = acc[:split], acc[split:]
+        low[...], high[...] = _E1_MID[0], _E1_FAR[0]
+        for c_mid, c_far in zip(_E1_MID[1:], _E1_FAR[1:]):
+            acc *= v
+            low += c_mid
+            high += c_far
         acc *= v
-        out[piece] = acc
+        gathered[far] = high
+        gathered[np.logical_not(far, out=far)] = low
+        out[tail] = gathered
     return out.reshape(shape)
 
 
@@ -195,29 +210,28 @@ def _antiderivative(x: np.ndarray, t: np.ndarray, snr: np.ndarray,
     exp(-t) once the entries have read it.  ``inv`` is 1/(snr*mean).
     Every argument broadcasts to ``out``.  An entry with x/mean >
     _EXP_UNDERFLOW (+inf edges included) or false in ``keep`` (snr > 0,
-    say) is priced like any other and zeroed at the end, so no warning it
-    raises on the way is reported.  The log term is built in ``work``'s
-    scratch once :func:`_scaled_e1` is done with it, so no argument may
-    live there.
+    say) is priced like any other and zeroed at the end; the caller
+    ignores the floating-point warnings it raises on the way.  The log
+    term is built in ``work``'s scratch once :func:`_scaled_e1` is done
+    with it, so no argument may live there.
     """
     pairs = pairs or (lambda a: a)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        live = np.less_equal(pairs(t), _EXP_UNDERFLOW,
-                             out=work.empty("rate.live", out.shape, bool))
-        live &= keep
-        # -exp(-t) * (exp(T) E1(T) + log1p(snr x)) / ln 2 at T = t + 1/(snr
-        # mean), step by step in place; products commute and the sign
-        # moves onto ln 2, which changes no bit
-        np.add(pairs(t), inv, out=out)
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        e1 = _scaled_e1(out, out, work)
-        log_term = np.multiply(x, snr, out=work.empty(SCRATCH, out.shape))
-        np.log1p(log_term, out=log_term)
-        e1 += log_term
-        np.multiply(e1, pairs(t), out=out)
-        out /= -_LN2
-        np.copyto(out, 0.0, where=np.logical_not(live, out=live))
+    live = np.less_equal(pairs(t), _EXP_UNDERFLOW,
+                         out=work.empty("rate.live", out.shape, bool))
+    live &= keep
+    # -exp(-t) * (exp(T) E1(T) + log1p(snr x)) / ln 2 at T = t + 1/(snr
+    # mean), step by step in place; products commute and the sign moves
+    # onto ln 2, which changes no bit
+    np.add(pairs(t), inv, out=out)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    e1 = _scaled_e1(out, out, work)
+    log_term = np.multiply(x, snr, out=work.empty(SCRATCH, out.shape))
+    np.log1p(log_term, out=log_term)
+    e1 += log_term
+    np.multiply(e1, pairs(t), out=out)
+    out /= -_LN2
+    np.copyto(out, 0.0, where=np.logical_not(live, out=live))
     return out
 
 
@@ -238,11 +252,11 @@ def antiderivative_m(x: ArrayLike, snr_scale: ArrayLike,
     x = np.asarray(x, dtype=float)
     snr = np.asarray(snr_scale, dtype=float)
     out = np.empty(np.broadcast_shapes(x.shape, snr.shape, mean_gain.shape))
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = np.divide(1.0, snr * mean_gain)
     t = np.divide(x, mean_gain, out=np.empty(np.broadcast_shapes(
         x.shape, mean_gain.shape)))
-    return _antiderivative(x, t, snr, inv, snr > 0.0, out, Workspace())
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = np.divide(1.0, snr * mean_gain)
+        return _antiderivative(x, t, snr, inv, snr > 0.0, out, Workspace())
 
 
 @dataclass(frozen=True)
@@ -259,14 +273,34 @@ class PerSuRate:
 
 
 def _edge_pairs(terms: np.ndarray) -> np.ndarray:
-    """(..., 2, rows, levels) view of contiguous (..., rows, levels + 1)
-    edge terms: each level's lower edge, then its upper edge, the next
-    lower one.  Built straight from the strides, which costs a
-    fraction of ``sliding_window_view``'s microseconds per block."""
-    *lead, rows, width = terms.shape
+    """(..., 2, entries) view of contiguous (..., entries + 1) edge terms:
+    each entry's lower edge, then its upper edge, the next lower one.
+    Built straight from the strides, which costs a fraction of
+    ``sliding_window_view``'s microseconds per block."""
+    *lead, width = terms.shape
     strides = terms.strides
-    return np.ndarray((*lead, 2, rows, width - 1), terms.dtype, terms, 0,
-                      strides[:-2] + strides[-1:] + strides[-2:])
+    return np.ndarray((*lead, 2, width - 1), terms.dtype, terms, 0,
+                      strides + strides[-1:])
+
+
+def _block_entries(cells: int, laws: int) -> int:
+    """(cutoff, level) entries per antiderivative pass of the rate bound.
+
+    :data:`BLOCK_ENTRIES`, more once K is so large that a block's E1 work,
+    at most 3 doubles per argument and 2 * ``laws`` arguments per entry,
+    still fits in the (K+1)^2 balance system every stack takes from the
+    workspace's scratch, but never more than :data:`BLOCK_ARGS` arguments.
+    """
+    return min(max(BLOCK_ENTRIES, (cells + 1) ** 2 // (6 * laws)),
+               BLOCK_ARGS // (2 * laws))
+
+
+def _repeat(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with ``a`` over and over."""
+    whole = out.size // a.size * a.size
+    out[:whole].reshape(-1, a.size)[...] = a
+    out[whole:] = a[:out.size - whole]
+    return out
 
 
 def _interval_integrals(pmf: PolicyPmf, unit_power: float, laws: np.ndarray,
@@ -275,65 +309,65 @@ def _interval_integrals(pmf: PolicyPmf, unit_power: float, laws: np.ndarray,
 
     ``laws`` holds one (error-gain mean, noise, gain mean) row per law.
     Returns (laws, cutoffs, levels): M(hi) - M(lo) clipped at 0, in
-    ``work``'s ``rate.gains`` array.  A level's upper edge is the next
-    level's lower edge, +inf at its state's top (every row's last level
-    is one), so each block of (cutoff, level) entries computes t =
-    edge/mean and exp(-t) once per lower edge and law, plus the edge
-    after each row's last level, and reads both edges as views of them;
-    M at a top's upper edge is zeroed like any other dead entry.  A
-    level's SNR slope (power over self-interference plus noise) and
-    1/(slope * mean) depend on its spend alone, so they are computed once
-    per spend and law and gathered per run of levels.  Both edges
-    under every law go through one :func:`_antiderivative` pass per
-    block of at most :data:`BLOCK_ENTRIES` entries, so equal edges (every
-    level below the top at theta = 0, both +inf on an unreachable level)
-    price M(x) - M(x) = 0 exactly.
+    ``work``'s ``rate.gains`` array.  The entries run as one flat run,
+    row after row, in blocks of :func:`_block_entries`, so a block may
+    cross rows.  A level's upper edge is the next entry's lower edge: the
+    next level's lower edge, or, at its state's top (every row's last
+    level is one), a dead edge whose M is zeroed like any other dead
+    entry's (+inf after the run's last entry).  Each block computes t =
+    edge/mean and exp(-t) once per lower edge and law, plus the edge after
+    the block, and reads both edges as views of them.  A level's SNR slope
+    (power over self-interference plus noise) and 1/(slope * mean) depend
+    on its spend alone, so they are computed once per spend and law and
+    gathered per block.  Both edges under every law go through one
+    :func:`_antiderivative` pass per block, so equal edges (every level
+    below the top at theta = 0, both +inf on an unreachable level) price
+    M(x) - M(x) = 0 exactly.  Every block array is requested from
+    ``work``.
     """
     lo, units, top = pmf.level_lo, pmf.level_units, pmf.skeleton.top
-    cutoffs, levels = lo.shape
-    out = work.empty("rate.gains", (len(laws), cutoffs, levels))
+    levels = top.size
+    out = work.empty("rate.gains", (len(laws),) + lo.shape)
     if not out.size:
         return out
+    lo, gains = lo.reshape(-1), out.reshape(len(laws), -1)
     err, noise, means = (laws[:, i, None] for i in range(3))
     # slopes and their 1/(slope * mean) by spend 0..K
     power = np.arange(pmf.cells + 1) * unit_power
     slopes = err * power
     slopes += noise
     np.divide(power, slopes, out=slopes)
-    with np.errstate(divide="ignore"):
+    size = min(_block_entries(pmf.cells, len(laws)), lo.size)
+    # entry e is level e % levels of its row, so the block from e0 reads
+    # the spends and tops of levels e0 % levels on, repeated past a row's
+    # end: each laid out over size + levels entries
+    spends = _repeat(units, work.empty("rate.spends", (size + levels,),
+                                       units.dtype))
+    tops = _repeat(top, work.empty("rate.tops", (size + levels,), bool))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inverses = np.divide(1.0, slopes * means)
-    rows = max(1, BLOCK_ENTRIES // levels)
-    cols = min(levels, BLOCK_ENTRIES)
-    for c0 in range(0, levels, cols):
-        cut = slice(c0, c0 + cols)
-        n = units[cut].size
-        snr = np.take(slopes, units[cut], axis=1, mode="clip",
-                      out=work.empty("rate.snr", (len(laws), n)))
-        inv = np.take(inverses, units[cut], axis=1, mode="clip",
-                      out=work.empty("rate.inv", (len(laws), n)))
-        # (law, edge, level): a positive slope counts at both edges, and
-        # at the upper one only below its state's top
-        keep = work.empty("rate.keep", (len(laws), 2, n), bool)
-        np.greater(snr, 0.0, out=keep[:, 0])
-        np.logical_not(top[cut], out=keep[:, 1])
-        keep[:, 1] &= keep[:, 0]
-        for r0 in range(0, cutoffs, rows):
-            block = lo[r0:r0 + rows, cut]
-            edges = work.empty("rate.edges", (len(block), n + 1))
-            edges[:, :-1] = block
-            # past the block's last level: the row's next lower edge, or
-            # +inf (a top, zeroed) where the row ends
-            edges[:, -1] = (lo[r0:r0 + rows, cut.stop] if cut.stop < levels
-                            else np.inf)
-            t = np.divide(edges, means[..., None], out=work.empty(
-                "rate.t", (len(laws),) + edges.shape))
+        for e0 in range(0, lo.size, size):
+            n = min(size, lo.size - e0)
+            run = slice(e0 % levels, e0 % levels + n)
+            snr = np.take(slopes, spends[run], axis=1, mode="clip",
+                          out=work.empty("rate.snr", (len(laws), n)))
+            inv = np.take(inverses, spends[run], axis=1, mode="clip",
+                          out=work.empty("rate.inv", (len(laws), n)))
+            # (law, edge, entry): a positive slope counts at both edges,
+            # and at the upper one only below its state's top (True >
+            # False is the one true comparison)
+            keep = work.empty("rate.keep", (len(laws), 2, n), bool)
+            np.greater(snr, 0.0, out=keep[:, 0])
+            np.greater(keep[:, 0], tops[run], out=keep[:, 1])
+            edges = work.empty("rate.edges", (n + 1,))
+            edges[:n] = lo[e0:e0 + n]
+            edges[n] = lo[e0 + n] if e0 + n < lo.size else np.inf
+            t = np.divide(edges, means, out=work.empty(
+                "rate.t", (len(laws), n + 1)))
             m = _antiderivative(
-                _edge_pairs(edges), t, snr[:, None, None, :],
-                inv[:, None, None, :], keep[:, :, None, :],
-                work.empty("rate.m", (len(laws), 2) + block.shape), work,
-                _edge_pairs)
-            gain = np.subtract(m[:, 1], m[:, 0],
-                               out=out[:, r0:r0 + rows, cut])
+                _edge_pairs(edges), t, snr[:, None], inv[:, None], keep,
+                work.empty("rate.m", (len(laws), 2, n)), work, _edge_pairs)
+            gain = np.subtract(m[:, 1], m[:, 0], out=gains[:, e0:e0 + n])
             np.maximum(gain, 0.0, out=gain)
     return out
 

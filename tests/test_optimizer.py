@@ -470,8 +470,11 @@ def test_warm_k400_stack_allocates_less_than_one_transition_matrix():
 def test_a_second_stack_of_an_omega_grows_no_work_array(cells, omega, thetas):
     """A stack priced after another of its omega and cutoff count finds
     every work array in place: none is added and none grows.  The E1 share
-    of the scratch depends on how many arguments lie from 2 on, but the
-    stack's (shift x level) scatter outweighs it."""
+    of the scratch depends on how many arguments lie from 2 on, but never
+    exceeds 3 doubles per argument of a block.  At K = 80 the 9-cutoff
+    stack's (shift x level) scatter outweighs that; at K = 400 the blocks
+    are sized (``rate._block_entries``) so that it fits in the (K+1)^2
+    balance system of the stack's steady state."""
     model = NetworkModel(config=SystemConfig(battery_cells=cells),
                          profiles=(SuProfile(),))
     evaluator = SuEvaluator(model, 0)

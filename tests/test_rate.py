@@ -129,6 +129,43 @@ def test_scaled_e1_pieces_equal_the_gathered_table_bit_for_bit():
             == got[:6000].tobytes())
 
 
+def _scaled_e1_two_pass(t):
+    """``_scaled_e1`` with one Horner pass per piece from 2 on, as it was
+    before the tail ran as one pass: the formula below 2 over every
+    argument, then [2, 8) and [8, inf) each gathered, evaluated on scalar
+    coefficients and scattered back."""
+    t = np.asarray(t, dtype=float).reshape(-1)
+    near = t < rate._NEAR_END
+    mid = t < rate._MID_END
+    far = ~mid
+    mid ^= near
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rate._horner(rate._E1_NEAR, t) - np.log(t)
+        out *= np.exp(t)
+    for piece, coeffs in ((mid, rate._E1_MID), (far, rate._E1_FAR)):
+        v = np.reciprocal(t[piece])
+        acc = rate._horner(coeffs, v)
+        acc *= v
+        out[piece] = acc
+    return out
+
+
+def test_scaled_e1_one_tail_pass_equals_two_passes_bit_for_bit():
+    """One call with arguments in all three pieces, both piece edges and
+    their neighbours, +inf and NaN gives the two-pass form's bits."""
+    edges = [rate._NEAR_END, rate._MID_END]
+    sides = [np.nextafter(edge, side) for edge in edges
+             for side in (0.0, np.inf)]
+    t = np.concatenate([np.geomspace(1e-300, 1e300, 4001), edges, sides,
+                        [np.inf, np.nan, 0.5, 3.0, 20.0, 745.0]])
+    t = np.random.default_rng(26).permutation(t)
+    assert (t < 2.0).any() and ((t >= 2.0) & (t < 8.0)).any()
+    assert (t >= 8.0).any()
+    got = rate._scaled_e1(t)
+    assert got.tobytes() == _scaled_e1_two_pass(t).tobytes()
+    assert np.isnan(got[np.isnan(t)]).all() and (got[t == np.inf] == 0.0).all()
+
+
 @pytest.mark.parametrize("block", ["below 2", "2 to 8", "from 8", "mixed"])
 def test_scaled_e1_in_place_equals_a_fresh_output_bit_for_bit(block):
     """The formula below 2 runs in place over every argument; the arguments
@@ -306,9 +343,14 @@ def _four_call_rate(config, profile, sensing, est, pmf, stationary):
 def _bitwise_settings():
     nine = (0.02, 0.04, 0.07, 0.1, 0.15, 0.2, 0.3, 0.5, 0.8)
     settings = [
-        # rows of many blocks at K = 80 and K = 400
+        # rows of many blocks at K = 80 and K = 400; at K = 80 a block
+        # holds several rows and at K = 400 a block of 8,192 entries
+        # crosses from one row into the next
         (SystemConfig(), SuProfile(), 1.0, nine, False),
+        (SystemConfig(), SuProfile(), 0.45, nine, False),
         (SystemConfig(battery_cells=400), SuProfile(), 0.7, (0.2,), False),
+        (SystemConfig(battery_cells=400), SuProfile(), 0.3, (0.05, 0.8),
+         False),
         # theta = 0 beside cutoffs whose edges pass t = 745 or are +inf
         (SystemConfig(), SuProfile(), 0.6, (0.0, 0.2, 50.0, 1e4), False),
         # ideal sensing skips the busy law; omega = 0 has no level
@@ -329,10 +371,17 @@ def _bitwise_settings():
     return settings
 
 
-def test_rate_bound_equals_four_antiderivative_calls():
-    """One pass per block of (law, edge, cutoff, level) entries changes no bit."""
+def test_rate_bound_equals_four_antiderivative_calls(monkeypatch):
+    """One pass per block of (law, edge, cutoff, level) entries changes no
+    bit.  The blocks run over the row's entries in order, each of the
+    size the call derives from K and the number of laws, the last one
+    shorter."""
     rng = np.random.default_rng(4)
     seen = set()
+    passes = []
+    antiderivative = rate._antiderivative
+    monkeypatch.setattr(rate, "_antiderivative", lambda *a: passes.append(
+        a[5].shape[-1]) or antiderivative(*a))
     for config, profile, omega, thetas, ideal in _bitwise_settings():
         config = dataclasses.replace(config, ideal_sensing=ideal)
         sensing = sensing_stats(config, profile)
@@ -341,15 +390,31 @@ def test_rate_bound_equals_four_antiderivative_calls():
                            config.battery_cells,
                            GainDistribution.from_stats(est, sensing))
         zeta = rng.dirichlet(np.ones(config.battery_cells + 1), len(thetas))
+        passes.clear()
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             got = _rate_bound(config, profile, sensing, est, pmf, zeta)
         want = _four_call_rate(config, profile, sensing, est, pmf, zeta)
+        laws = sum(joint > 0.0 and mean > 0.0 for joint, mean in (
+            (sensing.beta0, est.var_hat_h0), (sensing.beta1, est.var_hat_h1)))
+        entries, levels = pmf.level_lo.size, pmf.level_state.size
+        if laws and entries:
+            size = rate._block_entries(config.battery_cells, laws)
+            assert passes == [size] * (entries // size) + (
+                [entries % size] if entries % size else [])
+        else:
+            assert passes == []
         for field, ref in zip((got.total, got.idle_part, got.busy_part), want):
             assert field.shape == pmf.theta.shape
             assert (field == ref).all()
         t = pmf.level_hi / max(est.var_hat_h0, est.var_hat_h1, 1e-300)
+        starts = range(0, entries, max(passes, default=1))
+        crossing = any(e0 % levels + n > levels
+                       for e0, n in zip(starts, passes))
         seen.update({
-            "blocks": pmf.level_lo.size > 2 * BLOCK_ENTRIES,
+            "blocks": len(passes) > 2,
+            "K = 80 blocks cross rows": config.battery_cells == 80 and crossing,
+            "derived blocks cross rows": crossing and len(passes) > 2
+            and passes[0] > BLOCK_ENTRIES,
             "skipped law": sensing.beta1 == 0.0 or est.var_hat_h0 == 0.0,
             "no levels": pmf.level_state.size == 0,
             "theta 0": 0.0 in thetas,
@@ -357,7 +422,8 @@ def test_rate_bound_equals_four_antiderivative_calls():
             "t > 745": bool(((t > 745.0) & np.isfinite(t)).any()),
         }.items())
     assert {name for name, hit in seen if hit} == {
-        "blocks", "skipped law", "no levels", "theta 0", "inf edge", "t > 745"}
+        "blocks", "K = 80 blocks cross rows", "derived blocks cross rows",
+        "skipped law", "no levels", "theta 0", "inf edge", "t > 745"}
 
 
 def test_rate_matches_per_tier_quadrature():
