@@ -17,18 +17,23 @@ For one user at the default configuration with K = 80 and K = 400 cells
 and policy (0.45, 0.2), the rows time the layers an uncached one-cutoff
 row runs, each on the evaluator's level skeleton, scatter index and
 workspace as ``SuEvaluator.price_row`` runs it: the spend law
-(``transmit_row``), then those of ``price_row``: the transition matrix
-(``TransitionBuilder.matrix`` on the row's spend moves), the steady
-state, the level integrals (``rate.level_gains``) and the terms the
-steady state weights (``level_weights``, ``rate_sum``,
-``interference_load`` and ``transmission_outage``), plus the uncached
-``evaluate`` itself, in microseconds per call.  At K = 80 the same
-layers are timed on the 9-cutoff row at omega = 0.45
-(``k80_row9_<layer>_us``), the shape of most rows of the policy search.
-At K = 400 the matrix and the level integrals are also timed at the two
-spend fractions of perfbench's ``grid-k400`` rows, 0.3 and 0.7
+(``transmit_row``), then those of ``price_row``: the steady state
+(``censoring``: ``TransitionBuilder.steady_state``, which censors the
+spend scatter; on a tree whose ``battery`` module still has a
+``steady_state`` function, ``TransitionBuilder.matrix`` and then that
+solve, as its ``price_row`` ran them), the level integrals
+(``rate.level_gains``) and the terms the steady state weights
+(``level_weights``, ``rate_sum``, ``interference_load`` and
+``transmission_outage``), plus the uncached ``evaluate`` itself, in
+microseconds per call.  At K = 80 the same layers are timed on the
+9-cutoff row at omega = 0.45 (``k80_row9_<layer>_us``), the shape of
+most rows of the policy search.  At K = 400 the steady state and the
+level integrals are also timed at the two spend fractions of
+perfbench's ``grid-k400`` rows, 0.3 and 0.7
 (``k400_omega30_<layer>_us``), where the transition scatter's band is
-narrow and wide.
+narrow and wide, and the steady state at a harvest rate of 0.8
+(``k400_harvest08_censoring_us``), where the censored blocks are
+narrowest.
 An uncached row of cutoffs at omega = 0.45 is timed in microseconds per
 point: 9 cutoffs at K = 80 and 3 at K = 400
 (``SuEvaluator.evaluate_row``).  ``rate._scaled_e1`` is timed in
@@ -81,6 +86,8 @@ PAIRS = 21
 POLICY = (0.45, 0.2)
 # the spend fractions of perfbench's grid-k400 rows
 GRID_OMEGAS = (0.3, 0.7)
+# the low harvest rate of the K = 400 steady-state row
+LOW_RATE = 0.8
 E1_POINTS = {"e1_k80": (80, (0.15, 0.2)), "e1_k400": (400, (0.7, 0.2))}
 ROW_THETAS = {80: (0.02, 0.04, 0.07, 0.1, 0.15, 0.2, 0.3, 0.5, 0.8),
               400: (0.05, 0.2, 0.8)}
@@ -118,11 +125,14 @@ def _layers(m, ev, thetas, omega=POLICY[0]):
                                      cfg.battery_cells, ev.gain, skeleton,
                                      work)
 
-    def matrix():
-        return ev._builder.matrix(pmf.idle_law, sensing.pi_hat_idle,
-                                  sensing.pi_hat_busy, pmf.moves,
-                                  scatter=skeleton.scatter, work=work,
-                                  **band)
+    def censoring():
+        chain = (pmf.idle_law, sensing.pi_hat_idle, sensing.pi_hat_busy,
+                 pmf.moves)
+        if hasattr(m.battery, "steady_state"):
+            return m.battery.steady_state(ev._builder.matrix(
+                *chain, scatter=skeleton.scatter, work=work, **band), work)
+        return ev._builder.steady_state(*chain, scatter=skeleton.scatter,
+                                        caps=skeleton.caps, work=work)
 
     def level_gains():
         return rate.level_gains(cfg, prof, sensing, ev.estimation, pmf, work)
@@ -135,12 +145,10 @@ def _layers(m, ev, thetas, omega=POLICY[0]):
 
     pmf = spend_pmf()
     gains = level_gains()
-    phi = matrix()
-    zeta = m.battery.steady_state(phi, work)
+    zeta = censoring()
     return pmf, {
         "spend_pmf": spend_pmf,
-        "matrix": matrix,
-        "steady_state": lambda: m.battery.steady_state(phi, work),
+        "censoring": censoring,
         "level_gains": level_gains,
         "rate_load_outage": user_terms,
     }
@@ -175,9 +183,13 @@ def rows(m, counts: dict):
         else:
             for omega in GRID_OMEGAS:
                 timed = _layers(m, ev, [POLICY[1]], omega)[1]
-                for name in ("matrix", "level_gains"):
+                for name in ("censoring", "level_gains"):
                     yield (f"k400_omega{round(100 * omega)}_{name}_us",
                            timed[name], 1e6)
+            low = evaluator(_model(m, {"battery_cells": cells},
+                                   [{"harvest_rate": LOW_RATE}]), 0)
+            yield (f"k400_harvest{round(10 * LOW_RATE):02d}_censoring_us",
+                   _layers(m, low, [POLICY[1]])[1]["censoring"], 1e6)
 
         def row(ev=ev, thetas=thetas):
             ev._cache.clear()

@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 from .analysis import NetworkAnalysis, SuAnalysis, analyze, analyze_su
 from .battery import (BatteryChain, ChainNotErgodicError, TransitionBuilder,
-                      avg_energy, battery_outage, steady_state)
+                      avg_energy, battery_outage)
 from .model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                     ValidationError, harvest_pmf, validate)
 from .optimizer import (OptimizationResult, SearchConfig, SuEvaluator,
@@ -43,6 +43,6 @@ __all__ = [
     "estimator_variances",
     "false_alarm_at_target_pd", "gain_cdf", "harvest_pmf",
     "joint_sensing_stats", "objective_surface",
-    "sensing_stats", "simulate", "solve_p1", "steady_state",
+    "sensing_stats", "simulate", "solve_p1",
     "transmission_outage", "transmit_row", "transmit_units", "validate",
 ]

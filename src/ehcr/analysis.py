@@ -50,15 +50,20 @@ def analyze_su(model: NetworkModel, index: int,
     """Run the full analytic chain for one user.
 
     Prices the policy as a one-cutoff row of :class:`SuEvaluator`, the
-    code the policy search uses, so both give bit-identical numbers.
+    code the policy search uses, so both give bit-identical numbers, and
+    then builds the chain's transition matrix, which pricing never forms.
     """
     evaluator = SuEvaluator(model, index)
     config = evaluator.config
     row = evaluator.price_row(transmit_row(
         params.omega, [params.theta], config.probe_cells,
         config.battery_cells, evaluator.gain))
-    # the matrix is a view into the evaluator's workspace
-    chain = BatteryChain(matrix=row.matrix[0].copy(),
+    # pricing never builds the transition matrix; the analysis reports it
+    matrix = evaluator._builder.matrix(
+        row.pmf.idle_law[0], evaluator.sensing.pi_hat_idle,
+        evaluator.sensing.pi_hat_busy, row.pmf.moves,
+        scatter=row.pmf.skeleton.scatter, caps=row.pmf.skeleton.caps)
+    chain = BatteryChain(matrix=matrix,
                          steady_state=row.steady_state[0],
                          avg_energy=float(row.avg_energy[0]),
                          outage=float(row.battery_outage[0]))

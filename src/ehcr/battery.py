@@ -11,13 +11,29 @@ at empty (the slot simulator instead skips the probe there).  Each
 column of the transition matrix is the next-level distribution given
 the current level.
 
-The matrix is a product of the harvest law's clamp-shift table with a
-(shift x level) scatter of the policy's moves.  Column j's moves land
+The matrix is a product of the harvest law's clamp-shift table T with a
+(shift x level) scatter M of the policy's moves.  Column j's moves land
 on shifts j - reserve - cap(j) up to j - reserve (its spends, cap(j) the
 largest) and on j (its busy frame), and a harvest never lowers a level,
 so the scatter is a band and the product's rows below a column's lowest
 shift are zero.  :meth:`TransitionBuilder.matrix` multiplies the band
 only, a block of :data:`BAND_COLUMNS` columns at a time.
+
+The steady state never forms that matrix.  :meth:`TransitionBuilder.
+steady_state` censors the chain on ever higher levels, a block B of
+levels at a time from level 0 up (the state reduction of Grassmann,
+Taksar & Heyman, *Oper. Res.* 33(5), 1985, in blocks as Meyer's
+stochastic complementation, *SIAM Rev.* 31(2), 1989), and works on M
+and T straight away: censoring B out of a chain ``T.T @ M`` leaves the
+chain ``T.T @ M'``, where only the columns of the levels above B that
+can fall into B change.  Each block's diagonal is its levels' exit
+masses, each the sum of that level's moves to the block's other levels
+and of its mass above the block (read off T's tail sums), so no entry
+is formed by subtraction and even masses far below rounding keep their
+relative accuracy.  Within a block the system is solved by LU, which
+loses digits where the block is nearly closed, as at low harvest: the
+block width is the largest power of two at most 4x the mean harvest, at
+most :data:`BLOCK_LEVELS`.
 """
 from __future__ import annotations
 
@@ -34,6 +50,18 @@ from .workspace import SCRATCH, Workspace
 # K = 400 nine.
 BAND_COLUMNS = 48
 
+# Most levels censored per block of TransitionBuilder.steady_state.  With
+# the width rule (see the module docstring) every entry stayed within
+# 1.5e-13 relative of a long-double solve over 900 random settings (K <=
+# 160, mean harvest 0.4 to 40); blocks of 48 were off by 1.2e-10 at K = 400,
+# reserve 3 and a mean harvest of 4.  A single cutoff at K = 400 and spend
+# fractions 0.3 and 0.7 took 5.0 ms in all with 16, 5.0-5.1 ms with 32 or
+# 48 and 7.1 ms with 8.
+BLOCK_LEVELS = 16
+
+
+_NO_EXIT = "chain not ergodic: a level of the chain has no exit mass"
+
 
 class ChainNotErgodicError(RuntimeError):
     """Steady state is not unique/reachable for this chain."""
@@ -48,15 +76,18 @@ class TransitionBuilder:
     ``-reserve`` (a level at or below the reserve that spends nothing)
     up to ``K`` (a full battery in a busy frame).  Building the table
     once lets many policies be priced against the same harvest law with
-    one matrix product each.
+    one matrix product each.  The steady state's blocks of levels and
+    their panels (each block's columns of the table, then the chance of
+    landing above the block) are built here too.
 
     The table is checked once: a sensed-busy frame must be able to raise
     every level below K, that is, the chance of harvesting nothing must
     stay below 1 in floating point.  Then every level reaches K through
     busy frames, so every chain :meth:`matrix` builds has one closed
     class and one steady state (Levin, Peres & Wilmer, *Markov Chains and
-    Mixing Times*, 2nd ed., ch. 1), whatever the policy.  A harvest law
-    that fails raises :class:`ChainNotErgodicError`.
+    Mixing Times*, 2nd ed., ch. 1), whatever the policy, and every level
+    can leave every block of levels below K.  A harvest law that fails
+    raises :class:`ChainNotErgodicError`.
     """
 
     def __init__(self, harvest: np.ndarray, cells: int, probe_cells: int):
@@ -90,11 +121,45 @@ class TransitionBuilder:
         # flat index of each level's busy-frame move (shift j, level j)
         js = np.arange(k + 1)
         self._busy = (js + probe_cells) * (k + 1) + js
+        # blocks [b0, b1) of levels below K, each as wide as the largest
+        # power of two at most 4x the mean harvest, within [1, BLOCK_LEVELS];
+        # block i's panel, rows b0 + i .. b1 + i of _panels, holds the
+        # table's columns b0 .. b1-1 and then each shift's chance of landing
+        # at b1 or above
+        four_means, width = 4.0 * float(harvest @ js), 1
+        while width < BLOCK_LEVELS and 2 * width <= four_means:
+            width *= 2
+        self._width = width
+        self._starts = np.arange(0, k, width)
+        self._ends = np.append(self._starts[1:], k)
+        self._panels = np.empty((k + self._ends.size, shifts.size))
+        for i, (b0, b1) in enumerate(zip(self._starts.tolist(),
+                                         self._ends.tolist())):
+            self._panels[b0 + i:b1 + i] = table[:, b0:b1].T
+            self._panels[b1 + i] = at_least[np.clip(b1 - shifts, 0, k + 1)]
+
+    def _scatter(self, idle_law: np.ndarray, idle_prob: float,
+                 busy_prob: float, moves, scatter: Optional[np.ndarray],
+                 work: Workspace) -> np.ndarray:
+        """(shift x level) scatter M of each stacked spend law, in ``work``'s
+        :data:`~ehcr.workspace.SCRATCH`."""
+        if not busy_prob > 0.0:
+            raise ChainNotErgodicError(
+                "chain not ergodic: no sensed-busy frames (busy_prob <= 0)")
+        k, reserve = self.cells, self.probe_cells
+        law = np.asarray(idle_law, dtype=float)
+        if scatter is None:
+            scatter = scatter_index(moves, k)
+        mix = work.empty(SCRATCH, law.shape[:-1] + (k + 1 + reserve, k + 1))
+        mix.fill(0.0)
+        flat = mix.reshape(law.shape[:-1] + (-1,))
+        flat[..., scatter] = idle_prob * law
+        flat[..., self._busy] += busy_prob
+        return mix
 
     def matrix(self, idle_law: np.ndarray, idle_prob: float,
                busy_prob: float, moves, scatter: Optional[np.ndarray] = None,
-               caps: Optional[np.ndarray] = None,
-               work: Optional[Workspace] = None) -> np.ndarray:
+               caps: Optional[np.ndarray] = None) -> np.ndarray:
         """Column-stochastic transition matrix of each stacked spend law.
 
         ``moves = (state, units)`` lists spend moves: ``idle_law[..., m]``
@@ -121,29 +186,15 @@ class TransitionBuilder:
         block sums the dense product's nonzero terms: at K = 80, where
         every product's inner dimension fits one BLAS panel, the two agree
         bit for bit, and at K = 400 entries differ by a few 1e-17.
-
-        M and the result are requested from ``work`` (M as its
-        :data:`~ehcr.workspace.SCRATCH`), so the result is a view that
-        the workspace's next matrix overwrites; without a workspace they
-        are new arrays.
+        Pricing never needs the matrix (see :meth:`steady_state`); it is
+        a new array, built for what reports or checks it.
         """
-        if not busy_prob > 0.0:
-            raise ChainNotErgodicError(
-                "chain not ergodic: no sensed-busy frames (busy_prob <= 0)")
         k, reserve = self.cells, self.probe_cells
-        law = np.asarray(idle_law, dtype=float)
-        work = work or Workspace()
-        if scatter is None:
-            scatter = scatter_index(moves, k)
         if caps is None:
             caps = spend_caps(moves, k)
-        lead = law.shape[:-1]
-        mix = work.empty(SCRATCH, lead + (k + 1 + reserve, k + 1))
-        mix.fill(0.0)
-        flat = mix.reshape(lead + (-1,))
-        flat[..., scatter] = idle_prob * law
-        flat[..., self._busy] += busy_prob
-        out = work.empty("battery.matrix", lead + (k + 1,) * 2)
+        mix = self._scatter(idle_law, idle_prob, busy_prob, moves, scatter,
+                            Workspace())
+        out = np.empty(mix.shape[:-2] + (k + 1,) * 2)
         for c0 in range(0, k + 1, BAND_COLUMNS):
             c1, r0 = c0 + BAND_COLUMNS, c0 - int(caps[c0])
             # next levels below the block's lowest shift
@@ -154,6 +205,87 @@ class TransitionBuilder:
                       mix[..., r0:c1 + reserve, c0:c1],
                       out=out[..., m0:, c0:c1])
         return out
+
+    def steady_state(self, idle_law: np.ndarray, idle_prob: float,
+                     busy_prob: float, moves,
+                     scatter: Optional[np.ndarray] = None,
+                     caps: Optional[np.ndarray] = None,
+                     work: Optional[Workspace] = None) -> np.ndarray:
+        """Stationary law of each stacked spend law's chain (a new array).
+
+        Takes :meth:`matrix`'s arguments and never builds the matrix.
+        Each block B = [b0, b1) of levels below K is censored out of the
+        chain in turn, from level 0 up.  R = [b1, e) holds the levels
+        above B that can fall into it, those whose lowest next level
+        j - reserve - caps[j] lies below b1; that bound never falls as j
+        grows and depends on the spend fraction only, so a stack's blocks
+        do not depend on its cutoffs.  With Q = panel(B) @ M[:b1 +
+        reserve, B ∪ R] (the chain's rows B, then each column's mass at
+        b1 or above), A is -Q[B, B] with each diagonal entry replaced by
+        its column's exit mass (Q's other rows of that column, summed),
+        H = A^-1 Q[B, R], and M[:, R] += M[:, B] @ H.  H is kept in M's
+        spent columns B.  Back-substitution starts from level K at 1, sets
+        zeta_B = H @ zeta_R block by block, and normalizes.
+
+        Every level can leave every block (:class:`TransitionBuilder`'s
+        check), so every exit mass is positive; one that is not, in any
+        chain of the stack, raises :class:`ChainNotErgodicError`.  M and
+        the block arrays are requested from ``work``.
+        """
+        k, reserve = self.cells, self.probe_cells
+        work = work or Workspace()
+        if caps is None:
+            caps = spend_caps(moves, k)
+        mix = self._scatter(idle_law, idle_prob, busy_prob, moves, scatter,
+                            work)
+        lead = mix.shape[:-2]
+        mix = mix.reshape((-1,) + mix.shape[-2:])
+        n = mix.shape[0]
+        starts, ends = self._starts, self._ends
+        # one past the last level that can fall below each block's end
+        tops = np.maximum(np.searchsorted(np.arange(k + 1) - reserve - caps,
+                                          ends), ends)
+        blocks = list(zip(starts.tolist(), ends.tolist(), tops.tolist()))
+        # flat work arrays, sized for any spend fraction so that they never
+        # grow: a block's product spans at most K + 1 columns, and its fill
+        # (b1 + reserve) x (e - b1) entries, with e <= K + 1
+        block = work.empty("battery.block",
+                           (n * (self._width + 1) * (k + 1),))
+        fills = work.empty("battery.fill", (n * (k + 1 + reserve) ** 2 // 4,))
+        exits = np.empty((n, k))
+        for i, (b0, b1, e) in enumerate(blocks):
+            w, c, top = b1 - b0, e - b0, b1 + reserve
+            q = block[:n * (w + 1) * c].reshape(n, w + 1, c)
+            np.matmul(self._panels[b0 + i:b1 + i + 1, :top],
+                      mix[:, :top, b0:e], out=q)
+            # the exit mass of column j: its rows other than j, summed
+            q.reshape(n, -1)[:, :w * (c + 1):c + 1] = 0.0
+            np.add.reduce(q[:, :, :w], axis=1, out=exits[:, b0:b1])
+            if e > b1:
+                a = np.negative(q[:, :w, :w])
+                a.reshape(n, -1)[:, ::w + 1] = exits[:, b0:b1]
+                try:
+                    h = np.matmul(np.linalg.inv(a), q[:, :w, w:])
+                except np.linalg.LinAlgError as exc:
+                    # only a column with no exit mass makes A singular
+                    raise ChainNotErgodicError(_NO_EXIT) from exc
+                fill = fills[:n * top * (e - b1)].reshape(n, top, e - b1)
+                np.matmul(mix[:, :top, b0:b1], h, out=fill)
+                mix[:, :top, b1:e] += fill
+                mix[:, :e - b1, b0:b1] = h.transpose(0, 2, 1)
+        if not exits.min() > 0.0:
+            raise ChainNotErgodicError(_NO_EXIT)
+        zeta = np.empty((n, k + 1))
+        zeta[:, k] = 1.0
+        for b0, b1, e in reversed(blocks):
+            if e > b1:
+                np.matmul(zeta[:, None, b1:e], mix[:, :e - b1, b0:b1],
+                          out=zeta[:, None, b0:b1])
+            else:
+                # nothing above falls back into the block: it is transient
+                zeta[:, b0:b1] = 0.0
+        zeta /= zeta.sum(axis=-1, keepdims=True)
+        return zeta.reshape(lead + (k + 1,))
 
 
 def scatter_index(moves, cells: int) -> np.ndarray:
@@ -186,42 +318,6 @@ def spend_caps(moves, cells: int) -> np.ndarray:
     # the band's lowest row, j - cap, as a minimum over every later level
     low = np.minimum.accumulate((levels - caps)[::-1])[::-1]
     return levels - low
-
-
-def steady_state(matrix: np.ndarray,
-                 work: Optional[Workspace] = None) -> np.ndarray:
-    """Stationary distribution of a column-stochastic chain, or of each in a stack.
-
-    Solved in closed form by replacing one redundant balance constraint
-    with normalization, one stacked solve for all chains.  The law is
-    unique exactly when the chain has one closed communicating class,
-    which every :class:`TransitionBuilder` matrix has by construction, so
-    it is not searched for here.  A singular system or a fixed-point
-    residual above 1e-9 in any chain of the stack raises
-    :class:`ChainNotErgodicError`.  The balance system is built in
-    ``work``'s :data:`~ehcr.workspace.SCRATCH`; the returned law is a new
-    array.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[-1]
-    stack = matrix.reshape(-1, n, n)
-    # matrix - I + 1, built with one temporary instead of three
-    system = (work or Workspace()).empty(SCRATCH, stack.shape)
-    np.copyto(system, stack)
-    system.reshape(-1, n * n)[:, ::n + 1] -= 1.0
-    system += 1.0
-    try:
-        z = np.linalg.solve(system, np.ones(stack.shape[:-1] + (1,)))[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise ChainNotErgodicError("chain not ergodic: singular balance system") from exc
-
-    z = np.clip(z, 0.0, None)
-    z /= z.sum(axis=-1, keepdims=True)
-    resid = np.abs(np.matmul(stack, z[..., None])[..., 0] - z).max(axis=-1)
-    if np.any(resid > 1e-9):
-        raise ChainNotErgodicError(
-            f"chain not ergodic: fixed-point residual {resid.max():.2e}")
-    return z.reshape(matrix.shape[:-1])
 
 
 def battery_outage(dist: np.ndarray, probe_cells: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .battery import TransitionBuilder, avg_energy, battery_outage, steady_state
+from .battery import TransitionBuilder, avg_energy, battery_outage
 from .model import NetworkModel, PolicyParams, harvest_pmf
 from .policy import LevelSkeleton, PolicyPmf, level_skeleton, transmit_row
 from .probing import GainDistribution, estimator_variances
@@ -93,25 +93,25 @@ def check_search(search: SearchConfig) -> None:
                          "grids never shrink below a coarse cell")
 
 
-# A row stacks at most this many transition-matrix entries, cutoffs times
+# A row stacks at most this many spend-scatter entries, cutoffs times
 # (K+1)^2: nine cutoffs at K = 80 and one from K = 181 on, so a stack
-# never holds more than 512 KB of matrices unless one matrix alone does.
+# never holds more than about 512 KB of scatters unless one alone does.
 STACK_ENTRIES = 2 ** 16
 
 
 class PricedRow(NamedTuple):
     """Every analytic output of one spend fraction at a stack of cutoffs.
 
-    Each array has one entry (or row) per cutoff of ``pmf``.  ``matrix``
-    is a view into the pricing evaluator's workspace, and so are ``gains``
-    and ``pmf``'s arrays when they were computed there (by
-    :func:`_price_rows`): each stays valid until that evaluator prices its
-    next stack.  Copy what must outlive it.
+    Each array has one entry (or row) per cutoff of ``pmf``.  ``gains``
+    is a view into the pricing evaluator's workspace, and so are ``pmf``'s
+    arrays when they were computed there (by :func:`_price_rows`): each
+    stays valid until that evaluator prices its next stack.  Copy what
+    must outlive it.  The transition matrices are not priced (see
+    :meth:`~ehcr.battery.TransitionBuilder.steady_state`).
     """
 
     pmf: PolicyPmf
     gains: Tuple[Optional[np.ndarray], ...]  # rate.level_gains of pmf
-    matrix: np.ndarray               # (cutoffs, K+1, K+1)
     steady_state: np.ndarray         # (cutoffs, K+1)
     rate: PerSuRate
     interference: np.ndarray
@@ -130,21 +130,20 @@ class SuEvaluator:
     their gain edges.  :meth:`evaluate_row` therefore prices the uncached
     cutoffs of one omega together, up to ``STACK_ENTRIES // (K+1)**2`` at
     a time: one spend-law pass (:func:`~ehcr.policy.transmit_row`), then
-    :meth:`price_row`: one stacked matrix product for the transition
-    matrices, one stacked steady-state solve with singular system and
-    residual still checked per cutoff, one gather of each level's
-    steady-state weight, the level integrals of the rate bound, and one
-    pass of the rate sum, load and outage terms.  Evaluators with equal
-    :attr:`channel` keys may share a stack's spend laws and level
-    integrals (:func:`_price_rows`).  A point's values do not depend on
-    which cutoffs share its stack or which users share its spend laws.
-    Results are cached per (omega, theta); :meth:`evaluate` is a
-    one-cutoff row.
+    :meth:`price_row`: the level integrals of the rate bound, the stacked
+    steady state censored straight from the spend scatter (no transition
+    matrix is built; every exit mass is checked positive per cutoff), one
+    gather of each level's steady-state weight, and one pass of the rate
+    sum, load and outage terms.  Evaluators with equal :attr:`channel`
+    keys may share a stack's spend laws and level integrals
+    (:func:`_price_rows`).  A point's values do not depend on which
+    cutoffs share its stack or which users share its spend laws.  Results
+    are cached per (omega, theta); :meth:`evaluate` is a one-cutoff row.
 
-    The large arrays of a stack (spend laws, transition matrices, balance
-    systems, level integrals and their block work arrays) live in the
-    evaluator's :class:`~ehcr.workspace.Workspace`, allocated on first
-    use and reused by every later stack, so a warm stack allocates
+    The large arrays of a stack (spend laws, the spend scatter and its
+    censored blocks, level integrals and their block work arrays) live in
+    the evaluator's :class:`~ehcr.workspace.Workspace`, allocated on
+    first use and reused by every later stack, so a warm stack allocates
     almost nothing for glibc to hand back and fault in again.
     """
 
@@ -210,22 +209,21 @@ class SuEvaluator:
         ``gains`` is the stack's :func:`~ehcr.rate.level_gains` under this
         user's :attr:`channel`, computed first when not given.  Every
         large array is priced in this evaluator's workspace (see
-        :class:`PricedRow`); the level integrals go first so that every
-        array a first stack adds to it is in place before the solver's own
-        buffer is.
+        :class:`PricedRow`).  The steady state is censored from the spend
+        scatter (:meth:`~ehcr.battery.TransitionBuilder.steady_state`);
+        no transition matrix is built.
         """
         config, work = self.config, self._work
         if gains is None:
             gains = level_gains(config, self.profile, self.sensing,
                                 self.estimation, pmf, work)
-        phi = self._builder.matrix(pmf.idle_law, self.sensing.pi_hat_idle,
-                                   self.sensing.pi_hat_busy, pmf.moves,
-                                   scatter=pmf.skeleton.scatter,
-                                   caps=pmf.skeleton.caps, work=work)
-        zeta = steady_state(phi, work)
+        zeta = self._builder.steady_state(
+            pmf.idle_law, self.sensing.pi_hat_idle, self.sensing.pi_hat_busy,
+            pmf.moves, scatter=pmf.skeleton.scatter, caps=pmf.skeleton.caps,
+            work=work)
         weights = level_weights(zeta, pmf)
         return PricedRow(
-            pmf=pmf, gains=gains, matrix=phi, steady_state=zeta,
+            pmf=pmf, gains=gains, steady_state=zeta,
             rate=rate_sum(config, self.sensing, pmf, gains, weights, work),
             interference=interference_load(config, self.profile,
                                            self.sensing, pmf, weights, work),

@@ -288,8 +288,9 @@ def _block_entries(cells: int, laws: int) -> int:
 
     :data:`BLOCK_ENTRIES`, more once K is so large that a block's E1 work,
     at most 3 doubles per argument and 2 * ``laws`` arguments per entry,
-    still fits in the (K+1)^2 balance system every stack takes from the
-    workspace's scratch, but never more than :data:`BLOCK_ARGS` arguments.
+    still fits in the (K+1)^2 or more entries of the spend scatter every
+    stack's steady state takes from the workspace's scratch, but never
+    more than :data:`BLOCK_ARGS` arguments.
     """
     return min(max(BLOCK_ENTRIES, (cells + 1) ** 2 // (6 * laws)),
                BLOCK_ARGS // (2 * laws))

@@ -1,8 +1,8 @@
 """Work arrays a priced stack reuses from one call to the next.
 
 Pricing a stack of policies at K = 400 battery cells runs through
-several arrays of a megabyte or more (the transition matrices, their
-scatter and balance systems, the per-level spend laws and integrals).
+several arrays of a megabyte or more (the spend scatter its steady state
+censors, the per-level spend laws and integrals).
 Allocated afresh for every stack, glibc hands much of that memory back
 to the kernel between stacks and the next stack faults it in again.  A
 :class:`Workspace` keeps each such array alive instead: a function that
@@ -12,9 +12,8 @@ gets arrays of its own.
 
 Temporaries share one array, :data:`SCRATCH`: a function holds at most
 one scratch view at a time and none past its return, so the spend law's
-CDFs, the level integrals' gathers, the scatter of a transition matrix,
-the balance system of its steady state and the rate and load products
-all reuse the same memory.
+CDFs, the level integrals' gathers, the spend scatter of the steady
+state and the rate and load products all reuse the same memory.
 """
 from __future__ import annotations
 

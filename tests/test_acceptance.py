@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from ehcr import rate
 from ehcr.analysis import analyze, analyze_su
-from ehcr.battery import TransitionBuilder, steady_state
+from ehcr.battery import TransitionBuilder
 from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                         harvest_pmf)
 from ehcr.optimizer import SearchConfig, SuEvaluator, objective_surface, solve_p1
@@ -29,7 +29,8 @@ from ehcr.sim import compare, simulate
 
 def _random_transition_systems():
     """100 seeded random valid setups (K <= 100) run through the full
-    model -> sensing -> estimator -> policy -> transition pipeline."""
+    model -> sensing -> estimator -> policy -> transition pipeline, each
+    as (model, policy, spend law, transition matrix)."""
     rng = np.random.default_rng(2024)
     systems = []
     for _ in range(100):
@@ -59,7 +60,8 @@ def _random_transition_systems():
                                     cells, config.probe_cells)
         phi = builder.matrix(pmf.idle_law, sensing.pi_hat_idle,
                              sensing.pi_hat_busy, pmf.moves)[0]
-        systems.append((pmf, phi))
+        systems.append((NetworkModel(config=config, profiles=(profile,)),
+                        params, pmf, phi))
     return systems
 
 
@@ -87,7 +89,7 @@ def test_criterion_1_random_configs_are_stochastic():
     start = time.perf_counter()
     systems = _random_transition_systems()
     assert len(systems) == 100
-    for pmf, phi in systems:
+    for _, _, pmf, phi in systems:
         col_dev = np.abs(phi.sum(axis=0) - 1.0).max()
         assert col_dev <= 1e-12, "column sums off by %.3e" % col_dev
         # each level's zero spend plus its positive levels, per occupancy
@@ -102,8 +104,9 @@ def test_criterion_1_random_configs_are_stochastic():
 
 def test_criterion_2_steady_state_matches_power_iteration():
     start = time.perf_counter()
-    for _, phi in _random_transition_systems():
-        zeta = steady_state(phi)
+    for model, params, _, _ in _random_transition_systems():
+        chain = analyze_su(model, 0, params).chain
+        phi, zeta = chain.matrix, chain.steady_state
         residual = np.abs(phi @ zeta - zeta).max()
         assert residual < 1e-9, "fixed-point residual %.3e" % residual
         gap = np.abs(zeta - _power_iteration_oracle(phi)).max()

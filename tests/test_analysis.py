@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehcr.analysis import analyze, analyze_su
 from ehcr.battery import TransitionBuilder, battery_outage
@@ -22,17 +23,21 @@ def _gth_stationary(matrix):
     Grassmann, Taksar & Heyman (Oper. Res. 33(5), 1985): the chain is
     censored on ever fewer states with sums and products of nonnegative
     numbers only, so even masses far below rounding keep their relative
-    accuracy.  Too slow for the hot path, exact enough for an oracle.
+    accuracy.  States go from level 0 upward: a sensed-busy frame can
+    raise every level below K (the builder checks it), so each level's
+    mass towards the levels above it, the divisor, is positive, where a
+    level's mass downward can be zero.  Runs in the matrix's own float
+    type.  Too slow for the hot path, exact enough for an oracle.
     """
-    q = np.array(matrix, dtype=float).T  # q[i, j] = Pr{i -> j}
+    q = np.array(matrix).T  # q[i, j] = Pr{i -> j}
     n = q.shape[0]
-    for m in range(n - 1, 0, -1):
-        q[:m, m] /= q[m, :m].sum()
-        q[:m, :m] += np.outer(q[:m, m], q[m, :m])
-    pi = np.zeros(n)
-    pi[0] = 1.0
-    for m in range(1, n):
-        pi[m] = pi[:m] @ q[:m, m]
+    for m in range(n - 1):
+        q[m + 1:, m] /= q[m, m + 1:].sum()
+        q[m + 1:, m + 1:] += np.outer(q[m + 1:, m], q[m, m + 1:])
+    pi = np.zeros(n, dtype=q.dtype)
+    pi[-1] = 1.0
+    for m in range(n - 2, -1, -1):
+        pi[m] = pi[m + 1:] @ q[m + 1:, m]
     return pi / pi.sum()
 
 
@@ -109,6 +114,55 @@ def test_ideal_sensing_removes_all_interference():
     assert net.breakdown.aic_satisfied
 
 
+# ------------------------------------------ steady state against GTH ----
+
+def _priced_and_exact_steady_state(cells, reserve, harvest_rate, omega,
+                                   theta):
+    """The priced steady state of one policy, and a long-double GTH solve
+    of ``table.T @ M`` formed in long double from the same inputs."""
+    model = NetworkModel(
+        config=SystemConfig(battery_cells=cells, probe_cells=reserve),
+        profiles=(SuProfile(harvest_rate=harvest_rate),))
+    evaluator = SuEvaluator(model, 0)
+    pmf = transmit_row(omega, [theta], reserve, cells, evaluator.gain)
+    got = evaluator.price_row(pmf).steady_state[0]
+    ld = np.longdouble
+    state, units = pmf.moves
+    mix = np.zeros((cells + 1 + reserve, cells + 1), dtype=ld)
+    mix[state - units, state] = (ld(evaluator.sensing.pi_hat_idle)
+                                 * pmf.idle_law[0].astype(ld))
+    levels = np.arange(cells + 1)
+    mix[levels + reserve, levels] += ld(evaluator.sensing.pi_hat_busy)
+    table = evaluator._builder._table.astype(ld)
+    return got, _gth_stationary(np.einsum("sm,sj->mj", table, mix))
+
+
+def _check_entrywise(got, want):
+    """Every entry within 1e-12 relative; below the least normal double,
+    where a double holds fewer digits, within that number absolute."""
+    gap = np.abs(got - want)
+    assert (gap <= 1e-12 * want + np.finfo(float).tiny).all(), (
+        float((gap / np.maximum(want, np.finfo(float).tiny)).max()))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(cells=st.integers(4, 160), reserve=st.integers(0, 3),
+       harvest_rate=st.floats(0.4, 40.0), omega=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, 5.0))
+def test_steady_state_matches_long_double_gth(cells, reserve, harvest_rate,
+                                              omega, theta):
+    _check_entrywise(*_priced_and_exact_steady_state(
+        cells, reserve, harvest_rate, omega, theta))
+
+
+@pytest.mark.parametrize("reserve, harvest_rate, omega", [
+    (1, 15.0, 0.3), (1, 15.0, 0.7), (3, 4.0, 0.45), (2, 0.91, 0.61)])
+def test_k400_steady_state_matches_long_double_gth(reserve, harvest_rate,
+                                                   omega):
+    _check_entrywise(*_priced_and_exact_steady_state(
+        400, reserve, harvest_rate, omega, 0.2))
+
+
 # ------------------------------------------- dense-psi reference chain ----
 
 def _dense_chain(model, params):
@@ -118,10 +172,8 @@ def _dense_chain(model, params):
     whose zero column takes what the positive levels leave; the
     transition matrix is ``TransitionBuilder.matrix`` over every move a
     policy may make, spends 0..max(j - reserve, 0) at level j (checked
-    against a brute-force assembly in test_battery; the steady state is
-    too ill-conditioned at some settings for an independently rounded
-    matrix to agree to 1e-12); the steady state is a plain balance
-    solve; every term then reads psi.
+    against a brute-force assembly in test_battery); the steady state is
+    a GTH solve of it; every term then reads psi.
     """
     cfg, prof = model.config, model.profiles[0]
     k, r = cfg.battery_cells, cfg.probe_cells
@@ -142,9 +194,7 @@ def _dense_chain(model, params):
     moves = np.nonzero(levels <= np.maximum(levels[:, None] - r, 0))
     phi = builder.matrix(psi[0][moves], sen.pi_hat_idle, sen.pi_hat_busy,
                          moves)
-    zeta = np.linalg.solve(phi - np.eye(k + 1) + 1.0, np.ones(k + 1))
-    zeta = np.clip(zeta, 0.0, None)
-    zeta /= zeta.sum()
+    zeta = _gth_stationary(phi)
 
     rate = 0.0
     for eps, joint, err, mean, extra in (

@@ -7,14 +7,12 @@ import pytest
 from ehcr import battery
 from ehcr.analysis import analyze_su
 from ehcr.battery import (BAND_COLUMNS, ChainNotErgodicError, TransitionBuilder,
-                          avg_energy, battery_outage, spend_caps,
-                          steady_state)
+                          avg_energy, battery_outage, spend_caps)
 from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                         harvest_pmf)
 from ehcr.policy import level_skeleton, transmit_row
 from ehcr.probing import GainDistribution
 from ehcr.sensing import joint_sensing_stats
-from ehcr.workspace import Workspace
 
 MIX = GainDistribution(weights=(0.9, 0.1), means=(2.0, 1.0))
 
@@ -125,24 +123,14 @@ def test_no_harvest_always_busy_freezes_the_chain():
     np.testing.assert_allclose(phi, np.eye(cells + 1), atol=1e-11)
 
 
-def test_steady_state_two_state_closed_forms():
-    sym = np.array([[0.5, 0.5], [0.5, 0.5]])
-    np.testing.assert_allclose(steady_state(sym), [0.5, 0.5], atol=1e-14)
-    p, q = 0.3, 0.1  # up-rate, down-rate
-    chain = np.array([[1.0 - p, q], [p, 1.0 - q]])
-    np.testing.assert_allclose(steady_state(chain), [0.25, 0.75], atol=1e-12)
-
-
-def test_steady_state_fixed_point_on_random_chains():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        n = int(rng.integers(2, 40))
-        m = rng.random((n, n)) + 1e-3
-        m /= m.sum(axis=0, keepdims=True)
-        z = steady_state(m)
-        assert np.all(z >= 0.0)
-        assert z.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(m @ z - z)) < 1e-9
+def test_two_level_chain_has_the_closed_form_steady_state():
+    # levels 0 and 1: up-rate p, down-rate q, steady state (q, p) / (p + q)
+    builder = TransitionBuilder(harvest_pmf(0.7, 1), 1, 0)
+    pmf = transmit_row(1.0, [0.1], 0, 1, MIX)
+    phi = builder.matrix(pmf.idle_law, 0.6, 0.4, pmf.moves)[0]
+    p, q = phi[1, 0], phi[0, 1]
+    zeta = builder.steady_state(pmf.idle_law, 0.6, 0.4, pmf.moves)[0]
+    np.testing.assert_allclose(zeta, [q / (p + q), p / (p + q)], rtol=1e-15)
 
 
 def test_steady_state_rejects_reducible_chains():
@@ -156,11 +144,23 @@ def test_steady_state_rejects_reducible_chains():
             TransitionBuilder(harvest, cells, 1)
     builder = TransitionBuilder(harvest_pmf(2.0, cells), cells, 1)
     pmf = transmit_row(0.5, [0.1], 1, cells, MIX)
-    with pytest.raises(ChainNotErgodicError):
-        builder.matrix(pmf.idle_law, 1.0, 0.0, pmf.moves)
-    # the steady state still rejects a singular balance system
-    with pytest.raises(ChainNotErgodicError):
-        steady_state(np.eye(3))
+    for method in (builder.matrix, builder.steady_state):
+        with pytest.raises(ChainNotErgodicError):
+            method(pmf.idle_law, 1.0, 0.0, pmf.moves)
+
+
+def test_a_zero_exit_mass_is_rejected():
+    """Busy frames of the least positive chance, 5e-324, are a legal chain
+    whose every exit mass rounds to 0: the chance of rising stays below
+    1/2, and half the least double rounds to 0."""
+    cells = 6
+    harvest = harvest_pmf(0.2, cells)
+    builder = TransitionBuilder(harvest, cells, 1)
+    pmf = transmit_row(0.5, [0.1], 1, cells, MIX)
+    busy = float(np.nextafter(0.0, 1.0))
+    assert busy > 0.0 and 1.0 - harvest[0] < 0.5
+    with pytest.raises(ChainNotErgodicError, match="exit mass"):
+        builder.steady_state(pmf.idle_law, 0.0, busy, pmf.moves)
 
 
 def test_chain_summary_metrics():
@@ -189,10 +189,11 @@ def test_avg_energy_monotone_in_harvest_rate():
     sensing = joint_sensing_stats(0.7, 0.1, 0.85)
     means = []
     for rho in [0.5, 2.0, 5.0, 10.0, 20.0]:
-        phi = TransitionBuilder(harvest_pmf(rho, cells), cells, 1).matrix(
+        zeta = TransitionBuilder(harvest_pmf(rho, cells), cells,
+                                 1).steady_state(
             pmf.idle_law, sensing.pi_hat_idle, sensing.pi_hat_busy,
             pmf.moves)
-        means.append(float(avg_energy(steady_state(phi))[0]))
+        means.append(float(avg_energy(zeta)[0]))
     assert all(b >= a - 1e-9 for a, b in zip(means, means[1:]))
 
 
@@ -235,16 +236,20 @@ def test_transition_matrix_memory_at_large_battery():
 
 
 def test_steady_state_zero_on_transient_states():
-    # states 0 and 1 drain into the closed class {2, 3, 4}
-    chain = np.array([[0.2, 0.0, 0.0, 0.0, 0.0],
-                      [0.3, 0.5, 0.0, 0.0, 0.0],
-                      [0.5, 0.2, 0.1, 0.6, 0.3],
-                      [0.0, 0.3, 0.6, 0.2, 0.3],
-                      [0.0, 0.0, 0.3, 0.2, 0.4]])
-    z = steady_state(chain)
-    np.testing.assert_allclose(z[:2], 0.0, atol=1e-15)
-    inner = steady_state(chain[2:, 2:])
-    np.testing.assert_allclose(z[2:], inner, atol=1e-12)
+    """Without a reserve, a level spends less than half its charge at
+    omega = 0.5 (the derating stays below 1), so nothing returns to
+    levels 0 and 1; at omega = 0 nothing ever falls, and every level
+    below K is transient."""
+    cells = 40
+    builder = TransitionBuilder(harvest_pmf(3.0, cells), cells, 0)
+    for omega, transient in ((0.5, 2), (0.0, cells)):
+        pmf = transmit_row(omega, [0.1, 0.5], 0, cells, MIX)
+        zeta = builder.steady_state(pmf.idle_law, 0.7, 0.3, pmf.moves)
+        assert (zeta[:, :transient] == 0.0).all()
+        assert (zeta[:, transient:] > 0.0).all()
+        for law, z in zip(pmf.idle_law, zeta):
+            phi = builder.matrix(law, 0.7, 0.3, pmf.moves)
+            assert np.abs(phi @ z - z).max() < 1e-15
 
 
 def _reaches_top(chain):
@@ -272,8 +277,9 @@ def test_steady_state_rejects_classes_sharing_a_transient_state():
                        [0.0, 0.0, 0.0, 0.9, 0.1]])
     assert not _reaches_top(shared)
     # every chain the builder makes lets every level reach K, so it has
-    # one closed class: random legal laws, reserves down to 0 (levels
-    # that stay put in idle frames) and harvest laws with gaps
+    # one closed class and its steady state is a fixed point: random legal
+    # laws, reserves down to 0 (levels that stay put in idle frames) and
+    # harvest laws with gaps
     rng = np.random.default_rng(43)
     for trial in range(40):
         cells = int(rng.integers(1, 30))
@@ -286,29 +292,31 @@ def test_steady_state_rejects_classes_sharing_a_transient_state():
             harvest = harvest_pmf(float(10.0 ** rng.uniform(-2, 1.5)), cells)
         moves, law = _random_legal_law(rng, cells, reserve)
         busy = float(rng.uniform(1e-3, 0.95))
-        phi = TransitionBuilder(harvest, cells, reserve).matrix(
-            law, 1.0 - busy, busy, moves)
+        builder = TransitionBuilder(harvest, cells, reserve)
+        phi = builder.matrix(law, 1.0 - busy, busy, moves)
         assert _reaches_top(phi)
-        z = steady_state(phi)
-        assert np.max(np.abs(phi @ z - z)) < 1e-9
+        z = builder.steady_state(law, 1.0 - busy, busy, moves)
+        assert (z >= 0.0).all() and z.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(phi @ z - z)) < 1e-13
 
 
 def test_stacked_chains_are_solved_and_checked_one_by_one():
-    rng = np.random.default_rng(41)
-    chains = rng.random((4, 6, 6)) + 1e-3
-    chains /= chains.sum(axis=1, keepdims=True)
-    stacked = steady_state(chains)
-    for chain, z in zip(chains, stacked):
-        np.testing.assert_array_equal(steady_state(chain[None])[0], z)
-    # one singular system or one residual above 1e-9 anywhere in the
-    # stack is rejected
-    leaky = chains[0] * np.linspace(0.9, 1.0, 6)
-    for bad in (np.eye(6), leaky):
-        for position in range(4):
-            mixed = chains.copy()
-            mixed[position] = bad
-            with pytest.raises(ChainNotErgodicError):
-                steady_state(mixed)
+    cells, reserve = 80, 1
+    builder = TransitionBuilder(harvest_pmf(15.0, cells), cells, reserve)
+    skeleton = level_skeleton(0.45, reserve, cells)
+    row = transmit_row(0.45, (0.02, 0.2, 0.8), reserve, cells, MIX, skeleton)
+    stacked = builder.steady_state(row.idle_law, 0.7, 0.3, row.moves,
+                                   skeleton.scatter, skeleton.caps)
+    for law, z in zip(row.idle_law, stacked):
+        alone = builder.steady_state(law[None], 0.7, 0.3, row.moves)[0]
+        assert alone.tobytes() == z.tobytes()
+    # a NaN mass of a level below K anywhere in the stack is rejected: the
+    # zero spend of level 3
+    for position in range(3):
+        law = row.idle_law.copy()
+        law[position, -(cells + 1) + 3] = np.nan
+        with pytest.raises(ChainNotErgodicError):
+            builder.steady_state(law, 0.7, 0.3, row.moves)
 
 
 def test_stacked_spend_laws_give_one_matrix_each():
@@ -339,18 +347,23 @@ def _dense_matrix(builder, law, idle_prob, busy_prob, moves):
 
 
 def _band_cases(cells, omegas, thetas):
-    """(builder, skeleton, idle law, workspace) of each omega and reserve
-    0-3; the workspace's matrix starts as NaN, so an entry the band product
-    leaves unwritten shows."""
+    """(builder, skeleton, idle law) of each omega and reserve 0-3."""
     for reserve in range(4):
         builder = TransitionBuilder(harvest_pmf(3.0, cells), cells, reserve)
         for omega in omegas:
             skeleton = level_skeleton(omega, reserve, cells)
             row = transmit_row(omega, thetas, reserve, cells, MIX, skeleton)
-            work = Workspace()
-            work.empty("battery.matrix",
-                       (len(thetas), cells + 1, cells + 1)).fill(np.nan)
-            yield builder, skeleton, row.idle_law, work
+            yield builder, skeleton, row.idle_law
+
+
+def _nan_filled_arrays(monkeypatch):
+    """Make ``np.empty`` fill float arrays with NaN, so an entry that the
+    band product leaves unwritten shows."""
+    def empty(shape, dtype=float, **kwargs):
+        return np.full(shape, np.nan if np.dtype(dtype).kind == "f" else 0,
+                       dtype)
+
+    monkeypatch.setattr(np, "empty", empty)
 
 
 def _check_band_zeros(phi, caps, reserve):
@@ -367,16 +380,16 @@ def _check_band_zeros(phi, caps, reserve):
 
 @pytest.mark.parametrize("thetas", [(0.2,), (0.02, 0.04, 0.07, 0.1, 0.15,
                                              0.2, 0.3, 0.5, 0.8)])
-def test_band_product_equals_the_dense_product_at_k80(thetas):
+def test_band_product_equals_the_dense_product_at_k80(thetas, monkeypatch):
     """At K = 80 every product fits one BLAS panel: the band product is the
     dense product bit for bit, with caps given or derived from the moves."""
+    _nan_filled_arrays(monkeypatch)
     cells, zeros, cases = 80, 0, set()
-    for builder, skeleton, law, work in _band_cases(
+    for builder, skeleton, law in _band_cases(
             cells, (0.0, 0.05, 0.45, 1.0), thetas):
         reserve = builder.probe_cells
         got = builder.matrix(law, 0.7, 0.3, skeleton.moves,
-                             scatter=skeleton.scatter, caps=skeleton.caps,
-                             work=work)
+                             scatter=skeleton.scatter, caps=skeleton.caps)
         want = _dense_matrix(builder, law, 0.7, 0.3, skeleton.moves)
         assert got.tobytes() == want.tobytes()
         assert (builder.matrix(law, 0.7, 0.3, skeleton.moves).tobytes()
@@ -392,15 +405,14 @@ def test_band_product_equals_the_dense_product_at_k80(thetas):
     assert len(range(0, cells + 1, BAND_COLUMNS)) > 1 and zeros > 0
 
 
-def test_band_product_matches_the_dense_product_at_k400():
+def test_band_product_matches_the_dense_product_at_k400(monkeypatch):
     """At K = 400 each product sums the dense product's nonzero terms in
     another panel order."""
+    _nan_filled_arrays(monkeypatch)
     cells = 400
-    for builder, skeleton, law, work in _band_cases(cells, (0.3, 0.7),
-                                                    (0.2,)):
+    for builder, skeleton, law in _band_cases(cells, (0.3, 0.7), (0.2,)):
         got = builder.matrix(law, 0.7, 0.3, skeleton.moves,
-                             scatter=skeleton.scatter, caps=skeleton.caps,
-                             work=work)
+                             scatter=skeleton.scatter, caps=skeleton.caps)
         want = _dense_matrix(builder, law, 0.7, 0.3, skeleton.moves)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
         assert _check_band_zeros(got, skeleton.caps, builder.probe_cells)

@@ -448,8 +448,8 @@ def test_last_user_split_matches_the_full_fold():
 
 def test_warm_k400_stack_allocates_less_than_one_transition_matrix():
     """A stack priced after another of its omega reuses the evaluator's
-    work arrays: spend laws, scatter, matrix, balance system, level
-    integrals and their block arrays all exist already."""
+    work arrays: spend laws, scatter, censored blocks, level integrals and
+    their block arrays all exist already."""
     model = NetworkModel(config=SystemConfig(battery_cells=400),
                          profiles=(SuProfile(),))
     evaluator = SuEvaluator(model, 0)
@@ -473,8 +473,8 @@ def test_a_second_stack_of_an_omega_grows_no_work_array(cells, omega, thetas):
     of the scratch depends on how many arguments lie from 2 on, but never
     exceeds 3 doubles per argument of a block.  At K = 80 the 9-cutoff
     stack's (shift x level) scatter outweighs that; at K = 400 the blocks
-    are sized (``rate._block_entries``) so that it fits in the (K+1)^2
-    balance system of the stack's steady state."""
+    are sized (``rate._block_entries``) so that it fits in the stack's
+    (shift x level) scatter, at least (K+1)^2 entries."""
     model = NetworkModel(config=SystemConfig(battery_cells=cells),
                          profiles=(SuProfile(),))
     evaluator = SuEvaluator(model, 0)
@@ -492,8 +492,8 @@ def test_a_second_stack_of_an_omega_grows_no_work_array(cells, omega, thetas):
 
 
 def test_priced_rows_share_the_evaluators_work_arrays():
-    """``PricedRow.matrix`` is valid until the evaluator's next stack; a
-    stack priced without a workspace owns its arrays."""
+    """``PricedRow.gains`` is valid until the evaluator's next stack; a
+    fresh evaluator prices the same numbers in arrays of its own."""
     model = _model(cells=20)
     evaluator = SuEvaluator(model, 0)
     cfg = evaluator.config
@@ -503,9 +503,24 @@ def test_priced_rows_share_the_evaluators_work_arrays():
                             evaluator.gain)
 
     first = evaluator.price_row(pmf(0.1))
-    kept = first.matrix.copy()
+    kept = first.gains[0].copy()
     second = evaluator.price_row(pmf(2.0))
-    assert np.shares_memory(first.matrix, second.matrix)
-    assert not (second.matrix == kept).all()
+    assert np.shares_memory(first.gains[0], second.gains[0])
+    assert not (second.gains[0] == kept).all()
     fresh = SuEvaluator(model, 0).price_row(pmf(0.1))
-    assert fresh.matrix.tobytes() == kept.tobytes()
+    assert not np.shares_memory(fresh.gains[0], second.gains[0])
+    assert fresh.gains[0].tobytes() == kept.tobytes()
+
+
+def test_pricing_builds_no_transition_matrix(monkeypatch):
+    """Stacks are priced on the spend scatter: ``TransitionBuilder.matrix``
+    is for the analysis to report, never called by ``price_row``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("pricing built a transition matrix")
+
+    model = _model(cells=40)
+    want = [SuEvaluator(model, 0).evaluate_row(0.45, [0.05, 0.2, 0.8])]
+    monkeypatch.setattr(optimizer.TransitionBuilder, "matrix", refuse)
+    got = [SuEvaluator(model, 0).evaluate_row(0.45, [0.05, 0.2, 0.8])]
+    assert got == want
+    solve_p1(_model(cap=1.0), SMALL)
