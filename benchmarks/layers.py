@@ -19,19 +19,16 @@ row runs, each on the evaluator's level skeleton, scatter index and
 workspace as ``SuEvaluator.price_row`` runs it: the spend law
 (``transmit_row``), then those of ``price_row``: the steady state
 (``censoring``: ``TransitionBuilder.steady_state``, which censors the
-spend scatter; on a tree whose ``battery`` module still has a
-``steady_state`` function, ``TransitionBuilder.matrix`` and then that
-solve, as its ``price_row`` ran them), the level integrals
-(``rate.level_gains``) and the terms the steady state weights
-(``level_weights``, ``rate_sum``, ``interference_load`` and
-``transmission_outage``), plus the uncached ``evaluate`` itself, in
-microseconds per call.  At K = 80 the same layers are timed on the
+spend scatter), the level integrals (``rate.level_gains``) and the
+terms the steady state weights (``level_weights``, ``rate_sum``,
+``interference_load`` and ``transmission_outage``), plus the uncached
+``evaluate`` itself, in microseconds per call.  At K = 80 the same layers are timed on the
 9-cutoff row at omega = 0.45 (``k80_row9_<layer>_us``), the shape of
 most rows of the policy search.  At K = 400 the steady state and the
 level integrals are also timed at the two spend fractions of
 perfbench's ``grid-k400`` rows, 0.3 and 0.7
-(``k400_omega30_<layer>_us``), where the transition scatter's band is
-narrow and wide, and the steady state at a harvest rate of 0.8
+(``k400_omega30_<layer>_us``), where levels spend few and many cells,
+and the steady state at a harvest rate of 0.8
 (``k400_harvest08_censoring_us``), where the censored blocks are
 narrowest.
 An uncached row of cutoffs at omega = 0.45 is timed in microseconds per
@@ -79,7 +76,7 @@ from types import SimpleNamespace
 
 REPO = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
-MODULES = ("model", "policy", "battery", "rate", "optimizer", "sim")
+MODULES = ("model", "policy", "rate", "optimizer", "sim")
 # calibrated loops run at least SAMPLE_S
 SAMPLE_S = 0.05
 PAIRS = 21
@@ -112,13 +109,12 @@ WALKS = {"default_75k": (DEFAULT_POINT, 75_000),
 def _layers(m, ev, thetas, omega=POLICY[0]):
     """The layers an uncached row of ``thetas`` at ``omega`` runs, each
     called as ``SuEvaluator.price_row`` calls it: on the evaluator's level
-    skeleton, scatter index, spend caps (on trees whose matrix takes them)
-    and workspace.  Each layer rewrites the same work arrays with the same
-    values, so the inputs of the others stay valid."""
+    skeleton, scatter index, spend caps and workspace.  Each layer
+    rewrites the same work arrays with the same values, so the inputs of
+    the others stay valid."""
     cfg, prof, sensing, work = ev.config, ev.profile, ev.sensing, ev._work
     rate = m.rate
     skeleton = ev._level_skeleton(omega)
-    band = {"caps": skeleton.caps} if hasattr(skeleton, "caps") else {}
 
     def spend_pmf():
         return m.policy.transmit_row(omega, thetas, cfg.probe_cells,
@@ -126,13 +122,10 @@ def _layers(m, ev, thetas, omega=POLICY[0]):
                                      work)
 
     def censoring():
-        chain = (pmf.idle_law, sensing.pi_hat_idle, sensing.pi_hat_busy,
-                 pmf.moves)
-        if hasattr(m.battery, "steady_state"):
-            return m.battery.steady_state(ev._builder.matrix(
-                *chain, scatter=skeleton.scatter, work=work, **band), work)
-        return ev._builder.steady_state(*chain, scatter=skeleton.scatter,
-                                        caps=skeleton.caps, work=work)
+        return ev._builder.steady_state(
+            pmf.idle_law, sensing.pi_hat_idle, sensing.pi_hat_busy,
+            pmf.moves, scatter=skeleton.scatter, caps=skeleton.caps,
+            work=work)
 
     def level_gains():
         return rate.level_gains(cfg, prof, sensing, ev.estimation, pmf, work)

@@ -62,7 +62,7 @@ def analyze_su(model: NetworkModel, index: int,
     matrix = evaluator._builder.matrix(
         row.pmf.idle_law[0], evaluator.sensing.pi_hat_idle,
         evaluator.sensing.pi_hat_busy, row.pmf.moves,
-        scatter=row.pmf.skeleton.scatter, caps=row.pmf.skeleton.caps)
+        scatter=row.pmf.skeleton.scatter)
     chain = BatteryChain(matrix=matrix,
                          steady_state=row.steady_state[0],
                          avg_energy=float(row.avg_energy[0]),

@@ -11,13 +11,10 @@ at empty (the slot simulator instead skips the probe there).  Each
 column of the transition matrix is the next-level distribution given
 the current level.
 
-The matrix is a product of the harvest law's clamp-shift table T with a
-(shift x level) scatter M of the policy's moves.  Column j's moves land
-on shifts j - reserve - cap(j) up to j - reserve (its spends, cap(j) the
-largest) and on j (its busy frame), and a harvest never lowers a level,
-so the scatter is a band and the product's rows below a column's lowest
-shift are zero.  :meth:`TransitionBuilder.matrix` multiplies the band
-only, a block of :data:`BAND_COLUMNS` columns at a time.
+The matrix is ``T.T @ M``: the harvest law's clamp-shift table T times a
+(shift x level) scatter M of the policy's moves, in which column j's
+moves land on shifts j - reserve - cap(j) up to j - reserve (its spends,
+cap(j) the largest) and on j (its busy frame).
 
 The steady state never forms that matrix.  :meth:`TransitionBuilder.
 steady_state` censors the chain on ever higher levels, a block B of
@@ -46,10 +43,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .workspace import SCRATCH, Workspace
 
 
-# Columns per product of TransitionBuilder.matrix: K = 80 runs two blocks,
-# K = 400 nine.
-BAND_COLUMNS = 48
-
 # Most levels censored per block of TransitionBuilder.steady_state.  With
 # the width rule (see the module docstring) every entry stayed within
 # 1.5e-13 relative of a long-double solve over 900 random settings (K <=
@@ -75,10 +68,10 @@ class TransitionBuilder:
     every pre-harvest shift ``s`` a policy move can reach: from
     ``-reserve`` (a level at or below the reserve that spends nothing)
     up to ``K`` (a full battery in a busy frame).  Building the table
-    once lets many policies be priced against the same harvest law with
-    one matrix product each.  The steady state's blocks of levels and
-    their panels (each block's columns of the table, then the chance of
-    landing above the block) are built here too.
+    once lets many policies be priced against the same harvest law.  The
+    steady state's blocks of levels and their panels (each block's
+    columns of the table, then the chance of landing above the block)
+    are built here too.
 
     The table is checked once: a sensed-busy frame must be able to raise
     every level below K, that is, the chance of harvesting nothing must
@@ -158,8 +151,8 @@ class TransitionBuilder:
         return mix
 
     def matrix(self, idle_law: np.ndarray, idle_prob: float,
-               busy_prob: float, moves, scatter: Optional[np.ndarray] = None,
-               caps: Optional[np.ndarray] = None) -> np.ndarray:
+               busy_prob: float, moves,
+               scatter: Optional[np.ndarray] = None) -> np.ndarray:
         """Column-stochastic transition matrix of each stacked spend law.
 
         ``moves = (state, units)`` lists spend moves: ``idle_law[..., m]``
@@ -170,41 +163,17 @@ class TransitionBuilder:
         move's mass is scattered onto its pre-harvest shift in a
         (shift x level) matrix M, and the transition matrix is
         ``table.T @ M``; leading axes of the law give one matrix each.
-        ``scatter`` is :func:`scatter_index` of ``moves`` and ``caps``
-        their :func:`spend_caps`, computed here when not given.  A move
-        that spends more than its level holds has a shift below the table
-        and raises ``ValueError``.  ``busy_prob`` must be positive: busy
-        frames are what give the chain one closed class.
+        ``scatter`` is :func:`scatter_index` of ``moves``, computed here
+        when not given.  A move that spends more than its level holds has
+        a shift below the table and raises ``ValueError``.  ``busy_prob``
+        must be positive: busy frames are what give the chain one closed
+        class.
 
-        The product runs on M's band, one block of :data:`BAND_COLUMNS`
-        columns [c0, c1) at a time.  Column j's moves sit on rows
-        j - caps[j] up to j + reserve, and j - caps[j] never falls as j
-        grows, so the block multiplies M's rows [c0 - caps[c0],
-        c1 + reserve) only.  A harvest never lowers a level, so the
-        result's rows below the block's lowest shift c0 - caps[c0] -
-        reserve are the dense product's +0.0, written as such.  Each
-        block sums the dense product's nonzero terms: at K = 80, where
-        every product's inner dimension fits one BLAS panel, the two agree
-        bit for bit, and at K = 400 entries differ by a few 1e-17.
         Pricing never needs the matrix (see :meth:`steady_state`); it is
         a new array, built for what reports or checks it.
         """
-        k, reserve = self.cells, self.probe_cells
-        if caps is None:
-            caps = spend_caps(moves, k)
-        mix = self._scatter(idle_law, idle_prob, busy_prob, moves, scatter,
-                            Workspace())
-        out = np.empty(mix.shape[:-2] + (k + 1,) * 2)
-        for c0 in range(0, k + 1, BAND_COLUMNS):
-            c1, r0 = c0 + BAND_COLUMNS, c0 - int(caps[c0])
-            # next levels below the block's lowest shift
-            m0 = max(r0 - reserve, 0)
-            if m0:
-                out[..., :m0, c0:c1] = 0.0
-            np.matmul(self._table[r0:c1 + reserve, m0:].T,
-                      mix[..., r0:c1 + reserve, c0:c1],
-                      out=out[..., m0:, c0:c1])
-        return out
+        return np.matmul(self._table.T, self._scatter(
+            idle_law, idle_prob, busy_prob, moves, scatter, Workspace()))
 
     def steady_state(self, idle_law: np.ndarray, idle_prob: float,
                      busy_prob: float, moves,
@@ -213,19 +182,20 @@ class TransitionBuilder:
                      work: Optional[Workspace] = None) -> np.ndarray:
         """Stationary law of each stacked spend law's chain (a new array).
 
-        Takes :meth:`matrix`'s arguments and never builds the matrix.
-        Each block B = [b0, b1) of levels below K is censored out of the
-        chain in turn, from level 0 up.  R = [b1, e) holds the levels
-        above B that can fall into it, those whose lowest next level
-        j - reserve - caps[j] lies below b1; that bound never falls as j
-        grows and depends on the spend fraction only, so a stack's blocks
-        do not depend on its cutoffs.  With Q = panel(B) @ M[:b1 +
-        reserve, B ∪ R] (the chain's rows B, then each column's mass at
-        b1 or above), A is -Q[B, B] with each diagonal entry replaced by
-        its column's exit mass (Q's other rows of that column, summed),
-        H = A^-1 Q[B, R], and M[:, R] += M[:, B] @ H.  H is kept in M's
-        spent columns B.  Back-substitution starts from level K at 1, sets
-        zeta_B = H @ zeta_R block by block, and normalizes.
+        Takes :meth:`matrix`'s arguments and ``caps``, the moves'
+        :func:`spend_caps` (computed here when not given), and never
+        builds the matrix.  Each block B = [b0, b1) of levels below K is
+        censored out of the chain in turn, from level 0 up.  R = [b1, e)
+        holds the levels above B that can fall into it, those whose lowest
+        next level j - reserve - caps[j] lies below b1; that bound never
+        falls as j grows and depends on the spend fraction only, so a
+        stack's blocks do not depend on its cutoffs.  With Q = panel(B) @
+        M[:b1 + reserve, B ∪ R] (the chain's rows B, then each column's
+        mass at b1 or above), A is -Q[B, B] with each diagonal entry
+        replaced by its column's exit mass (Q's other rows of that column,
+        summed), H = A^-1 Q[B, R], and M[:, R] += M[:, B] @ H.  H is kept
+        in M's spent columns B.  Back-substitution starts from level K at
+        1, sets zeta_B = H @ zeta_R block by block, and normalizes.
 
         Every level can leave every block (:class:`TransitionBuilder`'s
         check), so every exit mass is positive; one that is not, in any
@@ -306,7 +276,8 @@ def scatter_index(moves, cells: int) -> np.ndarray:
 
 
 def spend_caps(moves, cells: int) -> np.ndarray:
-    """Per-level spend caps of ``moves`` for :meth:`TransitionBuilder.matrix`.
+    """Per-level spend caps of ``moves``: they bound how far above each
+    block :meth:`TransitionBuilder.steady_state`'s censoring reaches.
 
     Level j's cap is the largest spend of its moves (0 without any),
     raised where needed so that j - cap never falls as j grows.
@@ -315,7 +286,7 @@ def spend_caps(moves, cells: int) -> np.ndarray:
     caps = np.zeros(cells + 1, dtype=int)
     np.maximum.at(caps, state, units)
     levels = np.arange(cells + 1)
-    # the band's lowest row, j - cap, as a minimum over every later level
+    # each level's lowest row, j - cap, as a minimum over every later level
     low = np.minimum.accumulate((levels - caps)[::-1])[::-1]
     return levels - low
 

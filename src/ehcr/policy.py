@@ -69,10 +69,10 @@ class LevelSkeleton(NamedTuple):
     ``moves`` lists every spend level, then every battery level's zero
     spend, as (battery level, spend); ``scatter`` is their
     :func:`~ehcr.battery.scatter_index` and ``caps`` each battery level's
-    largest spend, the band of its transition matrices' scatter
-    (:meth:`~ehcr.battery.TransitionBuilder.matrix`).  Within a battery
-    level the levels run from spend 1 (``first``) up to its top level
-    (``top``).
+    largest spend, which bounds how far above each block
+    :meth:`~ehcr.battery.TransitionBuilder.steady_state`'s censoring
+    reaches.  Within a battery level the levels run from spend 1
+    (``first``) up to its top level (``top``).
     A :class:`PolicyPmf` built from it shares these arrays, so a row
     priced in several stacks computes them once.
     """

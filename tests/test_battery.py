@@ -4,10 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ehcr import battery
 from ehcr.analysis import analyze_su
-from ehcr.battery import (BAND_COLUMNS, ChainNotErgodicError, TransitionBuilder,
-                          avg_energy, battery_outage, spend_caps)
+from ehcr.battery import (ChainNotErgodicError, TransitionBuilder, avg_energy,
+                          battery_outage, spend_caps)
 from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                         harvest_pmf)
 from ehcr.policy import level_skeleton, transmit_row
@@ -335,93 +334,11 @@ def test_stacked_spend_laws_give_one_matrix_each():
         np.testing.assert_allclose(phi, want, atol=1e-15)
 
 
-def _dense_matrix(builder, law, idle_prob, busy_prob, moves):
-    """``table.T @ M`` over the whole (shift x level) scatter M, one product."""
-    cells, reserve = builder.cells, builder.probe_cells
-    state, units = moves
-    mix = np.zeros(law.shape[:-1] + (cells + 1 + reserve, cells + 1))
-    mix[..., state - units, state] = idle_prob * law
-    levels = np.arange(cells + 1)
-    mix[..., levels + reserve, levels] += busy_prob
-    return np.matmul(builder._table.T, mix)
-
-
-def _band_cases(cells, omegas, thetas):
-    """(builder, skeleton, idle law) of each omega and reserve 0-3."""
-    for reserve in range(4):
-        builder = TransitionBuilder(harvest_pmf(3.0, cells), cells, reserve)
-        for omega in omegas:
-            skeleton = level_skeleton(omega, reserve, cells)
-            row = transmit_row(omega, thetas, reserve, cells, MIX, skeleton)
-            yield builder, skeleton, row.idle_law
-
-
-def _nan_filled_arrays(monkeypatch):
-    """Make ``np.empty`` fill float arrays with NaN, so an entry that the
-    band product leaves unwritten shows."""
-    def empty(shape, dtype=float, **kwargs):
-        return np.full(shape, np.nan if np.dtype(dtype).kind == "f" else 0,
-                       dtype)
-
-    monkeypatch.setattr(np, "empty", empty)
-
-
-def _check_band_zeros(phi, caps, reserve):
-    """Every entry below a block's lowest shift is exactly +0.0."""
-    cells = phi.shape[-1] - 1
-    seen = 0
-    for c0 in range(0, cells + 1, BAND_COLUMNS):
-        m0 = max(c0 - int(caps[c0]) - reserve, 0)
-        above = phi[..., :m0, c0:c0 + BAND_COLUMNS]
-        assert (above == 0.0).all() and not np.signbit(above).any()
-        seen += above.size
-    return seen
-
-
-@pytest.mark.parametrize("thetas", [(0.2,), (0.02, 0.04, 0.07, 0.1, 0.15,
-                                             0.2, 0.3, 0.5, 0.8)])
-def test_band_product_equals_the_dense_product_at_k80(thetas, monkeypatch):
-    """At K = 80 every product fits one BLAS panel: the band product is the
-    dense product bit for bit, with caps given or derived from the moves."""
-    _nan_filled_arrays(monkeypatch)
-    cells, zeros, cases = 80, 0, set()
-    for builder, skeleton, law in _band_cases(
-            cells, (0.0, 0.05, 0.45, 1.0), thetas):
-        reserve = builder.probe_cells
-        got = builder.matrix(law, 0.7, 0.3, skeleton.moves,
-                             scatter=skeleton.scatter, caps=skeleton.caps)
-        want = _dense_matrix(builder, law, 0.7, 0.3, skeleton.moves)
-        assert got.tobytes() == want.tobytes()
-        assert (builder.matrix(law, 0.7, 0.3, skeleton.moves).tobytes()
-                == want.tobytes())
-        zeros += _check_band_zeros(got, skeleton.caps, reserve)
-        blocks = range(BAND_COLUMNS, cells + 1, BAND_COLUMNS)
-        # a later block whose first column spends nothing, and omega = 1,
-        # whose band reaches down to row `reserve` (shift 0)
-        cases.add(("cap 0", any(skeleton.caps[c0] == 0 for c0 in blocks)))
-        cases.add(("row reserve", any(c0 - skeleton.caps[c0] == reserve
-                                      for c0 in blocks if c0 > reserve)))
-    assert ("cap 0", True) in cases and ("row reserve", True) in cases
-    assert len(range(0, cells + 1, BAND_COLUMNS)) > 1 and zeros > 0
-
-
-def test_band_product_matches_the_dense_product_at_k400(monkeypatch):
-    """At K = 400 each product sums the dense product's nonzero terms in
-    another panel order."""
-    _nan_filled_arrays(monkeypatch)
-    cells = 400
-    for builder, skeleton, law in _band_cases(cells, (0.3, 0.7), (0.2,)):
-        got = builder.matrix(law, 0.7, 0.3, skeleton.moves,
-                             scatter=skeleton.scatter, caps=skeleton.caps)
-        want = _dense_matrix(builder, law, 0.7, 0.3, skeleton.moves)
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
-        assert _check_band_zeros(got, skeleton.caps, builder.probe_cells)
-
-
-def test_band_covers_moves_whose_lowest_row_falls(monkeypatch):
+def test_band_covers_moves_whose_lowest_row_falls():
     """Moves need not come from a policy: where a level spends less than a
-    lower one, ``spend_caps`` raises the caps until j - cap never falls."""
-    monkeypatch.setattr(battery, "BAND_COLUMNS", 3)
+    lower one, ``spend_caps`` raises the caps until j - cap never falls,
+    so the censoring's fill reaches every level that can fall into a
+    block."""
     rng = np.random.default_rng(29)
     raised = 0
     for _ in range(20):
@@ -441,9 +358,9 @@ def test_band_covers_moves_whose_lowest_row_falls(monkeypatch):
         assert (caps >= largest).all()
         raised += int((caps > largest).any())
         harvest = harvest_pmf(float(rng.uniform(0.1, 5.0)), cells)
-        got = TransitionBuilder(harvest, cells, reserve).matrix(
+        zeta = TransitionBuilder(harvest, cells, reserve).steady_state(
             law, 0.6, 0.4, moves)
-        want = _brute_force_matrix(moves, law, 0.6, 0.4, harvest, cells,
-                                   reserve)
-        np.testing.assert_allclose(got, want, atol=1e-14)
+        phi = _brute_force_matrix(moves, law, 0.6, 0.4, harvest, cells,
+                                  reserve)
+        assert np.max(np.abs(phi @ zeta - zeta)) < 1e-13
     assert raised

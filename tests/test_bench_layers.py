@@ -21,8 +21,13 @@ def test_paired_timer_reports_side_medians_and_ratio_quartiles():
     tree = layers._load(os.path.dirname(os.path.dirname(ehcr.__file__)))
     # the tree loads beside the package this process imported
     assert sys.modules["ehcr"] is ehcr and tree.rate is not ehcr.rate
-    name, fn, scale = next(layers.rows(tree, {}))
+    rows = layers.rows(tree, {})
+    name, fn, scale = next(rows)
     assert name == "k80_spend_pmf_us"
+    # the steady-state row calls the tree's censoring as price_row does
+    name, censoring, _ = next(rows)
+    assert name == "k80_censoring_us"
+    assert censoring().shape == (1, 81)
     got = layers.pair({"parent": fn, "change": fn}, scale, pairs=3)
     assert got["pairs"] == 3 and got["loops"] >= 1
     assert got["parent"] > 0.0 and got["change"] > 0.0
