@@ -109,9 +109,8 @@ WALKS = {"default_75k": (DEFAULT_POINT, 75_000),
 def _layers(m, ev, thetas, omega=POLICY[0]):
     """The layers an uncached row of ``thetas`` at ``omega`` runs, each
     called as ``SuEvaluator.price_row`` calls it: on the evaluator's level
-    skeleton, scatter index, spend caps and workspace.  Each layer
-    rewrites the same work arrays with the same values, so the inputs of
-    the others stay valid."""
+    skeleton and workspace.  Each layer rewrites the same work arrays with
+    the same values, so the inputs of the others stay valid."""
     cfg, prof, sensing, work = ev.config, ev.profile, ev.sensing, ev._work
     rate = m.rate
     skeleton = ev._level_skeleton(omega)
@@ -124,8 +123,7 @@ def _layers(m, ev, thetas, omega=POLICY[0]):
     def censoring():
         return ev._builder.steady_state(
             pmf.idle_law, sensing.pi_hat_idle, sensing.pi_hat_busy,
-            pmf.moves, scatter=skeleton.scatter, caps=skeleton.caps,
-            work=work)
+            skeleton, work)
 
     def level_gains():
         return rate.level_gains(cfg, prof, sensing, ev.estimation, pmf, work)

@@ -14,7 +14,11 @@ the current level.
 The matrix is ``T.T @ M``: the harvest law's clamp-shift table T times a
 (shift x level) scatter M of the policy's moves, in which column j's
 moves land on shifts j - reserve - cap(j) up to j - reserve (its spends,
-cap(j) the largest) and on j (its busy frame).
+cap(j) the largest) and on j (its busy frame).  The moves are those of a
+spend fraction's :class:`~ehcr.policy.LevelSkeleton`, which reads off
+each move's place in M and each level's cap, and guarantees what the
+chain relies on unchecked: no shift lies below -reserve, and j - cap(j)
+never falls as j grows.
 
 The steady state never forms that matrix.  :meth:`TransitionBuilder.
 steady_state` censors the chain on ever higher levels, a block B of
@@ -40,6 +44,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .policy import LevelSkeleton
 from .workspace import SCRATCH, Workspace
 
 
@@ -132,7 +137,7 @@ class TransitionBuilder:
             self._panels[b1 + i] = at_least[np.clip(b1 - shifts, 0, k + 1)]
 
     def _scatter(self, idle_law: np.ndarray, idle_prob: float,
-                 busy_prob: float, moves, scatter: Optional[np.ndarray],
+                 busy_prob: float, skeleton: LevelSkeleton,
                  work: Workspace) -> np.ndarray:
         """(shift x level) scatter M of each stacked spend law, in ``work``'s
         :data:`~ehcr.workspace.SCRATCH`."""
@@ -141,61 +146,52 @@ class TransitionBuilder:
                 "chain not ergodic: no sensed-busy frames (busy_prob <= 0)")
         k, reserve = self.cells, self.probe_cells
         law = np.asarray(idle_law, dtype=float)
-        if scatter is None:
-            scatter = scatter_index(moves, k)
         mix = work.empty(SCRATCH, law.shape[:-1] + (k + 1 + reserve, k + 1))
         mix.fill(0.0)
         flat = mix.reshape(law.shape[:-1] + (-1,))
-        flat[..., scatter] = idle_prob * law
+        flat[..., skeleton.scatter] = idle_prob * law
         flat[..., self._busy] += busy_prob
         return mix
 
     def matrix(self, idle_law: np.ndarray, idle_prob: float,
-               busy_prob: float, moves,
-               scatter: Optional[np.ndarray] = None) -> np.ndarray:
+               busy_prob: float, skeleton: LevelSkeleton) -> np.ndarray:
         """Column-stochastic transition matrix of each stacked spend law.
 
-        ``moves = (state, units)`` lists spend moves: ``idle_law[..., m]``
-        is the chance, in a sensed-idle frame, that battery level
-        ``state[m]`` spends ``units[m]`` data cells (a policy law's
-        :attr:`~ehcr.policy.PolicyPmf.moves`, one row of its ``idle_law``
-        per cutoff).  Sensed-busy frames harvest without spending.  Every
-        move's mass is scattered onto its pre-harvest shift in a
-        (shift x level) matrix M, and the transition matrix is
-        ``table.T @ M``; leading axes of the law give one matrix each.
-        ``scatter`` is :func:`scatter_index` of ``moves``, computed here
-        when not given.  A move that spends more than its level holds has
-        a shift below the table and raises ``ValueError``.  ``busy_prob``
-        must be positive: busy frames are what give the chain one closed
-        class.
+        ``idle_law[..., m]`` is the chance, in a sensed-idle frame, that
+        battery level ``state[m]`` spends ``units[m]`` data cells, where
+        ``(state, units)`` are ``skeleton.moves`` (a policy row's
+        :attr:`~ehcr.policy.PolicyPmf.idle_law`, one row per cutoff).
+        Sensed-busy frames harvest without spending.  Every move's mass is
+        scattered onto its pre-harvest shift in a (shift x level) matrix
+        M, and the transition matrix is ``table.T @ M``; leading axes of
+        the law give one matrix each.  ``busy_prob`` must be positive:
+        busy frames are what give the chain one closed class.
 
         Pricing never needs the matrix (see :meth:`steady_state`); it is
         a new array, built for what reports or checks it.
         """
         return np.matmul(self._table.T, self._scatter(
-            idle_law, idle_prob, busy_prob, moves, scatter, Workspace()))
+            idle_law, idle_prob, busy_prob, skeleton, Workspace()))
 
     def steady_state(self, idle_law: np.ndarray, idle_prob: float,
-                     busy_prob: float, moves,
-                     scatter: Optional[np.ndarray] = None,
-                     caps: Optional[np.ndarray] = None,
+                     busy_prob: float, skeleton: LevelSkeleton,
                      work: Optional[Workspace] = None) -> np.ndarray:
         """Stationary law of each stacked spend law's chain (a new array).
 
-        Takes :meth:`matrix`'s arguments and ``caps``, the moves'
-        :func:`spend_caps` (computed here when not given), and never
-        builds the matrix.  Each block B = [b0, b1) of levels below K is
-        censored out of the chain in turn, from level 0 up.  R = [b1, e)
-        holds the levels above B that can fall into it, those whose lowest
-        next level j - reserve - caps[j] lies below b1; that bound never
-        falls as j grows and depends on the spend fraction only, so a
-        stack's blocks do not depend on its cutoffs.  With Q = panel(B) @
-        M[:b1 + reserve, B ∪ R] (the chain's rows B, then each column's
-        mass at b1 or above), A is -Q[B, B] with each diagonal entry
-        replaced by its column's exit mass (Q's other rows of that column,
-        summed), H = A^-1 Q[B, R], and M[:, R] += M[:, B] @ H.  H is kept
-        in M's spent columns B.  Back-substitution starts from level K at
-        1, sets zeta_B = H @ zeta_R block by block, and normalizes.
+        Takes :meth:`matrix`'s arguments and never builds the matrix.
+        Each block B = [b0, b1) of levels below K is censored out of the
+        chain in turn, from level 0 up.  R = [b1, e) holds the levels
+        above B that can fall into it, those whose lowest next level
+        j - reserve - caps[j] lies below b1, ``caps`` being the skeleton's;
+        the skeleton guarantees that this bound never falls as j grows,
+        and it depends on the spend fraction only, so a stack's blocks do
+        not depend on its cutoffs.  With Q = panel(B) @ M[:b1 + reserve,
+        B ∪ R] (the chain's rows B, then each column's mass at b1 or
+        above), A is -Q[B, B] with each diagonal entry replaced by its
+        column's exit mass (Q's other rows of that column, summed), H =
+        A^-1 Q[B, R], and M[:, R] += M[:, B] @ H.  H is kept in M's spent
+        columns B.  Back-substitution starts from level K at 1, sets
+        zeta_B = H @ zeta_R block by block, and normalizes.
 
         Every level can leave every block (:class:`TransitionBuilder`'s
         check), so every exit mass is positive; one that is not, in any
@@ -204,17 +200,14 @@ class TransitionBuilder:
         """
         k, reserve = self.cells, self.probe_cells
         work = work or Workspace()
-        if caps is None:
-            caps = spend_caps(moves, k)
-        mix = self._scatter(idle_law, idle_prob, busy_prob, moves, scatter,
-                            work)
+        mix = self._scatter(idle_law, idle_prob, busy_prob, skeleton, work)
         lead = mix.shape[:-2]
         mix = mix.reshape((-1,) + mix.shape[-2:])
         n = mix.shape[0]
         starts, ends = self._starts, self._ends
         # one past the last level that can fall below each block's end
-        tops = np.maximum(np.searchsorted(np.arange(k + 1) - reserve - caps,
-                                          ends), ends)
+        tops = np.maximum(np.searchsorted(
+            np.arange(k + 1) - reserve - skeleton.caps, ends), ends)
         blocks = list(zip(starts.tolist(), ends.tolist(), tops.tolist()))
         # flat work arrays, sized for any spend fraction so that they never
         # grow: a block's product spans at most K + 1 columns, and its fill
@@ -256,39 +249,6 @@ class TransitionBuilder:
                 zeta[:, b0:b1] = 0.0
         zeta /= zeta.sum(axis=-1, keepdims=True)
         return zeta.reshape(lead + (k + 1,))
-
-
-def scatter_index(moves, cells: int) -> np.ndarray:
-    """Flat index of each spend move in :meth:`TransitionBuilder.matrix`'s
-    (shift x level) scatter of a ``cells``-cell battery.
-
-    A sensed-idle move of level ``state`` that spends ``units`` cells lands
-    on row ``state - units`` (its pre-harvest shift plus the reserve).  A
-    move that spends more than its level holds raises ``ValueError``.
-    """
-    state, units = moves
-    index = state - units
-    if np.any(index < 0):
-        raise ValueError("a spend move exceeds its battery level")
-    index *= cells + 1
-    index += state
-    return index
-
-
-def spend_caps(moves, cells: int) -> np.ndarray:
-    """Per-level spend caps of ``moves``: they bound how far above each
-    block :meth:`TransitionBuilder.steady_state`'s censoring reaches.
-
-    Level j's cap is the largest spend of its moves (0 without any),
-    raised where needed so that j - cap never falls as j grows.
-    """
-    state, units = moves
-    caps = np.zeros(cells + 1, dtype=int)
-    np.maximum.at(caps, state, units)
-    levels = np.arange(cells + 1)
-    # each level's lowest row, j - cap, as a minimum over every later level
-    low = np.minimum.accumulate((levels - caps)[::-1])[::-1]
-    return levels - low
 
 
 def battery_outage(dist: np.ndarray, probe_cells: int) -> np.ndarray:

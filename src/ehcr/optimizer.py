@@ -219,8 +219,7 @@ class SuEvaluator:
                                 self.estimation, pmf, work)
         zeta = self._builder.steady_state(
             pmf.idle_law, self.sensing.pi_hat_idle, self.sensing.pi_hat_busy,
-            pmf.moves, scatter=pmf.skeleton.scatter, caps=pmf.skeleton.caps,
-            work=work)
+            pmf.skeleton, work)
         weights = level_weights(zeta, pmf)
         return PricedRow(
             pmf=pmf, gains=gains, steady_state=zeta,

@@ -16,7 +16,6 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .battery import scatter_index
 from .model import PolicyParams
 from .probing import GainDistribution, conditional_cdfs
 from .workspace import SCRATCH, Workspace
@@ -67,12 +66,18 @@ class LevelSkeleton(NamedTuple):
     """Theta-free part of one spend fraction's spend levels.
 
     ``moves`` lists every spend level, then every battery level's zero
-    spend, as (battery level, spend); ``scatter`` is their
-    :func:`~ehcr.battery.scatter_index` and ``caps`` each battery level's
-    largest spend, which bounds how far above each block
-    :meth:`~ehcr.battery.TransitionBuilder.steady_state`'s censoring
-    reaches.  Within a battery level the levels run from spend 1
-    (``first``) up to its top level (``top``).
+    spend, as (battery level, spend).  ``scatter`` is each move's flat
+    index (level - spend) * (cells + 1) + level in the (shift x level)
+    scatter of :class:`~ehcr.battery.TransitionBuilder`, and ``caps``
+    each battery level's largest spend, which bounds how far above each
+    block :meth:`~ehcr.battery.TransitionBuilder.steady_state`'s
+    censoring reaches.  The battery chain relies on two guarantees of
+    omega in [0, 1] without checking them: no move spends more than its
+    level less the reserve (so level - spend >= 0, and >= reserve for a
+    spending move), and level - caps[level] never falls as the level
+    grows (floor(omega * k) rises by at most 1 per level).  Within a
+    battery level the levels run from spend 1 (``first``) up to its top
+    level (``top``).
     A :class:`PolicyPmf` built from it shares these arrays, so a row
     priced in several stacks computes them once.
     """
@@ -119,8 +124,10 @@ def level_skeleton(omega: float, probe_cells: int, cells: int) -> LevelSkeleton:
     # contiguous from spend 1; a state's top level comes just before the
     # next state's first, and the last level wraps onto the first
     first = units == 1
-    return LevelSkeleton(moves, scatter_index(moves, cells), caps, first,
-                         np.roll(first, -1))
+    scatter = moves[0] - moves[1]
+    scatter *= cells + 1
+    scatter += moves[0]
+    return LevelSkeleton(moves, scatter, caps, first, np.roll(first, -1))
 
 
 def _lower_edges(omega: float, thetas: np.ndarray, probe_cells: int,
@@ -159,9 +166,9 @@ class PolicyPmf:
     ``level_mass[b, eps, l]`` is that chance under the idle (eps = 0) or
     busy (eps = 1) gain law, and ``zero_mass[b, eps, k]`` the chance of
     spending nothing at battery level k; both are views of ``masses``,
-    in the order of :attr:`moves`.  The level skeleton depends on
-    ``omega`` only; the leading axis of every other array runs over the
-    cutoffs.  The rate bound integrates over the same gain intervals; a
+    in the order of the skeleton's ``moves``.  The level skeleton depends
+    on ``omega`` only; the leading axis of every other array runs over
+    the cutoffs.  The rate bound integrates over the same gain intervals; a
     level's upper edge is the next level's lower edge, +inf at its
     state's top (:attr:`level_hi`, computed on demand).  A pmf that
     :func:`transmit_row` wrote into a :class:`~ehcr.workspace.Workspace`
@@ -174,7 +181,6 @@ class PolicyPmf:
     level_lo: np.ndarray     # (cutoffs, levels) lower gain edge
     masses: np.ndarray       # (cutoffs, 2, levels + cells + 1)
     cells: int
-    probe_cells: int
 
     @property
     def level_state(self) -> np.ndarray:
@@ -205,13 +211,9 @@ class PolicyPmf:
         return self.masses[..., self.skeleton.top.size:]
 
     @property
-    def moves(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(battery level, spend) of every level, then the zero spend of every state."""
-        return self.skeleton.moves
-
-    @property
     def idle_law(self) -> np.ndarray:
-        """Masses of :attr:`moves` under the idle gain law (eps = 0)."""
+        """Masses of the skeleton's ``moves`` under the idle gain law
+        (eps = 0)."""
         return self.masses[:, 0, :]
 
 
@@ -255,5 +257,4 @@ def transmit_row(omega: float, thetas: Sequence[float], probe_cells: int,
     zero.fill(1.0)
     zero[..., skeleton.level_state[first]] = cdf[..., first]
     return PolicyPmf(omega=omega, theta=thetas, skeleton=skeleton,
-                     level_lo=lo, masses=masses, cells=cells,
-                     probe_cells=probe_cells)
+                     level_lo=lo, masses=masses, cells=cells)

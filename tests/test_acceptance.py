@@ -17,7 +17,7 @@ from ehcr.battery import TransitionBuilder
 from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                         harvest_pmf)
 from ehcr.optimizer import SearchConfig, SuEvaluator, objective_surface, solve_p1
-from ehcr.policy import transmit_row
+from ehcr.policy import level_skeleton, transmit_row
 from ehcr.probing import GainDistribution, estimator_variances, gain_cdf
 from ehcr.rate import (antiderivative_m, interference_load, level_gains,
                        level_weights, rate_sum)
@@ -59,7 +59,7 @@ def _random_transition_systems():
         builder = TransitionBuilder(harvest_pmf(profile.harvest_rate, cells),
                                     cells, config.probe_cells)
         phi = builder.matrix(pmf.idle_law, sensing.pi_hat_idle,
-                             sensing.pi_hat_busy, pmf.moves)[0]
+                             sensing.pi_hat_busy, pmf.skeleton)[0]
         systems.append((NetworkModel(config=config, profiles=(profile,)),
                         params, pmf, phi))
     return systems
@@ -350,9 +350,9 @@ def test_criterion_7_search_matches_exhaustive_grid():
     thetas = np.geomspace(1e-3, 20.0, 201)
 
     # price every grid point straight off a dense spend law over every
-    # move a policy may make (spends 0..max(j - reserve, 0) at level j),
-    # batching the steady-state solves; each solution is verified as a
-    # fixed point
+    # move a policy may make (the skeleton of omega = 1: spends
+    # 0..max(j - reserve, 0) at level j), batching the steady-state
+    # solves; each solution is verified as a fixed point
     sensing = sensing_stats(cfg, prof)
     est = estimator_variances(cfg, prof, sensing)
     dist = GainDistribution.from_stats(est, sensing)
@@ -361,9 +361,8 @@ def test_criterion_7_search_matches_exhaustive_grid():
         cfg.battery_cells, cfg.probe_cells)
     n = cfg.battery_cells + 1
     eye = np.eye(n)
-    levels = np.arange(n)
-    moves = np.nonzero(levels <= np.maximum(levels[:, None]
-                                            - cfg.probe_cells, 0))
+    every_move = level_skeleton(1.0, cfg.probe_cells, cfg.battery_cells)
+    state, units = every_move.moves
     rates = np.empty((len(omegas), len(thetas)))
     loads = np.empty_like(rates)
     for a, omega in enumerate(omegas):
@@ -372,8 +371,8 @@ def test_criterion_7_search_matches_exhaustive_grid():
         psi = np.zeros((len(thetas), n, n))
         psi[:, :, 0] = row.zero_mass[:, 0]
         psi[:, row.level_state, row.level_units] = row.level_mass[:, 0]
-        mats = builder.matrix(psi[:, moves[0], moves[1]],
-                              sensing.pi_hat_idle, sensing.pi_hat_busy, moves)
+        mats = builder.matrix(psi[:, state, units], sensing.pi_hat_idle,
+                              sensing.pi_hat_busy, every_move)
         zetas = np.linalg.solve(mats - eye + 1.0,
                                 np.ones((len(thetas), n, 1)))[..., 0]
         residual = np.abs(np.einsum("bij,bj->bi", mats, zetas) - zetas).max()

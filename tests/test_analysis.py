@@ -11,7 +11,7 @@ from ehcr.battery import TransitionBuilder, battery_outage
 from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                         harvest_pmf)
 from ehcr.optimizer import SuEvaluator
-from ehcr.policy import transmit_row
+from ehcr.policy import level_skeleton, transmit_row
 from ehcr.probing import GainDistribution, estimator_variances, gain_cdf
 from ehcr.rate import antiderivative_m
 from ehcr.sensing import sensing_stats
@@ -127,7 +127,7 @@ def _priced_and_exact_steady_state(cells, reserve, harvest_rate, omega,
     pmf = transmit_row(omega, [theta], reserve, cells, evaluator.gain)
     got = evaluator.price_row(pmf).steady_state[0]
     ld = np.longdouble
-    state, units = pmf.moves
+    state, units = pmf.skeleton.moves
     mix = np.zeros((cells + 1 + reserve, cells + 1), dtype=ld)
     mix[state - units, state] = (ld(evaluator.sensing.pi_hat_idle)
                                  * pmf.idle_law[0].astype(ld))
@@ -171,8 +171,9 @@ def _dense_chain(model, params):
     Spend levels (with the policy row's gain edges) become a dense psi
     whose zero column takes what the positive levels leave; the
     transition matrix is ``TransitionBuilder.matrix`` over every move a
-    policy may make, spends 0..max(j - reserve, 0) at level j (checked
-    against a brute-force assembly in test_battery); the steady state is
+    policy may make, the skeleton of omega = 1's spends 0..max(j -
+    reserve, 0) at level j (checked against a brute-force assembly in
+    test_battery); the steady state is
     a GTH solve of it; every term then reads psi.
     """
     cfg, prof = model.config, model.profiles[0]
@@ -190,10 +191,9 @@ def _dense_chain(model, params):
         psi[eps, :, 0] = np.maximum(1.0 - psi[eps, :, 1:].sum(axis=1), 0.0)
 
     builder = TransitionBuilder(harvest_pmf(prof.harvest_rate, k), k, r)
-    levels = np.arange(k + 1)
-    moves = np.nonzero(levels <= np.maximum(levels[:, None] - r, 0))
-    phi = builder.matrix(psi[0][moves], sen.pi_hat_idle, sen.pi_hat_busy,
-                         moves)
+    every_move = level_skeleton(1.0, r, k)
+    phi = builder.matrix(psi[0][every_move.moves], sen.pi_hat_idle,
+                         sen.pi_hat_busy, every_move)
     zeta = _gth_stationary(phi)
 
     rate = 0.0

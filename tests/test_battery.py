@@ -6,7 +6,7 @@ import pytest
 
 from ehcr.analysis import analyze_su
 from ehcr.battery import (ChainNotErgodicError, TransitionBuilder, avg_energy,
-                          battery_outage, spend_caps)
+                          battery_outage)
 from ehcr.model import (NetworkModel, PolicyParams, SuProfile, SystemConfig,
                         harvest_pmf)
 from ehcr.policy import level_skeleton, transmit_row
@@ -16,19 +16,19 @@ from ehcr.sensing import joint_sensing_stats
 MIX = GainDistribution(weights=(0.9, 0.1), means=(2.0, 1.0))
 
 
-def _brute_force_matrix(moves, law, idle_prob, busy_prob, harvest, cells,
-                        reserve):
+def _brute_force_matrix(skeleton, law, idle_prob, busy_prob, harvest,
+                        cells, reserve):
     """O(K^3) reference built straight from the slot dynamics.
 
-    ``law[m]`` is the chance that level ``moves[0][m]`` spends
-    ``moves[1][m]`` data cells in a sensed-idle frame.
+    ``law[m]`` is the chance that level ``skeleton.moves[0][m]`` spends
+    ``skeleton.moves[1][m]`` data cells in a sensed-idle frame.
     """
     phi = np.zeros((cells + 1, cells + 1))
     for j in range(cells + 1):
         for h, p_h in enumerate(harvest):
             # sensed busy: harvest only
             phi[min(j + h, cells), j] += busy_prob * p_h
-    for j, s, p_s in zip(*moves, law):
+    for j, s, p_s in zip(*skeleton.moves, law):
         for h, p_h in enumerate(harvest):
             # sensed idle: burn reserve plus spend, clamp at empty and full
             nxt = min(max(j - reserve - s + h, 0), cells)
@@ -39,15 +39,14 @@ def _brute_force_matrix(moves, law, idle_prob, busy_prob, harvest, cells,
 def _random_legal_law(rng, cells, reserve):
     """Random spend law over every move a policy may make.
 
-    Level j may spend 0..max(j - reserve, 0) cells; the masses of each
-    level sum to one.
+    The moves of the skeleton of omega = 1: level j may spend
+    0..max(j - reserve, 0) cells.  The masses of each level sum to one.
     """
-    caps = np.maximum(np.arange(cells + 1) - reserve, 0)
-    state = np.repeat(np.arange(cells + 1), caps + 1)
-    units = np.concatenate([np.arange(cap + 1) for cap in caps])
+    skeleton = level_skeleton(1.0, reserve, cells)
+    state = skeleton.moves[0]
     law = rng.random(state.size)
     law /= np.bincount(state, weights=law)[state]
-    return (state, units), law
+    return skeleton, law
 
 
 def test_transition_matrix_matches_direct_construction():
@@ -56,30 +55,13 @@ def test_transition_matrix_matches_direct_construction():
     pmf = transmit_row(0.8, [0.15], reserve, cells, MIX)
     sensing = joint_sensing_stats(0.7, 0.1, 0.85)
     got = TransitionBuilder(harvest, cells, reserve).matrix(
-        pmf.idle_law, sensing.pi_hat_idle, sensing.pi_hat_busy, pmf.moves)[0]
-    want = _brute_force_matrix(pmf.moves, pmf.idle_law[0],
+        pmf.idle_law, sensing.pi_hat_idle, sensing.pi_hat_busy,
+        pmf.skeleton)[0]
+    want = _brute_force_matrix(pmf.skeleton, pmf.idle_law[0],
                                sensing.pi_hat_idle, sensing.pi_hat_busy,
                                harvest, cells, reserve)
     np.testing.assert_allclose(got, want, atol=1e-14)
     np.testing.assert_allclose(got.sum(axis=0), 1.0, atol=1e-12)
-
-
-def test_moves_below_the_reserve_shift_are_rejected():
-    cells, reserve = 6, 1
-    harvest = harvest_pmf(1.2, cells)
-    builder = TransitionBuilder(harvest, cells, reserve)
-    state = np.array([0, 1, 2, 2, 3, 4, 5, 6])
-    # level 2 spending its whole charge sits on the lowest shift, -reserve
-    units = np.array([0, 0, 0, 2, 0, 0, 0, 0])
-    law = np.array([1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0])
-    got = builder.matrix(law, 0.6, 0.4, (state, units))
-    want = _brute_force_matrix((state, units), law, 0.6, 0.4, harvest, cells,
-                               reserve)
-    np.testing.assert_allclose(got, want, atol=1e-14)
-    # one cell more would fall below the table
-    units[3] = 3
-    with pytest.raises(ValueError):
-        builder.matrix(law, 0.6, 0.4, (state, units))
 
 
 def test_column_stochastic_over_random_inputs():
@@ -93,7 +75,7 @@ def test_column_stochastic_over_random_inputs():
                            MIX)
         idle = float(rng.uniform(0.05, 0.95))
         phi = TransitionBuilder(harvest, cells, reserve).matrix(
-            pmf.idle_law, idle, 1.0 - idle, pmf.moves)[0]
+            pmf.idle_law, idle, 1.0 - idle, pmf.skeleton)[0]
         assert np.all(phi >= 0.0)
         np.testing.assert_allclose(phi.sum(axis=0), 1.0, atol=1e-12)
 
@@ -102,7 +84,8 @@ def _always_busy_matrix(cells, harvest):
     pmf = transmit_row(0.9, [0.1], 1, cells, MIX)
     sensing = joint_sensing_stats(0.5, 1.0, 1.0)
     return TransitionBuilder(harvest, cells, 1).matrix(
-        pmf.idle_law, sensing.pi_hat_idle, sensing.pi_hat_busy, pmf.moves)[0]
+        pmf.idle_law, sensing.pi_hat_idle, sensing.pi_hat_busy,
+        pmf.skeleton)[0]
 
 
 def test_always_busy_reduces_to_pure_harvesting():
@@ -126,9 +109,9 @@ def test_two_level_chain_has_the_closed_form_steady_state():
     # levels 0 and 1: up-rate p, down-rate q, steady state (q, p) / (p + q)
     builder = TransitionBuilder(harvest_pmf(0.7, 1), 1, 0)
     pmf = transmit_row(1.0, [0.1], 0, 1, MIX)
-    phi = builder.matrix(pmf.idle_law, 0.6, 0.4, pmf.moves)[0]
+    phi = builder.matrix(pmf.idle_law, 0.6, 0.4, pmf.skeleton)[0]
     p, q = phi[1, 0], phi[0, 1]
-    zeta = builder.steady_state(pmf.idle_law, 0.6, 0.4, pmf.moves)[0]
+    zeta = builder.steady_state(pmf.idle_law, 0.6, 0.4, pmf.skeleton)[0]
     np.testing.assert_allclose(zeta, [q / (p + q), p / (p + q)], rtol=1e-15)
 
 
@@ -145,7 +128,7 @@ def test_steady_state_rejects_reducible_chains():
     pmf = transmit_row(0.5, [0.1], 1, cells, MIX)
     for method in (builder.matrix, builder.steady_state):
         with pytest.raises(ChainNotErgodicError):
-            method(pmf.idle_law, 1.0, 0.0, pmf.moves)
+            method(pmf.idle_law, 1.0, 0.0, pmf.skeleton)
 
 
 def test_a_zero_exit_mass_is_rejected():
@@ -159,7 +142,7 @@ def test_a_zero_exit_mass_is_rejected():
     busy = float(np.nextafter(0.0, 1.0))
     assert busy > 0.0 and 1.0 - harvest[0] < 0.5
     with pytest.raises(ChainNotErgodicError, match="exit mass"):
-        builder.steady_state(pmf.idle_law, 0.0, busy, pmf.moves)
+        builder.steady_state(pmf.idle_law, 0.0, busy, pmf.skeleton)
 
 
 def test_chain_summary_metrics():
@@ -191,7 +174,7 @@ def test_avg_energy_monotone_in_harvest_rate():
         zeta = TransitionBuilder(harvest_pmf(rho, cells), cells,
                                  1).steady_state(
             pmf.idle_law, sensing.pi_hat_idle, sensing.pi_hat_busy,
-            pmf.moves)
+            pmf.skeleton)
         means.append(float(avg_energy(zeta)[0]))
     assert all(b >= a - 1e-9 for a, b in zip(means, means[1:]))
 
@@ -206,16 +189,16 @@ def test_transition_matrix_matches_brute_force_over_random_settings():
         harvest = harvest_pmf(float(rng.uniform(0.05, 8.0)), cells)
         if trial % 2:
             # random law over every legal move, not only a policy's
-            moves, law = _random_legal_law(rng, cells, reserve)
+            skeleton, law = _random_legal_law(rng, cells, reserve)
         else:
             pmf = transmit_row(float(rng.uniform(0, 1)),
                                [float(rng.uniform(0.01, 2.0))], reserve,
                                cells, MIX)
-            moves, law = pmf.moves, pmf.idle_law[0]
+            skeleton, law = pmf.skeleton, pmf.idle_law[0]
         idle = float(rng.uniform(0.05, 0.95))
         got = TransitionBuilder(harvest, cells, reserve).matrix(
-            law, idle, 1.0 - idle, moves)
-        want = _brute_force_matrix(moves, law, idle, 1.0 - idle, harvest,
+            law, idle, 1.0 - idle, skeleton)
+        want = _brute_force_matrix(skeleton, law, idle, 1.0 - idle, harvest,
                                    cells, reserve)
         np.testing.assert_allclose(got, want, atol=1e-14)
 
@@ -224,10 +207,9 @@ def test_transition_matrix_memory_at_large_battery():
     cells = 400
     builder = TransitionBuilder(harvest_pmf(4.0, cells), cells, 1)
     pmf = transmit_row(0.5, [0.2], 1, cells, MIX)
-    law, moves = pmf.idle_law, pmf.moves
     tracemalloc.start()
     try:
-        builder.matrix(law, 0.7, 0.3, moves)
+        builder.matrix(pmf.idle_law, 0.7, 0.3, pmf.skeleton)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -243,11 +225,11 @@ def test_steady_state_zero_on_transient_states():
     builder = TransitionBuilder(harvest_pmf(3.0, cells), cells, 0)
     for omega, transient in ((0.5, 2), (0.0, cells)):
         pmf = transmit_row(omega, [0.1, 0.5], 0, cells, MIX)
-        zeta = builder.steady_state(pmf.idle_law, 0.7, 0.3, pmf.moves)
+        zeta = builder.steady_state(pmf.idle_law, 0.7, 0.3, pmf.skeleton)
         assert (zeta[:, :transient] == 0.0).all()
         assert (zeta[:, transient:] > 0.0).all()
         for law, z in zip(pmf.idle_law, zeta):
-            phi = builder.matrix(law, 0.7, 0.3, pmf.moves)
+            phi = builder.matrix(law, 0.7, 0.3, pmf.skeleton)
             assert np.abs(phi @ z - z).max() < 1e-15
 
 
@@ -289,12 +271,12 @@ def test_steady_state_rejects_classes_sharing_a_transient_state():
             harvest[int(rng.integers(1, cells + 1))] = 1.0 - harvest[0]
         else:
             harvest = harvest_pmf(float(10.0 ** rng.uniform(-2, 1.5)), cells)
-        moves, law = _random_legal_law(rng, cells, reserve)
+        skeleton, law = _random_legal_law(rng, cells, reserve)
         busy = float(rng.uniform(1e-3, 0.95))
         builder = TransitionBuilder(harvest, cells, reserve)
-        phi = builder.matrix(law, 1.0 - busy, busy, moves)
+        phi = builder.matrix(law, 1.0 - busy, busy, skeleton)
         assert _reaches_top(phi)
-        z = builder.steady_state(law, 1.0 - busy, busy, moves)
+        z = builder.steady_state(law, 1.0 - busy, busy, skeleton)
         assert (z >= 0.0).all() and z.sum() == pytest.approx(1.0, abs=1e-15)
         assert np.max(np.abs(phi @ z - z)) < 1e-13
 
@@ -304,10 +286,9 @@ def test_stacked_chains_are_solved_and_checked_one_by_one():
     builder = TransitionBuilder(harvest_pmf(15.0, cells), cells, reserve)
     skeleton = level_skeleton(0.45, reserve, cells)
     row = transmit_row(0.45, (0.02, 0.2, 0.8), reserve, cells, MIX, skeleton)
-    stacked = builder.steady_state(row.idle_law, 0.7, 0.3, row.moves,
-                                   skeleton.scatter, skeleton.caps)
+    stacked = builder.steady_state(row.idle_law, 0.7, 0.3, skeleton)
     for law, z in zip(row.idle_law, stacked):
-        alone = builder.steady_state(law[None], 0.7, 0.3, row.moves)[0]
+        alone = builder.steady_state(law[None], 0.7, 0.3, row.skeleton)[0]
         assert alone.tobytes() == z.tobytes()
     # a NaN mass of a level below K anywhere in the stack is rejected: the
     # zero spend of level 3
@@ -315,7 +296,7 @@ def test_stacked_chains_are_solved_and_checked_one_by_one():
         law = row.idle_law.copy()
         law[position, -(cells + 1) + 3] = np.nan
         with pytest.raises(ChainNotErgodicError):
-            builder.steady_state(law, 0.7, 0.3, row.moves)
+            builder.steady_state(law, 0.7, 0.3, row.skeleton)
 
 
 def test_stacked_spend_laws_give_one_matrix_each():
@@ -324,43 +305,11 @@ def test_stacked_spend_laws_give_one_matrix_each():
     builder = TransitionBuilder(harvest, cells, reserve)
     thetas = (0.01, 0.2, 1.5)
     row = transmit_row(0.6, thetas, reserve, cells, MIX)
-    stacked = builder.matrix(row.idle_law, 0.7, 0.3, row.moves)
+    stacked = builder.matrix(row.idle_law, 0.7, 0.3, row.skeleton)
     for theta, law, phi in zip(thetas, row.idle_law, stacked):
         one = transmit_row(0.6, [theta], reserve, cells, MIX)
         np.testing.assert_array_equal(
-            phi, builder.matrix(one.idle_law, 0.7, 0.3, one.moves)[0])
-        want = _brute_force_matrix(row.moves, law, 0.7, 0.3, harvest, cells,
-                                   reserve)
+            phi, builder.matrix(one.idle_law, 0.7, 0.3, one.skeleton)[0])
+        want = _brute_force_matrix(row.skeleton, law, 0.7, 0.3, harvest,
+                                   cells, reserve)
         np.testing.assert_allclose(phi, want, atol=1e-15)
-
-
-def test_band_covers_moves_whose_lowest_row_falls():
-    """Moves need not come from a policy: where a level spends less than a
-    lower one, ``spend_caps`` raises the caps until j - cap never falls,
-    so the censoring's fill reaches every level that can fall into a
-    block."""
-    rng = np.random.default_rng(29)
-    raised = 0
-    for _ in range(20):
-        cells = int(rng.integers(4, 30))
-        reserve = int(rng.integers(0, 4))
-        moves, law = _random_legal_law(rng, cells, reserve)
-        # a random subset of every legal move, each level keeping its zero
-        # spend, renormalised level by level
-        kept = (moves[1] == 0) | (rng.random(law.size) < 0.3)
-        moves = (moves[0][kept], moves[1][kept])
-        law = law[kept] / np.bincount(moves[0], weights=law[kept])[moves[0]]
-        caps = spend_caps(moves, cells)
-        assert (np.diff(np.arange(cells + 1) - caps) >= 0).all()
-        # each level's largest spend, every level having a move
-        largest = np.maximum.reduceat(
-            moves[1], np.flatnonzero(np.diff(moves[0], prepend=-1)))
-        assert (caps >= largest).all()
-        raised += int((caps > largest).any())
-        harvest = harvest_pmf(float(rng.uniform(0.1, 5.0)), cells)
-        zeta = TransitionBuilder(harvest, cells, reserve).steady_state(
-            law, 0.6, 0.4, moves)
-        phi = _brute_force_matrix(moves, law, 0.6, 0.4, harvest, cells,
-                                  reserve)
-        assert np.max(np.abs(phi @ zeta - zeta)) < 1e-13
-    assert raised

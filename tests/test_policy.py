@@ -1,9 +1,10 @@
 """Threshold policy: spend levels, gain intervals and the spend pmf."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehcr.model import PolicyParams
-from ehcr.policy import transmit_row, transmit_units
+from ehcr.policy import level_skeleton, transmit_row, transmit_units
 from ehcr.probing import GainDistribution, gain_cdf
 
 MIX = GainDistribution(weights=(0.9, 0.1), means=(2.0, 1.0))
@@ -220,3 +221,31 @@ def test_level_mass_equals_four_gain_cdf_calls():
             want = np.where(pmf.level_lo >= pmf.level_hi, 0.0,
                             np.maximum(q, 0.0))
             assert (pmf.level_mass[:, eps, :] == want).all()
+
+
+def _check_skeleton_guarantees(omega, reserve, cells):
+    """What the battery chain relies on in a level skeleton unchecked."""
+    skeleton = level_skeleton(omega, reserve, cells)
+    state, units = skeleton.moves
+    rows = state - units
+    # no move spends more than its level holds, nor into the reserve
+    assert (rows >= 0).all()
+    assert (rows[units > 0] >= reserve).all()
+    # each level's lowest row never falls as the level grows
+    levels = np.arange(cells + 1)
+    assert (np.diff(levels - skeleton.caps) >= 0).all()
+    largest = np.zeros(cells + 1, dtype=int)
+    np.maximum.at(largest, state, units)
+    np.testing.assert_array_equal(skeleton.caps, largest)
+    np.testing.assert_array_equal(skeleton.scatter,
+                                  rows * (cells + 1) + state)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data(),
+       omega=st.one_of(st.sampled_from((0.35, 0.7, 1.0)),
+                       st.floats(0.0, 1.0)))
+def test_level_skeleton_guarantees_what_the_chain_relies_on(data, omega):
+    cells = data.draw(st.integers(1, 400), label="cells")
+    reserve = data.draw(st.integers(0, cells - 1), label="reserve")
+    _check_skeleton_guarantees(omega, reserve, cells)
